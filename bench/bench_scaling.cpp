@@ -15,46 +15,26 @@
  *   - independent: no cross-thread conflicts at all — pure per-event
  *                  overhead of each analysis.
  *
- * A second mode, --shards, sweeps the sharded runner (src/shard/) over
- * drivers x shard counts x merge policies on the ablation workloads and
- * writes BENCH_shards.json: end-to-end wall time, events/s and speedup
- * vs the plain single-engine runner, per workload x engine x driver x
- * shard count, for lockstep (merge_epoch = 1, a barrier per event)
- * against exact epoch mode (periodic merges + divergence barriers) — the
- * headline is epoch mode matching lockstep's verdicts at higher
- * throughput. Each run records the transport block size (batch), the
- * block-transport counters (blocks pushed, partial flushes, average
- * routed-run length), the speedup against the same driver's 1-shard row
- * (speedup_vs_1shard — the number that isolates parallel gain from
- * transport overhead), and the per-event transport tax in ns vs the
- * single-engine baseline. A small batch ablation re-runs the first
- * engine's 2-shard epoch row at batch 1 and 64 against the default 256.
- * Scaling beyond 1x needs at least as many cores as shards; the JSON
- * records hardware_concurrency (and per-row `oversubscribed`) so
- * single-core CI numbers read as what they are.
- *
- * A third mode, --updsets, is the update-set smoke gate: it measures the
+ * A second mode, --updsets, is the update-set smoke gate: it measures the
  * basic/readopt end-event path (update sets on vs the AERO_UPDATE_SETS=0
  * full sweep) on the var-heavy workloads and *fails* if readopt's
  * throughput falls below a floor derived from the pre-update-set
- * BENCH_shards.json baselines — the CI tripwire for the quadratic end
- * sweep sneaking back in.
+ * baselines — the CI tripwire for the quadratic end sweep sneaking back
+ * in.
  *
- * A fourth mode, --faults, is the fault-injection overhead gate: it
- * times the streaming and sharded paths with the FaultInjector disarmed
- * vs armed-but-idle (a trigger that never fires) and fails if the
- * armed-idle hooks cost more than the floor — the tripwire for a fault
- * hook growing beyond its one-relaxed-load budget.
+ * A third mode, --faults, is the fault-injection overhead gate: it times
+ * the streaming path with the FaultInjector disarmed vs armed-but-idle
+ * (a trigger that never fires) and fails if the armed-idle hooks cost
+ * more than the floor — the tripwire for a fault hook growing beyond its
+ * one-relaxed-load budget.
  *
  * Usage: bench_scaling [--budget SECONDS] [--points N]
- *        bench_scaling --shards [--quick] [--json PATH]
- *                      [--merge-epoch K|end] [--no-merge-barriers]
  *        bench_scaling --updsets [--quick]
  *        bench_scaling --faults [--quick]
  *        bench_scaling --memory [--quick] [--json PATH]
  *        bench_scaling --ingest [--quick] [--json PATH]
  *
- * A fifth mode, --memory, is the reclamation gate: it drives every
+ * A fourth mode, --memory, is the reclamation gate: it drives every
  * AeroDrome engine over the rolling stream (gen/rolling_stream.hpp —
  * thread churn + hot-window drift, the unbounded-stream model) once
  * with gc off and once with gc on, writes BENCH_memory.json
@@ -63,14 +43,12 @@
  * is not flat (end > 1.15x midpoint) or if reclamation costs more than
  * 5% throughput against the gc-off run of the same engine.
  *
- * A sixth mode, --ingest, is the block-ingestion gate for the PR that
- * rebuilt trace reading around next_n blocks: it writes a ~10M-event
- * binary trace (~1M under --quick) to a temp file and records, best of
- * three each, decode-only rows (istream per-event next(), istream
- * batched next_n, read()-buffered batched, mmap batched), end-to-end
- * check rows (in-memory TraceSource vs the mmap file-backed source,
- * both through run_checker_stream), and a decode/route overlap row (the
- * 2-shard threaded driver fed from the mapped file). BENCH_ingest.json
+ * A fifth mode, --ingest, is the block-ingestion gate: it writes a
+ * ~10M-event binary trace (~1M under --quick) to a temp file and
+ * records, best of three each, decode-only rows (istream per-event
+ * next(), istream batched next_n, read()-buffered batched, mmap batched)
+ * and end-to-end check rows (in-memory TraceSource vs the mmap
+ * file-backed source, both through run_checker_stream). BENCH_ingest.json
  * gets every row plus the two gates, and the run *fails* if mmap
  * batched decode is under 5x the per-event istream path or the
  * file-backed check is more than 1.3x slower than the in-memory rate.
@@ -83,7 +61,6 @@
 #include <functional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -95,7 +72,6 @@
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
 #include "gen/rolling_stream.hpp"
-#include "shard/sharded_runner.hpp"
 #include "support/fault.hpp"
 #include "support/stopwatch.hpp"
 #include "support/str.hpp"
@@ -112,30 +88,13 @@ using namespace aero;
 struct Args {
     double budget = 10.0;
     int points = 5;
-    bool shards_mode = false;
     bool updsets_mode = false;
     bool faults_mode = false;
     bool memory_mode = false;
     bool ingest_mode = false;
     bool quick = false;
-    uint64_t merge_epoch = 64;
-    bool merge_barriers = true;
     std::string json_path; // per-mode default unless --json is given
 };
-
-/** Human/JSON label of a merge configuration. */
-std::string
-merge_policy_name(uint64_t merge_epoch, bool barriers)
-{
-    if (merge_epoch == 1)
-        return "lockstep";
-    if (merge_epoch == 0)
-        return "none";
-    if (!barriers)
-        return "legacy-epoch";
-    return merge_epoch == ShardOptions::kMergeEndOnly ? "end-only"
-                                                      : "exact-epoch";
-}
 
 void
 run_series(const char* name, const std::vector<Trace>& traces,
@@ -182,25 +141,7 @@ run_series(const char* name, const std::vector<Trace>& traces,
     }
 }
 
-// --- Shard sweep (--shards) -------------------------------------------------
-
-struct ShardEngine {
-    const char* name;
-    EngineFactory factory;
-    RunResult (*baseline)(const Trace&);
-    /** Single-engine run with end-event update sets disabled (the
-     *  AERO_UPDATE_SETS=0 full-sweep ablation); null for engines whose
-     *  update sets are structural (opt/tuned). */
-    RunResult (*nosets)(const Trace&) = nullptr;
-};
-
-template <typename Engine>
-RunResult
-run_baseline(const Trace& t)
-{
-    Engine engine(t.num_threads(), t.num_vars(), t.num_locks());
-    return run_checker(engine, t);
-}
+// --- Update-set smoke gate (--updsets) --------------------------------------
 
 template <typename Engine>
 RunResult
@@ -223,304 +164,12 @@ run_baseline_sets(const Trace& t)
     return run_checker(engine, t);
 }
 
-int
-run_shard_sweep(const Args& args)
-{
-    const unsigned cores = std::thread::hardware_concurrency();
-    const uint32_t scale = args.quick ? 1 : 4;
-
-    struct Workload {
-        const char* name;
-        Trace trace;
-    };
-    std::vector<Workload> workloads;
-    // Var-heavy shapes: per-variable state dominates, so partitioning
-    // variables divides the hot sweeps (see ROADMAP's quadratic-end
-    // note for readopt).
-    workloads.push_back({"pipeline", gen::make_pipeline(8, 2500 * scale)});
-    workloads.push_back(
-        {"independent", gen::make_independent(8, 1250 * scale, 8)});
-    workloads.push_back({"mesh", gen::make_reader_mesh(8, 5000 * scale)});
-    {
-        gen::StarOptions star;
-        star.producers = 4;
-        star.consumers = 4;
-        star.rounds = 1250 * scale;
-        workloads.push_back({"star", gen::make_star(star)});
-    }
-
-    std::vector<ShardEngine> engines;
-    engines.push_back({"aerodrome",
-                       [] { return std::make_unique<AeroDromeOpt>(0, 0, 0); },
-                       &run_baseline<AeroDromeOpt>, nullptr});
-    engines.push_back(
-        {"aerodrome-readopt",
-         [] { return std::make_unique<AeroDromeReadOpt>(0, 0, 0); },
-         &run_baseline<AeroDromeReadOpt>,
-         &run_baseline_nosets<AeroDromeReadOpt>});
-    engines.push_back(
-        {"aerodrome-basic",
-         [] { return std::make_unique<AeroDromeBasic>(0, 0, 0); },
-         &run_baseline<AeroDromeBasic>,
-         &run_baseline_nosets<AeroDromeBasic>});
-
-    const std::string policy =
-        merge_policy_name(args.merge_epoch, args.merge_barriers);
-    std::printf("Sharded-runner sweep (merge policy %s, epoch %llu, %u "
-                "hardware threads)\n",
-                policy.c_str(),
-                static_cast<unsigned long long>(args.merge_epoch), cores);
-
-    std::string json = "{\n";
-    json += "  \"hardware_concurrency\": " + std::to_string(cores) + ",\n";
-    // Effective parallelism of every run in this file: shard workers can
-    // use at most this many cores, so any "speedup" on an oversubscribed
-    // run measures pipeline overhead, not parallel capacity.
-    json += "  \"effective_parallelism\": " + std::to_string(cores) + ",\n";
-    json += "  \"merge_epoch\": " + std::to_string(args.merge_epoch) +
-            ",\n  \"merge_policy\": \"" + policy +
-            "\",\n  \"workloads\": [\n";
-
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        const Workload& wl = workloads[w];
-        std::printf("\n-- %s (%s events) --\n", wl.name,
-                    with_commas(wl.trace.size()).c_str());
-        std::printf("%20s  %9s  %6s  %6s  %12s  %10s  %12s  %8s  %9s\n",
-                    "engine", "driver", "shards", "batch", "policy",
-                    "time", "events/s", "speedup", "vs1shard");
-
-        json += "    {\"name\": \"" + std::string(wl.name) +
-                "\", \"events\": " + std::to_string(wl.trace.size()) +
-                ", \"runs\": [\n";
-
-        bool first_run = true;
-        for (size_t ei = 0; ei < engines.size(); ++ei) {
-            const ShardEngine& eng = engines[ei];
-            RunResult base = eng.baseline(wl.trace);
-            auto emit = [&](const char* label, const char* driver,
-                            uint32_t shards, uint32_t batch,
-                            const char* run_policy, uint64_t merge_epoch,
-                            double seconds, const ShardRunResult* r,
-                            bool update_sets, double one_shard_seconds) {
-                const double events_d =
-                    static_cast<double>(wl.trace.size());
-                double evs = seconds > 0 ? events_d / seconds : 0;
-                double speedup =
-                    seconds > 0 ? base.seconds / seconds : 0;
-                // Parallel gain isolated from transport overhead: this
-                // row against the *same driver's* 1-shard run.
-                double vs_1shard = seconds > 0 && one_shard_seconds > 0
-                                       ? one_shard_seconds / seconds
-                                       : 0;
-                // Extra wall-clock per event vs the plain single-engine
-                // runner — the transport tax (negative once parallelism
-                // pays it back).
-                const double tax_ns =
-                    events_d > 0 ? (seconds - base.seconds) * 1e9 /
-                                       events_d
-                                 : 0;
-                const double avg_run =
-                    r && r->transport_runs
-                        ? static_cast<double>(r->transport_run_events) /
-                              static_cast<double>(r->transport_runs)
-                        : 0;
-                // Honesty flag: a run with more shard workers than cores
-                // cannot exhibit parallel speedup; say so in the record
-                // instead of letting 0.00x rows read as regressions.
-                const bool oversubscribed =
-                    std::string(driver) == "threaded" && shards > cores;
-                if (oversubscribed) {
-                    std::fprintf(stderr,
-                                 "warning: %s x%u shards on %u core(s) — "
-                                 "oversubscribed, speedup is not "
-                                 "meaningful\n",
-                                 label, shards, cores);
-                }
-                std::printf("%20s  %9s  %6u  %6u  %12s  %10s  %12.0f  "
-                            "%7.2fx  %8.2fx%s\n",
-                            label, driver, shards, batch, run_policy,
-                            format_duration(seconds).c_str(), evs, speedup,
-                            vs_1shard,
-                            oversubscribed ? "  (oversub.)" : "");
-                char buf[1024];
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "      %s{\"engine\": \"%s\", \"driver\": \"%s\", "
-                    "\"shards\": %u, \"batch\": %u, "
-                    "\"merge_policy\": \"%s\", \"merge_epoch\": %llu, "
-                    "\"seconds\": %.6f, \"events_per_s\": %.0f, "
-                    "\"speedup\": %.3f, \"speedup_vs_1shard\": %.3f, "
-                    "\"transport_tax_ns_per_event\": %.1f, "
-                    "\"merges\": %llu, "
-                    "\"barrier_merges\": %llu, \"suspects\": %llu, "
-                    "\"replays\": %llu, \"blocks_pushed\": %llu, "
-                    "\"partial_flushes\": %llu, \"avg_run_len\": %.1f, "
-                    "\"update_sets\": %s, "
-                    "\"oversubscribed\": %s}",
-                    first_run ? "" : ",", label, driver, shards, batch,
-                    run_policy,
-                    static_cast<unsigned long long>(merge_epoch), seconds,
-                    evs, static_cast<double>(speedup), vs_1shard, tax_ns,
-                    static_cast<unsigned long long>(
-                        r ? r->frontier_merges : 0),
-                    static_cast<unsigned long long>(
-                        r ? r->barrier_merges : 0),
-                    static_cast<unsigned long long>(r ? r->suspects : 0),
-                    static_cast<unsigned long long>(r ? r->replays : 0),
-                    static_cast<unsigned long long>(
-                        r ? r->blocks_pushed : 0),
-                    static_cast<unsigned long long>(
-                        r ? r->partial_flushes : 0),
-                    avg_run, update_sets ? "true" : "false",
-                    oversubscribed ? "true" : "false");
-                first_run = false;
-                json += buf;
-                json += "\n";
-            };
-            emit(eng.name, "single", 1, 1, "single", 0, base.seconds,
-                 nullptr, update_sets_enabled_default(), base.seconds);
-            if (eng.nosets) {
-                // The AERO_UPDATE_SETS=0 ablation: the pre-PR full-table
-                // end sweep, recorded so the update-set win stays
-                // measurable from the JSON alone.
-                RunResult off = eng.nosets(wl.trace);
-                emit(eng.name, "single", 1, 1, "single-nosets", 0,
-                     off.seconds, nullptr, false, off.seconds);
-            }
-            // Same-driver 1-shard anchors: what the sharding machinery
-            // itself costs with no parallelism to buy it back. These are
-            // the denominators of speedup_vs_1shard.
-            ShardOptions one;
-            one.shards = 1;
-            ShardRunResult r1t = run_sharded(eng.factory, wl.trace, one);
-            if (r1t.result.violation != base.violation) {
-                std::fprintf(stderr, "verdict mismatch on %s x1 shard!\n",
-                             wl.name);
-                return 1;
-            }
-            const double threaded1 = r1t.result.seconds;
-            emit(eng.name, "threaded", 1, r1t.batch, "none", 0, threaded1,
-                 &r1t, update_sets_enabled_default(), threaded1);
-            ShardRunResult r1i =
-                run_sharded_inline(eng.factory, wl.trace, one);
-            if (r1i.result.violation != base.violation) {
-                std::fprintf(stderr, "verdict mismatch on %s x1 shard!\n",
-                             wl.name);
-                return 1;
-            }
-            const double inline1 = r1i.result.seconds;
-            emit(eng.name, "inline", 1, r1i.batch, "none", 0, inline1,
-                 &r1i, update_sets_enabled_default(), inline1);
-            for (uint32_t shards : {2u, 4u, 8u}) {
-                // Lockstep is the exactness anchor and the throughput
-                // bar the configured epoch mode has to clear.
-                std::vector<uint64_t> cadences = {1};
-                if (args.merge_epoch != 1)
-                    cadences.push_back(args.merge_epoch);
-                for (uint64_t merge_epoch : cadences) {
-                    ShardOptions opts;
-                    opts.shards = shards;
-                    opts.merge_epoch = merge_epoch;
-                    opts.divergence_barriers = args.merge_barriers;
-                    ShardRunResult r =
-                        run_sharded(eng.factory, wl.trace, opts);
-                    if (r.result.violation != base.violation) {
-                        std::fprintf(stderr,
-                                     "verdict mismatch on %s x%u "
-                                     "shards!\n",
-                                     wl.name, shards);
-                        return 1;
-                    }
-                    emit(eng.name, "threaded", shards, r.batch,
-                         merge_policy_name(merge_epoch,
-                                           args.merge_barriers)
-                             .c_str(),
-                         merge_epoch, r.result.seconds, &r,
-                         update_sets_enabled_default(), threaded1);
-                }
-                // The inline driver at the configured epoch policy: the
-                // same routing/merge/verdict logic with no queues or
-                // threads — the transport-free ceiling.
-                {
-                    ShardOptions opts;
-                    opts.shards = shards;
-                    opts.merge_epoch = args.merge_epoch;
-                    opts.divergence_barriers = args.merge_barriers;
-                    ShardRunResult r =
-                        run_sharded_inline(eng.factory, wl.trace, opts);
-                    if (r.result.violation != base.violation) {
-                        std::fprintf(stderr,
-                                     "verdict mismatch on %s x%u "
-                                     "shards!\n",
-                                     wl.name, shards);
-                        return 1;
-                    }
-                    emit(eng.name, "inline", shards, r.batch,
-                         merge_policy_name(args.merge_epoch,
-                                           args.merge_barriers)
-                             .c_str(),
-                         args.merge_epoch, r.result.seconds, &r,
-                         update_sets_enabled_default(), inline1);
-                }
-            }
-            // Batch ablation (first engine only): the 2-shard epoch row
-            // at block sizes 1 and 64, against the default-256 row above.
-            if (ei == 0 && args.merge_epoch != 1) {
-                for (uint32_t b : {1u, 64u}) {
-                    ShardOptions opts;
-                    opts.shards = 2;
-                    opts.merge_epoch = args.merge_epoch;
-                    opts.divergence_barriers = args.merge_barriers;
-                    opts.batch_size = b;
-                    ShardRunResult r =
-                        run_sharded(eng.factory, wl.trace, opts);
-                    if (r.result.violation != base.violation) {
-                        std::fprintf(stderr,
-                                     "verdict mismatch on %s x2 shards "
-                                     "batch %u!\n",
-                                     wl.name, b);
-                        return 1;
-                    }
-                    emit(eng.name, "threaded", 2, b,
-                         merge_policy_name(args.merge_epoch,
-                                           args.merge_barriers)
-                             .c_str(),
-                         args.merge_epoch, r.result.seconds, &r,
-                         update_sets_enabled_default(), threaded1);
-                }
-            }
-        }
-        json += w + 1 < workloads.size() ? "    ]},\n" : "    ]}\n";
-    }
-    json += "  ]\n}\n";
-
-    const std::string shards_path =
-        args.json_path.empty() ? "BENCH_shards.json" : args.json_path;
-    std::FILE* f = std::fopen(shards_path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", shards_path.c_str());
-        return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", shards_path.c_str());
-    if (cores < 2) {
-        std::printf("note: %u hardware thread(s) — shard workers "
-                    "serialize; speedups reflect pipeline overhead, not "
-                    "parallel capacity.\n",
-                    cores);
-    }
-    return 0;
-}
-
-// --- Update-set smoke gate (--updsets) --------------------------------------
-
 /**
  * Measure the basic/readopt end-event path on the var-heavy workloads
  * with update sets on vs off, and fail loudly when readopt's throughput
- * drops below 10x the pre-update-set baseline recorded in
- * BENCH_shards.json (shards=1: 12,207 events/s on pipeline, 42,332 on
- * star) — the regression tripwire for the quadratic end sweep.
+ * drops below 10x the pre-update-set baseline (readopt with the full
+ * end sweep ran at 12,207 events/s on pipeline and 42,332 on star) —
+ * the regression tripwire for the quadratic end sweep.
  */
 int
 run_updsets_smoke(const Args& args)
@@ -833,9 +482,9 @@ ingest_best_of3(const std::function<double()>& fn)
 }
 
 /**
- * The block-ingestion gate: decode-only, decode+check, and
- * decode/route-overlap rates over one large binary trace on disk, with
- * the two floors from the PR that introduced MappedBinaryEventSource.
+ * The block-ingestion gate: decode-only and decode+check rates over one
+ * large binary trace on disk, with the two floors from the change that
+ * introduced MappedBinaryEventSource.
  */
 int
 run_ingest_bench(const Args& args)
@@ -952,23 +601,7 @@ run_ingest_bench(const Args& args)
         return checked_seconds(src);
     });
 
-    // Overlap: the threaded sharded driver double-buffers decode against
-    // route_chunk, so file-backed sharding should not pay full decode
-    // latency on the critical path.
-    add_row("overlap-sharded-x2", [&] {
-        MappedBinaryEventSource src(path);
-        ShardOptions opts;
-        opts.shards = 2;
-        ShardRunResult r = run_sharded(
-            [] { return std::make_unique<AeroDromeOpt>(0, 0, 0); }, src,
-            opts);
-        if (r.result.violation ||
-            r.result.events_processed != events)
-            std::exit(1);
-        return r.result.seconds;
-    });
-
-    // The two gates this PR claims.
+    // The two gates.
     bool ok = true;
     const double decode_ratio =
         evs_per_event > 0 ? evs_mmap / evs_per_event : 0;
@@ -1034,22 +667,15 @@ run_ingest_bench(const Args& args)
 // --- Fault-overhead smoke (--faults) ----------------------------------------
 
 /**
- * Measure what the fault-injection hooks cost on the two instrumented
- * hot paths — single-engine binary streaming (the per-byte kTraceByte
- * hooks, compile-gated behind -DAERO_FAULTS) and the sharded pipeline
- * (the always-compiled kWorker hooks) — in two states: injector disarmed
+ * Measure what the fault-injection hooks cost on the instrumented hot
+ * path — single-engine binary streaming (the per-byte kTraceByte hooks,
+ * compile-gated behind -DAERO_FAULTS) — in two states: injector disarmed
  * and armed-idle (a plan whose trigger of UINT64_MAX never fires, so
  * every hook runs its full check-and-skip path). Best-of-3 each; the
- * armed-idle : disarmed ratio is the per-hook overhead. Each path gates
- * on its own floor: 10% for the single-threaded stream path (the
- * disarmed design target is <=1% — one relaxed load — so 10% absorbs CI
- * timer noise; 25% when the per-byte hooks are compiled in, since armed
- * trigger accounting then runs per input byte), 35% for the sharded
- * path, where an armed kWorker plan
- * with shard=any makes every worker fetch_add one shared hit counter
- * per popped item (deliberate: exact trigger accounting needs a total
- * order over pops) — real cache-line contention that only exists while
- * a fault drill is armed.
+ * armed-idle : disarmed ratio is the per-hook overhead. The floor is 10%
+ * (the disarmed design target is <=1% — one relaxed load — so 10%
+ * absorbs CI timer noise), 25% when the per-byte hooks are compiled in,
+ * since armed trigger accounting then runs per input byte.
  */
 int
 run_faults_smoke(const Args& args)
@@ -1065,14 +691,6 @@ run_faults_smoke(const Args& args)
         BinaryEventSource src(in);
         AeroDromeOpt engine(0, 0, 0);
         return run_checker_stream(engine, src).seconds;
-    };
-    auto sharded_once = [&trace]() {
-        ShardOptions opts;
-        opts.shards = 2;
-        ShardRunResult r = run_sharded(
-            [] { return std::make_unique<AeroDromeOpt>(0, 0, 0); }, trace,
-            opts);
-        return r.result.seconds;
     };
     auto best_of3 = [](const std::function<double()>& run) {
         double best = run();
@@ -1110,13 +728,6 @@ run_faults_smoke(const Args& args)
         // (~3 bytes/event), worth ~10% while a drill is armed.
         paths.push_back({"stream", stream_once, p,
                          fault_points_compiled() ? 0.25 : 0.10});
-    }
-    {
-        FaultPlan p;
-        p.site = FaultSite::kWorker;
-        p.kind = FaultKind::kWorkerDelay;
-        p.trigger = UINT64_MAX;
-        paths.push_back({"sharded", sharded_once, p, 0.35});
     }
 
     bool ok = true;
@@ -1168,8 +779,6 @@ main(int argc, char** argv)
             args.budget = std::stod(argv[++i]);
         else if (a == "--points" && i + 1 < argc)
             args.points = std::stoi(argv[++i]);
-        else if (a == "--shards")
-            args.shards_mode = true;
         else if (a == "--updsets")
             args.updsets_mode = true;
         else if (a == "--faults")
@@ -1180,23 +789,6 @@ main(int argc, char** argv)
             args.ingest_mode = true;
         else if (a == "--quick")
             args.quick = true;
-        else if (a == "--merge-epoch" && i + 1 < argc) {
-            // Same grammar as aerocheck: "end" or a bounded decimal.
-            const char* v = argv[++i];
-            if (std::string(v) == "end") {
-                args.merge_epoch = ShardOptions::kMergeEndOnly;
-            } else {
-                char* end = nullptr;
-                unsigned long long n = std::strtoull(v, &end, 10);
-                if (v[0] == '\0' || v[0] == '-' || !end || *end != '\0' ||
-                    n > (1ull << 30)) {
-                    std::fprintf(stderr, "bad --merge-epoch '%s'\n", v);
-                    return 2;
-                }
-                args.merge_epoch = n;
-            }
-        } else if (a == "--no-merge-barriers")
-            args.merge_barriers = false;
         else if (a == "--json" && i + 1 < argc)
             args.json_path = argv[++i];
     }
@@ -1208,8 +800,6 @@ main(int argc, char** argv)
         return run_faults_smoke(args);
     if (args.updsets_mode)
         return run_updsets_smoke(args);
-    if (args.shards_mode)
-        return run_shard_sweep(args);
 
     std::printf("Scaling series: linear-time AeroDrome vs graph-based "
                 "Velodrome\n(per-series Velodrome budget: %.3gs)\n",

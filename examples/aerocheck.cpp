@@ -9,10 +9,8 @@
  *
  * Usage:
  *   aerocheck <trace[.bin]> [--engine NAME] [--budget SECONDS]
- *             [--shards N] [--merge-epoch K|end] [--no-merge-barriers]
- *             [--batch N] [--ingest-block N] [--pin] [--resync]
- *             [--watchdog MS] [--gc=on|off] [--validate] [--stats]
- *             [--witness]
+ *             [--ingest-block N] [--resync] [--gc=on|off] [--validate]
+ *             [--stats] [--witness]
  *
  * The trace format is sniffed from the AEROTRC1 magic, not the file
  * extension (the ".bin" suffix only breaks ties for files too short to
@@ -21,27 +19,9 @@
  *
  *   --engine: aerodrome (default) | aerodrome-tuned | aerodrome-readopt |
  *             aerodrome-basic | velodrome | velodrome-pk
- *   --shards: check with N parallel engine shards (src/shard/README.md);
- *             defaults to the AERO_SHARDS env var, else 1 (single engine)
- *   --merge-epoch: periodic frontier-merge cadence for sharded runs
- *             (default: AERO_MERGE_EPOCH env, else 64). Every cadence is
- *             *exact* — the divergence barriers merge wherever a stale
- *             clock could otherwise be consulted — so K only bounds
- *             staleness latency. 1 = lockstep (a barrier per event),
- *             "end" = divergence barriers only, 0 = never merge (sound
- *             but detection may lag; implies --no-merge-barriers)
- *   --no-merge-barriers: legacy periodic-only merging; shard violations
- *             between merges are confirmed by suspect-window replay
- *   --batch:  sharded runs only — transport block size in events: the
- *             reader stages this many events per shard before publishing
- *             them into the ring as one block (default: AERO_BATCH env,
- *             else 256; 1 = per-event transport)
- *   --ingest-block: single-engine runs — events decoded per
- *             EventSource::next_n block in the check loop (default:
- *             AERO_INGEST_BLOCK env, else 4096); sharded runs decode in
- *             --batch sized blocks instead. Echoed by --stats
- *   --pin:    pin shard worker s to core s mod hardware_concurrency
- *             (Linux; no-op elsewhere or single-engine)
+ *   --ingest-block: events decoded per EventSource::next_n block in
+ *             the check loop (default: AERO_INGEST_BLOCK env, else 4096).
+ *             Echoed by --stats
  *   --gc:     force clock-entry reclamation and thread-slot recycling on
  *             or off for this run (default: the AERO_GC env, else off);
  *             verdicts are identical either way, memory is not —
@@ -49,35 +29,29 @@
  *   --resync: skip corrupt records and keep checking (the verdict
  *             degrades to "no violation found", exit 5, when records
  *             were skipped) instead of stopping at the first one
- *   --watchdog: sharded runs only — evict a shard worker whose
- *             heartbeat freezes for MS milliseconds and recover it from
- *             the last merge checkpoint (src/shard/README.md, "Failure
- *             model"); 0 (default) disables recovery
  *   --validate: run the well-formedness validator first (loads the
  *               trace into memory)
- *   --stats: print engine-specific statistics after the run (per shard
- *            plus totals when sharded)
+ *   --stats: print engine-specific statistics after the run
  *   --witness: on a violation, reconstruct and print a witness cycle
  *              (one offending SCC of the transaction graph over the
  *              prefix up to the violating event; loads the trace)
  *
  * Exit code: 0 = serializable, 1 = violation, 2 = usage/input error,
  * 3 = budget exceeded, 4 = corrupt input stream (strict mode),
- * 5 = completed degraded (resync skips or worker recovery: a reported
- * violation would still be real, but "no violation" is not a proof),
+ * 5 = completed degraded (resync skipped records: a reported violation
+ * would still be real, but "no violation" is not a proof),
  * 6 = internal error (contained panic / resource cap).
  *
- * Fault injection (robustness drills): AERO_FAULT_PLAN=site:kind:trigger
- * in the environment arms the process-wide FaultInjector before the run
- * (src/support/fault.hpp for the grammar).
+ * Fault injection (robustness drills):
+ * AERO_FAULT_PLAN=site:kind:trigger[:seed] in the environment arms the
+ * process-wide FaultInjector before the run (src/support/fault.hpp for
+ * the grammar).
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "aerodrome/aerodrome_basic.hpp"
@@ -86,7 +60,6 @@
 #include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "oracle/serializability_oracle.hpp"
-#include "shard/sharded_runner.hpp"
 #include "support/assert.hpp"
 #include "support/fault.hpp"
 #include "support/str.hpp"
@@ -105,39 +78,13 @@ struct Args {
     std::string path;
     std::string engine = "aerodrome";
     double budget = 0;
-    uint32_t shards = 0; // 0: AERO_SHARDS env, else single engine
-    /** UINT64_MAX - 1: unset (resolve AERO_MERGE_EPOCH env, else 64). */
-    uint64_t merge_epoch = kMergeEpochUnset;
-    bool merge_barriers = true;
-    uint32_t batch = 0; // 0: AERO_BATCH env, else 256
     uint32_t ingest_block = 0; // 0: AERO_INGEST_BLOCK env, else 4096
-    bool pin_workers = false;
     bool resync = false;
-    uint32_t watchdog_ms = 0;
     int gc = -1; // -1: engine default (AERO_GC env), 0/1: forced
     bool validate_first = false;
     bool stats = false;
     bool witness = false;
-
-    static constexpr uint64_t kMergeEpochUnset = UINT64_MAX - 1;
 };
-
-/** "end" = barriers only; otherwise a bounded decimal. */
-bool
-parse_merge_epoch(const char* s, uint64_t& out)
-{
-    if (std::strcmp(s, "end") == 0) {
-        out = ShardOptions::kMergeEndOnly;
-        return true;
-    }
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (s[0] == '\0' || s[0] == '-' || !end || *end != '\0' ||
-        v > (1ull << 30))
-        return false;
-    out = v;
-    return true;
-}
 
 /** Reconstruct and print one witness cycle over the violating prefix. */
 void
@@ -189,10 +136,8 @@ usage(const char* argv0)
 {
     std::fprintf(stderr,
                  "usage: %s <trace[.bin]> [--engine NAME] [--budget S] "
-                 "[--shards N] [--merge-epoch K|end] "
-                 "[--no-merge-barriers] [--batch N] [--ingest-block N] "
-                 "[--pin] [--resync] "
-                 "[--watchdog MS] [--gc=on|off] [--validate] [--stats]\n"
+                 "[--ingest-block N] [--resync] [--gc=on|off] [--validate] "
+                 "[--stats] [--witness]\n"
                  "engines: aerodrome aerodrome-tuned aerodrome-readopt "
                  "aerodrome-basic velodrome velodrome-pk\n",
                  argv0);
@@ -271,43 +216,6 @@ print_counters(const StatList& counters)
     }
 }
 
-/** Per-shard breakdown plus the name-wise totals. */
-void
-print_shard_stats(const ShardRunResult& r)
-{
-    for (uint32_t s = 0; s < r.shard_counters.size(); ++s) {
-        std::printf("  shard %u (%s events, %s bytes of state):\n", s,
-                    with_commas(r.shard_events[s]).c_str(),
-                    with_commas(r.shard_memory_bytes[s]).c_str());
-        for (const auto& [name, value] : r.shard_counters[s]) {
-            std::printf("    %-20s %s\n", (name + ":").c_str(),
-                        with_commas(value).c_str());
-        }
-    }
-    std::printf("  totals over %u shards (%s frontier merges, %s from "
-                "divergence barriers):\n",
-                r.shards, with_commas(r.frontier_merges).c_str(),
-                with_commas(r.barrier_merges).c_str());
-    print_counters(r.result.counters);
-    const double avg_run =
-        r.transport_runs ? static_cast<double>(r.transport_run_events) /
-                               static_cast<double>(r.transport_runs)
-                         : 0.0;
-    std::printf("  transport: batch %u, %s blocks pushed (%s partial "
-                "flushes), avg routed-run length %.1f\n",
-                r.batch, with_commas(r.blocks_pushed).c_str(),
-                with_commas(r.partial_flushes).c_str(), avg_run);
-    if (r.suspects > 0) {
-        std::printf("  suspect replay: %s suspects, %s replays "
-                    "(%s confirmed, %s refined, %s upheld)\n",
-                    with_commas(r.suspects).c_str(),
-                    with_commas(r.replays).c_str(),
-                    with_commas(r.replay_confirmed).c_str(),
-                    with_commas(r.replay_refined).c_str(),
-                    with_commas(r.replay_upheld).c_str());
-    }
-}
-
 } // namespace
 
 int
@@ -320,35 +228,13 @@ main(int argc, char** argv)
             args.engine = argv[++i];
         } else if (a == "--budget" && i + 1 < argc) {
             args.budget = std::stod(argv[++i]);
-        } else if (a == "--shards" && i + 1 < argc) {
-            unsigned long v = 0;
-            if (!parse_bounded(argv[++i], 1, ShardOptions::kMaxShards, v))
-                return usage(argv[0]);
-            args.shards = static_cast<uint32_t>(v);
-        } else if (a == "--merge-epoch" && i + 1 < argc) {
-            if (!parse_merge_epoch(argv[++i], args.merge_epoch))
-                return usage(argv[0]);
-        } else if (a == "--no-merge-barriers") {
-            args.merge_barriers = false;
-        } else if (a == "--batch" && i + 1 < argc) {
-            unsigned long v = 0;
-            if (!parse_bounded(argv[++i], 1, 65536, v))
-                return usage(argv[0]);
-            args.batch = static_cast<uint32_t>(v);
         } else if (a == "--ingest-block" && i + 1 < argc) {
             unsigned long v = 0;
             if (!parse_bounded(argv[++i], 1, 1ul << 22, v))
                 return usage(argv[0]);
             args.ingest_block = static_cast<uint32_t>(v);
-        } else if (a == "--pin") {
-            args.pin_workers = true;
         } else if (a == "--resync") {
             args.resync = true;
-        } else if (a == "--watchdog" && i + 1 < argc) {
-            unsigned long v = 0;
-            if (!parse_bounded(argv[++i], 0, 3600ul * 1000, v))
-                return usage(argv[0]);
-            args.watchdog_ms = static_cast<uint32_t>(v);
         } else if (a == "--gc=on" || a == "--gc=1") {
             args.gc = 1;
         } else if (a == "--gc=off" || a == "--gc=0") {
@@ -407,56 +293,8 @@ main(int argc, char** argv)
         RunBudget budget;
         budget.max_seconds = args.budget;
 
-        uint32_t shards = args.shards;
-        if (shards == 0) {
-            // CI and batch scripts select sharding per process; garbage
-            // or out-of-range values fall back to a single engine.
-            unsigned long v = 0;
-            const char* env = std::getenv("AERO_SHARDS");
-            shards = (env && parse_bounded(env, 1, ShardOptions::kMaxShards,
-                                           v))
-                         ? static_cast<uint32_t>(v)
-                         : 1;
-        }
-
-        RunResult r;
-        std::optional<ShardRunResult> sharded;
-        uint64_t merge_epoch = args.merge_epoch;
-        if (merge_epoch == Args::kMergeEpochUnset) {
-            merge_epoch = 64; // exact epoch mode: K only bounds staleness
-            if (const char* env = std::getenv("AERO_MERGE_EPOCH")) {
-                if (!parse_merge_epoch(env, merge_epoch))
-                    merge_epoch = 64;
-            }
-        }
-
-        if (shards > 1) {
-            ShardOptions sopts;
-            sopts.shards = shards;
-            sopts.merge_epoch = merge_epoch;
-            sopts.divergence_barriers = args.merge_barriers;
-            sopts.batch_size = args.batch; // 0: AERO_BATCH env, else 256
-            sopts.pin_workers = args.pin_workers;
-            // The replay buffers one merge window of the stream; without
-            // periodic merges that window is the whole input, which a
-            // constant-memory CLI run must not hold.
-            sopts.confirm_replay = merge_epoch >= 2 &&
-                                   merge_epoch != ShardOptions::kMergeEndOnly;
-            sopts.watchdog_ms = args.watchdog_ms;
-            sopts.budget = budget;
-            sharded = run_sharded(
-                [&args] {
-                    auto e = make_engine(args.engine);
-                    if (args.gc >= 0)
-                        e->set_gc(args.gc == 1);
-                    return e;
-                },
-                *source, sopts);
-            r = sharded->result;
-        } else {
-            r = run_checker_stream(*checker, *source, budget,
-                                   args.ingest_block);
-        }
+        const RunResult r = run_checker_stream(*checker, *source, budget,
+                                               args.ingest_block);
 
         const RunStatus status = r.status();
         const char* verdict = "serializable";
@@ -479,12 +317,9 @@ main(int argc, char** argv)
             verdict = "INTERNAL ERROR";
             break;
         }
-        std::printf("%s%s: %s after %s events in %s\n",
-                    std::string(checker->name()).c_str(),
-                    shards > 1
-                        ? (" x" + std::to_string(shards) + " shards").c_str()
-                        : "",
-                    verdict, with_commas(r.events_processed).c_str(),
+        std::printf("%s: %s after %s events in %s\n",
+                    std::string(checker->name()).c_str(), verdict,
+                    with_commas(r.events_processed).c_str(),
                     format_duration(r.seconds).c_str());
         if (r.stream_error) {
             std::printf("  input error [%s] at event %s, byte offset %s: "
@@ -505,24 +340,12 @@ main(int argc, char** argv)
                             err.message.c_str());
             }
         }
-        if (r.degraded)
-            std::printf("  degraded: %s\n", r.degraded_reason.c_str());
         if (!r.internal_error.empty())
             std::printf("  internal error: %s\n", r.internal_error.c_str());
-        if (sharded && (sharded->recoveries > 0 ||
-                        sharded->shards_abandoned > 0)) {
-            std::printf("  worker recovery: %s recoveries, %s shards "
-                        "abandoned, %s events dropped\n",
-                        with_commas(sharded->recoveries).c_str(),
-                        with_commas(sharded->shards_abandoned).c_str(),
-                        with_commas(sharded->events_dropped).c_str());
-        }
         if (r.violation) {
-            std::printf("  at event index %zu, thread id %u",
-                        r.details->event_index, r.details->thread);
-            if (shards > 1)
-                std::printf(" (shard %u)", r.details->shard);
-            std::printf(": %s\n", r.details->reason.c_str());
+            std::printf("  at event index %zu, thread id %u: %s\n",
+                        r.details->event_index, r.details->thread,
+                        r.details->reason.c_str());
             if (args.witness) {
                 Trace t = trace_is_binary(args.path)
                               ? read_binary_file(args.path)
@@ -531,21 +354,12 @@ main(int argc, char** argv)
             }
         }
         if (args.stats) {
-            // Sharded runs decode in transport-batch blocks (the decode
-            // pipe); single-engine runs use the resolved ingest block.
-            const size_t block = sharded
-                                     ? sharded->batch
-                                     : resolve_ingest_block(args.ingest_block);
             std::printf("  ingest: %s source, block %s\n",
                         source->source_kind(),
-                        with_commas(block).c_str());
-            if (sharded) {
-                print_shard_stats(*sharded);
-                print_gc_block(sharded->result.counters);
-            } else {
-                print_counters(checker->counters());
-                print_gc_block(checker->counters());
-            }
+                        with_commas(resolve_ingest_block(args.ingest_block))
+                            .c_str());
+            print_counters(checker->counters());
+            print_gc_block(checker->counters());
         }
         switch (status) {
           case RunStatus::kOk:

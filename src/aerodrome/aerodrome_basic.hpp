@@ -80,12 +80,6 @@ public:
 
     void reserve(uint32_t threads, uint32_t vars, uint32_t locks) override;
 
-    bool supports_frontier() const override { return true; }
-    void export_frontier(ClockFrontier& out) const override;
-    void adopt_frontier(const ClockFrontier& in) override;
-    void export_seed(EngineSeed& seed) const override;
-    void reseed(const EngineSeed& seed) override;
-
     const AeroDromeStats& stats() const { return stats_; }
 
     /** Epoch-adaptive storage statistics (hits, inflations). */
@@ -199,7 +193,7 @@ private:
 
     /** W_x's table entry, allocated on first access of x — untouched
      *  variables own no entries, so the fused end sweep scales with the
-     *  variables actually seen (a shard sees only its partition). */
+     *  variables actually seen. */
     uint32_t w_slot(VarId x);
 
     void ensure_thread(ThreadId t);

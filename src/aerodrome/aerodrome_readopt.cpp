@@ -1,7 +1,5 @@
 #include "aerodrome/aerodrome_readopt.hpp"
 
-#include "aerodrome/frontier_util.hpp"
-
 namespace aero {
 
 AeroDromeReadOpt::AeroDromeReadOpt(uint32_t num_threads, uint32_t num_vars,
@@ -32,47 +30,6 @@ AeroDromeReadOpt::reserve(uint32_t threads, uint32_t vars, uint32_t locks)
         ensure_var(vars - 1);
     if (locks > 0)
         ensure_lock(locks - 1);
-}
-
-void
-AeroDromeReadOpt::export_frontier(ClockFrontier& out) const
-{
-    detail::export_bank_frontier(c_, out);
-}
-
-void
-AeroDromeReadOpt::adopt_frontier(const ClockFrontier& in)
-{
-    if (in.threads == 0)
-        return;
-    ensure_thread(in.threads - 1);
-    if (in.dim > c_.dim())
-        grow_dim(in.dim);
-    detail::adopt_bank_frontier(c_, c_pure_, in, [](ThreadId) {});
-}
-
-void
-AeroDromeReadOpt::export_seed(EngineSeed& seed) const
-{
-    detail::export_engine_seed(c_, cb_, txns_, seed);
-    detail::export_slot_seed(slots_, gc_, seed);
-}
-
-void
-AeroDromeReadOpt::reseed(const EngineSeed& seed)
-{
-    detail::adopt_slot_seed(slots_, gc_, seed);
-    const uint32_t threads = detail::seed_thread_count(seed);
-    if (threads == 0)
-        return;
-    ensure_thread(threads - 1);
-    const uint32_t dim = detail::seed_dim(seed);
-    if (dim > c_.dim())
-        grow_dim(dim);
-    std::vector<uint8_t> no_cb_pure; // this engine keeps no begin purity
-    detail::adopt_engine_seed(c_, c_pure_, cb_, no_cb_pure, txns_, seed,
-                              [](ThreadId) {});
-    detail::reopen_update_windows(tbl_, txns_, cb_, c_.rows());
 }
 
 void

@@ -60,12 +60,6 @@ public:
 
     void reserve(uint32_t threads, uint32_t vars, uint32_t locks) override;
 
-    bool supports_frontier() const override { return true; }
-    void export_frontier(ClockFrontier& out) const override;
-    void adopt_frontier(const ClockFrontier& in) override;
-    void export_seed(EngineSeed& seed) const override;
-    void reseed(const EngineSeed& seed) override;
-
     const AeroDromeStats& stats() const { return stats_; }
 
     /** Epoch-adaptive storage statistics (hits, inflations). */
@@ -141,9 +135,9 @@ private:
 
     /**
      * W/R/hR table entries of x, allocated on first access. Untouched
-     * variables own no table entries, so the fused end sweep — and a
-     * shard's memory — scale with the variables actually seen, not with
-     * the id space (a sharded engine sees only its own partition).
+     * variables own no table entries, so the fused end sweep and the
+     * engine's memory scale with the variables actually seen, not with
+     * the id space.
      */
     size_t var_slots(VarId x);
 

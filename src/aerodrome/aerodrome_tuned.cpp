@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "aerodrome/frontier_util.hpp"
-
 namespace aero {
 
 AeroDromeTuned::AeroDromeTuned(uint32_t num_threads, uint32_t num_vars,
@@ -38,56 +36,6 @@ AeroDromeTuned::reserve(uint32_t threads, uint32_t vars, uint32_t locks)
         ensure_var(vars - 1);
     if (locks > 0)
         ensure_lock(locks - 1);
-}
-
-void
-AeroDromeTuned::export_frontier(ClockFrontier& out) const
-{
-    detail::export_bank_frontier(c_, out);
-}
-
-void
-AeroDromeTuned::adopt_frontier(const ClockFrontier& in)
-{
-    if (in.threads == 0)
-        return;
-    ensure_thread(in.threads - 1);
-    if (in.dim > c_.dim())
-        grow_dim(in.dim);
-    // A merged-in ordering invalidates the same-epoch skips, which assume
-    // "this thread's clock has not changed since the remembered access".
-    detail::adopt_bank_frontier(c_, c_pure_, in,
-                                [this](ThreadId t) { bump_clock_version(t); });
-}
-
-void
-AeroDromeTuned::export_seed(EngineSeed& seed) const
-{
-    detail::export_engine_seed(c_, cb_, txns_, seed);
-    detail::export_slot_seed(slots_, gc_, seed);
-}
-
-void
-AeroDromeTuned::reseed(const EngineSeed& seed)
-{
-    detail::adopt_slot_seed(slots_, gc_, seed);
-    const uint32_t threads = detail::seed_thread_count(seed);
-    if (threads == 0)
-        return;
-    ensure_thread(threads - 1);
-    const uint32_t dim = detail::seed_dim(seed);
-    if (dim > c_.dim())
-        grow_dim(dim);
-    std::vector<uint8_t> no_cb_pure; // this engine keeps no begin purity
-    // Reseeded clocks invalidate the same-epoch skips, exactly like a
-    // frontier adoption.
-    detail::adopt_engine_seed(c_, c_pure_, cb_, no_cb_pure, txns_, seed,
-                              [this](ThreadId t) { bump_clock_version(t); });
-    // Re-opened transactions must appear on the active-thread list.
-    for (ThreadId t = 0; t < threads; ++t) {
-        if (txns_.active(t))
-            add_active(t);
-    }
 }
 
 void

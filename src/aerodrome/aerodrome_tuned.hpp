@@ -70,14 +70,6 @@ public:
 
     void reserve(uint32_t threads, uint32_t vars, uint32_t locks) override;
 
-    bool supports_frontier() const override { return true; }
-    /** Same lazy stale-write/stale-reader proxies as AeroDromeOpt. */
-    bool uses_live_clock_proxies() const override { return true; }
-    void export_frontier(ClockFrontier& out) const override;
-    void adopt_frontier(const ClockFrontier& in) override;
-    void export_seed(EngineSeed& seed) const override;
-    void reseed(const EngineSeed& seed) override;
-
     const AeroDromeStats& stats() const { return stats_; }
     const AeroDromeOptStats& opt_stats() const { return opt_stats_; }
     const AeroDromeTunedStats& tuned_stats() const { return tuned_stats_; }

@@ -9,7 +9,7 @@
  * laptop scale: a wall-clock budget checked every `check_interval` events.
  *
  * Every run ends in a structured RunStatus — ok, violation, timeout,
- * degraded (a recovery path lost exactness), stream_error (corrupt
+ * degraded (resync skipped corrupt records), stream_error (corrupt
  * input), or internal_error (a contained panic / resource-cap breach) —
  * never a hang or a torn result. aerocheck maps these to distinct exit
  * codes.
@@ -42,7 +42,7 @@ enum class RunStatus : uint8_t {
     kOk = 0,
     kViolation,     ///< definitive: a real violation was found
     kTimeout,       ///< budget expired mid-trace
-    kDegraded,      ///< finished, but a recovery path lost exactness
+    kDegraded,      ///< finished, but resync skipped corrupt records
     kStreamError,   ///< corrupt input ended the run (strict mode)
     kInternalError, ///< contained panic / resource cap; result unusable
 };
@@ -55,16 +55,11 @@ struct RunResult {
     bool violation = false;
     /** True if the budget expired before the trace was exhausted. */
     bool timed_out = false;
-    /** True when a robustness path (worker recovery, resync, window
-     *  loss) completed the run without an exactness guarantee: a
-     *  reported violation is still real, but "no violation" is no longer
-     *  a proof. degraded_reason says why. */
-    bool degraded = false;
-    std::string degraded_reason;
     /** Structured cause when corrupt input ended the run (strict mode). */
     std::optional<StreamError> stream_error;
-    /** Corrupt records skipped by a resync-mode source (degrades the
-     *  verdict without ending the run). */
+    /** Corrupt records skipped by a resync-mode source: the run
+     *  completes, but without an exactness guarantee — a reported
+     *  violation is still real, "no violation" is no longer a proof. */
     uint64_t stream_errors_recovered = 0;
     /** Contained internal failure (panic routed through
      *  throwing_panic_handler, memory-cap breach). */
@@ -96,7 +91,7 @@ struct RunResult {
             return RunStatus::kStreamError;
         if (timed_out)
             return RunStatus::kTimeout;
-        if (degraded || stream_errors_recovered > 0)
+        if (stream_errors_recovered > 0)
             return RunStatus::kDegraded;
         return RunStatus::kOk;
     }

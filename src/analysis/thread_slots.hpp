@@ -13,10 +13,8 @@
  * tracks the *live* thread count.
  *
  * Determinism: slots are allocated at first mention and retired at
- * processed join events. Both are sync events the sharded runner
- * replicates to every shard (src/shard/README.md), so all shards build
- * the identical map and per-thread frontier rows line up across shards
- * without translation.
+ * processed join events, so the map is a pure function of the trace's
+ * fork/join structure.
  *
  * The engines own the clock-side safety work (continuation values, eager
  * scrubbing of cached per-slot facts) — this class is pure bookkeeping.
@@ -108,26 +106,8 @@ public:
     uint64_t retired() const { return retired_; }
     uint64_t recycled() const { return recycled_; }
 
-    /** Seed export: the slot->ext binding table. */
+    /** The slot->ext binding table (kNoThread marks a free slot). */
     const std::vector<ThreadId>& bindings() const { return ext_of_; }
-
-    /** Seed export: free slots, oldest first (allocation order). */
-    const std::vector<uint32_t>& free_slots() const { return free_; }
-
-    /** Seed restore: replace the whole map (fresh engine reseed). */
-    void
-    restore(const std::vector<ThreadId>& bindings,
-            const std::vector<ThreadId>& free_slots)
-    {
-        ext_of_ = bindings;
-        free_.assign(free_slots.begin(), free_slots.end());
-        slot_of_.clear();
-        for (uint32_t s = 0; s < ext_of_.size(); ++s)
-            if (ext_of_[s] != kNoThread)
-                slot_of_.emplace(ext_of_[s], s);
-        for (Cached& c : cache_)
-            c = {kNoThread, kNoThread};
-    }
 
     size_t
     memory_bytes() const

@@ -11,7 +11,6 @@
  * instance is still active (Algorithm 3's "parentTr is alive").
  */
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -81,32 +80,6 @@ public:
     seq(ThreadId t) const
     {
         return t < seq_.size() ? seq_[t] : 0;
-    }
-
-    /** Copy the nesting/instance state out (engine seed export). */
-    void
-    snapshot(std::vector<uint32_t>& depth, std::vector<uint64_t>& seq) const
-    {
-        depth = depth_;
-        seq = seq_;
-    }
-
-    /**
-     * Replace the nesting/instance state (engine reseed). Transaction
-     * depths and sequence numbers are derived solely from replicated
-     * begin/end events, so every shard agrees on them and restoring them
-     * into a fresh engine re-opens exactly the transactions that were
-     * open at the checkpoint.
-     */
-    void
-    restore(const std::vector<uint32_t>& depth,
-            const std::vector<uint64_t>& seq)
-    {
-        ensure(static_cast<uint32_t>(std::max(depth.size(), seq.size())));
-        for (size_t t = 0; t < depth.size(); ++t)
-            depth_[t] = depth[t];
-        for (size_t t = 0; t < seq.size(); ++t)
-            seq_[t] = seq[t];
     }
 
     /** Bytes held (engine memory_bytes() accounting). */

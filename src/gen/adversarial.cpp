@@ -2,21 +2,8 @@
 
 namespace aero::gen {
 
-namespace {
-
-/** Chain variable i's id: consecutive (alternating shards under modulo
- *  placement) or strided by 8 (one shard for any shard count in
- *  {2, 4, 8} — the same-shard control). */
-VarId
-chain_var(const CrossShardAdversaryOptions& opts, uint32_t i)
-{
-    return opts.same_shard ? i * 8 : i;
-}
-
-} // namespace
-
 Trace
-make_cross_shard_adversary(const CrossShardAdversaryOptions& opts)
+make_carrier_chain(const CarrierChainOptions& opts)
 {
     const uint32_t hops = opts.hops ? opts.hops : 1;
     const ThreadId victim = 0;
@@ -24,14 +11,14 @@ make_cross_shard_adversary(const CrossShardAdversaryOptions& opts)
     const LockId l0 = 0;
 
     Trace t;
-    // Pin the variable id space up front so placement is independent of
-    // which family variant touches which variable first.
-    t.vars().ensure(chain_var(opts, hops) + 1);
+    // Pin the variable id space up front so the dimensions are
+    // independent of which family variant touches which variable first.
+    t.vars().ensure(hops + 1);
 
-    // Padding: replicated-only events shifting the chain relative to
-    // periodic merge boundaries. Alternating begin/begin/... then
-    // end/end/... keeps the nesting well-formed at any offset; the pad
-    // thread owns no variables or locks, so it adds no orderings.
+    // Padding: events shifting the chain's global indices. Alternating
+    // begin/begin/... then end/end/... keeps the nesting well-formed at
+    // any offset; the pad thread owns no variables or locks, so it adds
+    // no orderings.
     uint32_t pad_depth = 0;
     for (uint32_t i = 0; i < opts.offset; ++i) {
         if (pad_depth == 0 || (i % 2) == 0) {
@@ -45,10 +32,10 @@ make_cross_shard_adversary(const CrossShardAdversaryOptions& opts)
 
     // Victim opens its transaction and publishes into v0 (or a lock).
     t.begin(victim);
-    t.write(victim, chain_var(opts, 0));
+    t.write(victim, 0);
     if (opts.lock_carrier) {
-        // The first hop rides a lock handoff: the release (replicated)
-        // publishes the victim's in-transaction clock to every shard.
+        // The first hop rides a lock handoff: the release publishes the
+        // victim's in-transaction clock into the lock.
         t.acquire(victim, l0);
         t.release(victim, l0);
     }
@@ -56,36 +43,36 @@ make_cross_shard_adversary(const CrossShardAdversaryOptions& opts)
         t.end(victim); // control: the cycle never closes
 
     // Carrier chain: thread i picks the ordering up from v_{i-1} (or the
-    // lock) and republishes it into v_i — each hop on a different shard.
+    // lock) and republishes it into v_i.
     for (uint32_t i = 1; i <= hops; ++i) {
         const ThreadId c = i;
         t.begin(c);
         if (opts.lock_carrier && i == 1)
             t.acquire(c, l0);
         else
-            t.read(c, chain_var(opts, i - 1));
-        t.write(c, chain_var(opts, i));
+            t.read(c, i - 1);
+        t.write(c, i);
         if (!opts.open_carriers)
             t.end(c);
     }
 
-    // The closing access: the single engine fires here (victim's open
+    // The closing access: the engines fire here (victim's open
     // transaction is ordered before the last write it now observes).
     if (opts.serializable)
         t.begin(victim);
     if (opts.close_by_write)
-        t.write(victim, chain_var(opts, hops));
+        t.write(victim, hops);
     else
-        t.read(victim, chain_var(opts, hops));
+        t.read(victim, hops);
 
-    // Unwind: carriers close, the victim optionally re-touches (a late
-    // detection point for lagging modes), everyone ends.
+    // Unwind: carriers close, the victim optionally re-touches (a later
+    // detection point), everyone ends.
     if (opts.open_carriers) {
         for (uint32_t i = 1; i <= hops; ++i)
             t.end(i);
     }
     if (opts.retouch && !opts.serializable)
-        t.read(victim, chain_var(opts, hops));
+        t.read(victim, hops);
     t.end(victim);
     while (pad_depth-- > 0)
         t.end(pad);

@@ -2,29 +2,28 @@
 
 /**
  * @file
- * Adversarial cross-shard trace families — directed inputs constructed to
- * defeat naive epoch merging in the sharded runner (src/shard/).
+ * Open-transaction carrier chains — directed violating (or, for controls,
+ * serializable) traces whose conflict cycle closes through a chain of
+ * intermediate transactions.
  *
- * Every family builds a violating (or, for controls, serializable) trace
- * whose ordering chain hops between shard-owned variables while the
- * carrier transactions are still open, so under periodic-only frontier
- * merges the closing check consults a stale clock: the violation fires
- * late or — when nothing re-touches the affected state — not at all.
- * The exact epoch mode (divergence barriers + suspect replay) must
- * reproduce the single-engine verdict on all of them, index for index;
- * the parity suite sweeps these families for all four AeroDrome engines.
+ * A victim thread opens a transaction and writes v0. Carrier thread i
+ * then reads v_{i-1} and writes v_i, so the ordering "victim before
+ * carrier i" travels hop by hop down the chain. The victim closes the
+ * cycle by accessing v_hops while its transaction is still open. When the
+ * carriers also keep their transactions open across the chain, the
+ * ordering exists only in the carriers' live clocks, never in a closed
+ * transaction's published state. The golden corpus sweeps these
+ * families for every engine.
  *
- * Shape knobs (the ISSUE's parameter axes):
+ * Shape knobs:
  *   - hop count: length of the carrier chain between the victim's write
  *     and the closing access;
- *   - shard placement: variables are used in creation order, so under
- *     modulo placement the chain's hops alternate shards (or, for the
- *     same-shard control, collapse onto one);
- *   - offset: replicated padding events shifting the chain relative to
- *     periodic merge boundaries;
+ *   - offset: padding events on an idle thread shifting the chain's
+ *     global indices;
  *   - open-transaction carriers: whether intermediaries hold their
- *     transactions open across the chain (the case end-event repair
- *     cannot fix).
+ *     transactions open across the chain;
+ *   - closing access kind, a lock-carried first hop, a late re-touch by
+ *     the victim, and a serializable control.
  */
 
 #include <cstdint>
@@ -33,43 +32,36 @@
 
 namespace aero::gen {
 
-/** Parameters of one adversarial cross-shard trace. */
-struct CrossShardAdversaryOptions {
+/** Parameters of one carrier-chain trace. */
+struct CarrierChainOptions {
     /** Carrier threads between the victim's write and the closing
      *  access; the chain uses hops + 1 variables v0..v_hops. */
     uint32_t hops = 2;
-    /** Replicated (begin/end pair) padding events inserted before the
-     *  chain, shifting it relative to periodic merge boundaries. */
+    /** Padding events (begin/end on an idle thread) inserted before the
+     *  chain, shifting its global indices. */
     uint32_t offset = 0;
     /** Carriers keep their transactions open until after the closing
-     *  access (defeats end-event repair); otherwise each carrier ends
-     *  immediately after its hop. */
+     *  access; otherwise each carrier ends immediately after its hop. */
     bool open_carriers = true;
     /** Close the cycle with a write (write-vs-read/write checks) instead
      *  of a read (read-vs-write check). */
     bool close_by_write = false;
-    /** Carry the middle hop through a lock handoff (replicated events —
-     *  every shard sees it without any merge). */
+    /** Carry the first hop through a lock handoff instead of v0. */
     bool lock_carrier = false;
     /** After the carriers close, the victim re-touches the closing
-     *  variable while its transaction is still open: a late detection
-     *  point for lagging modes (without it, a lagging mode misses the
-     *  violation entirely). */
+     *  variable while its transaction is still open: a second, later
+     *  detection point. */
     bool retouch = false;
-    /** Use one variable id parity so every chain variable lands on one
-     *  shard under modulo placement (control: exact in every mode). */
-    bool same_shard = false;
     /** Break the cycle (victim's transaction ends before the chain):
-     *  control family, serializable in every mode. */
+     *  control family, serializable. */
     bool serializable = false;
 };
 
 /**
- * Build the trace. Variables are interned in chain order (v0 first), so
- * under `modulo_shard_policy` with S shards variable v_i lives on shard
- * i % S (or all on shard 0 with same_shard). The padding thread touches
- * no variables and holds no locks; it only shifts global indices.
+ * Build the trace. Variables are interned in chain order (v0 first). The
+ * padding thread touches no variables and holds no locks; it only shifts
+ * global indices.
  */
-Trace make_cross_shard_adversary(const CrossShardAdversaryOptions& opts);
+Trace make_carrier_chain(const CarrierChainOptions& opts);
 
 } // namespace aero::gen

@@ -28,7 +28,7 @@
  * Events are produced one transaction at a time (workers round-robin),
  * deterministically from the seed: the same options always yield the
  * same stream, and two sources with the same options can be drawn
- * independently (e.g. one for a sharded run, one for a reference run).
+ * independently (e.g. one for a gc-on run, one for a gc-off run).
  */
 
 #include <cstdint>

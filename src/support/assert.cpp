@@ -27,9 +27,8 @@ throwing_panic_handler(const std::string& msg)
     throw InternalError(msg);
 }
 
-PanicContextScope::PanicContextScope(uint32_t shard)
+PanicContextScope::PanicContextScope()
 {
-    ctx_.shard = shard;
     prev_ = tls_panic_ctx;
     tls_panic_ctx = &ctx_;
 }
@@ -44,14 +43,9 @@ panic(const char* file, int line, const std::string& msg)
 {
     std::string full = std::string(file) + ":" + std::to_string(line) +
                        ": " + msg;
-    if (const PanicContext* ctx = tls_panic_ctx) {
-        if (ctx->event_index != PanicContext::kNoIndex) {
-            full += " while processing event " +
-                    std::to_string(ctx->event_index);
-            if (ctx->shard != PanicContext::kNoShard)
-                full += " (shard " + std::to_string(ctx->shard) + ")";
-        }
-    }
+    const PanicContext* ctx = tls_panic_ctx;
+    if (ctx && ctx->event_index != PanicContext::kNoIndex)
+        full += " while processing event " + std::to_string(ctx->event_index);
     if (PanicHandler handler =
             g_panic_handler.load(std::memory_order_acquire)) {
         handler(full); // expected not to return (e.g. throws)

@@ -13,9 +13,9 @@
  *   trace, bad configuration). Throws aero::FatalError so library users
  *   and tests can recover.
  *
- * Panic messages carry the current event index / shard id when the
- * runner has registered a PanicContextScope on the panicking thread, so
- * field crash reports name the trace position, not just the source line.
+ * Panic messages carry the current event index when the runner has
+ * registered a PanicContextScope on the panicking thread, so field crash
+ * reports name the trace position, not just the source line.
  */
 
 #include <cstdint>
@@ -53,23 +53,21 @@ PanicHandler set_panic_handler(PanicHandler handler);
 
 /**
  * Thread-local analysis position, appended to panic messages: "while
- * processing event 1234 (shard 2)". Runners keep one scope per checking
- * thread and bump event_index as they go (a plain store — the hot loop
- * pays one word write per event).
+ * processing event 1234". Runners keep one scope per checking thread
+ * and bump event_index as they go (a plain store — the hot loop pays one
+ * word write per event).
  */
 struct PanicContext {
     static constexpr uint64_t kNoIndex = UINT64_MAX;
-    static constexpr uint32_t kNoShard = UINT32_MAX;
 
     uint64_t event_index = kNoIndex;
-    uint32_t shard = kNoShard;
 };
 
 /** RAII registration of a PanicContext on the current thread. Scopes
  *  nest; the innermost one wins. */
 class PanicContextScope {
 public:
-    explicit PanicContextScope(uint32_t shard = PanicContext::kNoShard);
+    PanicContextScope();
     ~PanicContextScope();
 
     PanicContextScope(const PanicContextScope&) = delete;

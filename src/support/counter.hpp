@@ -6,11 +6,11 @@
  * threads while its single owner keeps incrementing it.
  *
  * The checker engines bump several counters on every event. When a
- * sharded run (src/shard/) wants live progress — or a monitoring thread
- * polls counters() mid-run — plain uint64_t fields would be a data race.
- * A full atomic RMW (`lock xadd`) on every event would instead tax the
- * single-writer hot path for a property it does not need: each counter
- * has exactly one writer (the shard worker that owns the engine), so a
+ * monitoring thread polls counters() mid-run for live progress, plain
+ * uint64_t fields would be a data race. A full atomic RMW (`lock xadd`)
+ * on every event would instead tax the single-writer hot path for a
+ * property it does not need: each counter has exactly one writer (the
+ * thread that runs the engine), so a
  * relaxed load + relaxed store compiles to the same plain `add` as a
  * non-atomic field on every mainstream ISA while making concurrent
  * readers well-defined (they see some recent value, never garbage).

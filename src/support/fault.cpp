@@ -24,12 +24,6 @@ kind_matches_site(FaultSite site, FaultKind kind)
       case FaultSite::kTraceByte:
         return kind == FaultKind::kBitFlip || kind == FaultKind::kTruncate ||
                kind == FaultKind::kGarbage;
-      case FaultSite::kWorker:
-        return kind == FaultKind::kWorkerDelay ||
-               kind == FaultKind::kWorkerStall ||
-               kind == FaultKind::kWorkerKill;
-      case FaultSite::kRingPush:
-        return kind == FaultKind::kRingFull;
       case FaultSite::kAlloc:
         return kind == FaultKind::kAllocCap;
     }
@@ -57,10 +51,6 @@ fault_site_name(FaultSite site)
     switch (site) {
       case FaultSite::kTraceByte:
         return "trace-byte";
-      case FaultSite::kWorker:
-        return "worker";
-      case FaultSite::kRingPush:
-        return "ring";
       case FaultSite::kAlloc:
         return "alloc";
     }
@@ -79,14 +69,6 @@ fault_kind_name(FaultKind kind)
         return "truncate";
       case FaultKind::kGarbage:
         return "garbage";
-      case FaultKind::kWorkerDelay:
-        return "delay";
-      case FaultKind::kWorkerStall:
-        return "stall";
-      case FaultKind::kWorkerKill:
-        return "kill";
-      case FaultKind::kRingFull:
-        return "ring-full";
       case FaultKind::kAllocCap:
         return "alloc-cap";
     }
@@ -107,16 +89,12 @@ parse_fault_plan(const std::string& spec)
             break;
         start = colon + 1;
     }
-    if (toks.size() < 3 || toks.size() > 6)
+    if (toks.size() < 3 || toks.size() > 4)
         return std::nullopt;
 
     FaultPlan plan;
     if (toks[0] == "trace-byte")
         plan.site = FaultSite::kTraceByte;
-    else if (toks[0] == "worker")
-        plan.site = FaultSite::kWorker;
-    else if (toks[0] == "ring")
-        plan.site = FaultSite::kRingPush;
     else if (toks[0] == "alloc")
         plan.site = FaultSite::kAlloc;
     else
@@ -126,10 +104,6 @@ parse_fault_plan(const std::string& spec)
         {"bit-flip", FaultKind::kBitFlip},
         {"truncate", FaultKind::kTruncate},
         {"garbage", FaultKind::kGarbage},
-        {"delay", FaultKind::kWorkerDelay},
-        {"stall", FaultKind::kWorkerStall},
-        {"kill", FaultKind::kWorkerKill},
-        {"ring-full", FaultKind::kRingFull},
         {"alloc-cap", FaultKind::kAllocCap},
     };
     plan.kind = FaultKind::kNone;
@@ -145,18 +119,7 @@ parse_fault_plan(const std::string& spec)
 
     if (!parse_u64(toks[2], plan.trigger))
         return std::nullopt;
-    if (toks.size() > 3) {
-        uint64_t v = 0;
-        if (toks[3] == "any")
-            plan.shard = FaultPlan::kAnyShard;
-        else if (parse_u64(toks[3], v) && v < FaultPlan::kAnyShard)
-            plan.shard = static_cast<uint32_t>(v);
-        else
-            return std::nullopt;
-    }
-    if (toks.size() > 4 && !parse_u64(toks[4], plan.seed))
-        return std::nullopt;
-    if (toks.size() > 5 && !parse_u64(toks[5], plan.duration))
+    if (toks.size() > 3 && !parse_u64(toks[3], plan.seed))
         return std::nullopt;
     return plan;
 }
@@ -186,7 +149,6 @@ FaultInjector::arm(const FaultPlan& plan)
     plan_ = plan;
     hits_.store(0, std::memory_order_relaxed);
     fires_.store(0, std::memory_order_relaxed);
-    burst_left_.store(0, std::memory_order_relaxed);
     truncated_.store(false, std::memory_order_relaxed);
     if (plan.kind != FaultKind::kNone)
         armed_site_.store(static_cast<uint8_t>(plan.site),
@@ -277,40 +239,6 @@ FaultInjector::filter_text_line(uint64_t line_no, std::string& line)
       default:
         return true;
     }
-}
-
-FaultKind
-FaultInjector::worker_action(uint32_t shard)
-{
-    if (!armed_for(FaultSite::kWorker))
-        return FaultKind::kNone;
-    if (plan_.shard != FaultPlan::kAnyShard && shard != plan_.shard)
-        return FaultKind::kNone;
-    const uint64_t h = hits_.fetch_add(1, std::memory_order_relaxed);
-    if (h != plan_.trigger)
-        return FaultKind::kNone;
-    fires_.fetch_add(1, std::memory_order_relaxed);
-    return plan_.kind;
-}
-
-bool
-FaultInjector::ring_full(uint32_t shard)
-{
-    if (!armed_for(FaultSite::kRingPush))
-        return false;
-    if (plan_.shard != FaultPlan::kAnyShard && shard != plan_.shard)
-        return false;
-    if (burst_left_.load(std::memory_order_relaxed) > 0) {
-        burst_left_.fetch_sub(1, std::memory_order_relaxed);
-        return true;
-    }
-    const uint64_t h = hits_.fetch_add(1, std::memory_order_relaxed);
-    if (h != plan_.trigger)
-        return false;
-    fires_.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t burst = plan_.duration ? plan_.duration : 256;
-    burst_left_.store(burst - 1, std::memory_order_relaxed);
-    return true;
 }
 
 bool

@@ -16,12 +16,11 @@
  *  - the per-byte trace-reader hooks (FaultSite::kTraceByte) are hot and
  *    only compiled under -DAERO_FAULTS=ON (fault_points_compiled());
  *    without it they expand to nothing and provably cost zero;
- *  - the worker/ring/alloc hooks sit on paths that already do atomics per
- *    item (or on cold poll paths) and are always compiled, so the shard
- *    recovery suites run in every build.
+ *  - the alloc hook sits on the runner's cold budget-poll path and is
+ *    always compiled, so its suites run in every build.
  *
- * Arm/disarm must not race an active run: tests arm before run_sharded /
- * run_checker and disarm after.
+ * Arm/disarm must not race an active run: tests arm before run_checker
+ * and disarm after.
  */
 
 #include <atomic>
@@ -35,9 +34,7 @@ namespace aero {
 /** Where a fault is injected. */
 enum class FaultSite : uint8_t {
     kTraceByte = 0, ///< byte-level corruption inside a trace reader
-    kWorker = 1,    ///< shard worker misbehavior (threaded driver)
-    kRingPush = 2,  ///< producer-side SPSC push sees a full ring
-    kAlloc = 3,     ///< allocation-cap breach at the runner's poll point
+    kAlloc = 1,     ///< allocation-cap breach at the runner's poll point
 };
 
 /** What goes wrong at the site. */
@@ -47,12 +44,6 @@ enum class FaultKind : uint8_t {
     kBitFlip,  ///< flip one bit of one byte
     kTruncate, ///< end the stream at the trigger byte
     kGarbage,  ///< replace bytes with seeded garbage
-    // kWorker kinds
-    kWorkerDelay, ///< sleep `duration` ms once, then continue
-    kWorkerStall, ///< stop making progress until evicted (bounded)
-    kWorkerKill,  ///< return from the worker thread (simulated death)
-    // kRingPush kind
-    kRingFull, ///< force `duration` consecutive pushes to see a full ring
     // kAlloc kind
     kAllocCap, ///< report the allocation cap breached from trigger on
 };
@@ -60,33 +51,22 @@ enum class FaultKind : uint8_t {
 const char* fault_site_name(FaultSite site);
 const char* fault_kind_name(FaultKind kind);
 
-/** One seeded fault: site x kind x trigger count (+ payload knobs). */
+/** One seeded fault: site x kind x trigger count (+ payload seed). */
 struct FaultPlan {
-    /** `shard` value meaning "any shard". */
-    static constexpr uint32_t kAnyShard = UINT32_MAX;
-
     FaultSite site = FaultSite::kTraceByte;
     FaultKind kind = FaultKind::kNone;
     /** Fire on the trigger-th hit of the site (0-based). Binary trace
-     *  hooks count post-header bytes; text hooks count lines; worker
-     *  hooks count popped items; ring hooks count pushes; alloc hooks
-     *  count budget polls. */
+     *  hooks count post-header bytes; text hooks count lines; alloc
+     *  hooks count budget polls. */
     uint64_t trigger = 0;
-    /** Target shard for kWorker / kRingPush sites. */
-    uint32_t shard = kAnyShard;
     /** Derandomizes the payload (bit index, garbage bytes). */
     uint64_t seed = 1;
-    /** Kind-specific magnitude: kWorkerDelay sleep in ms (default 10),
-     *  kWorkerStall cap in ms (default 30000), kRingFull burst length in
-     *  pushes (default 256). 0 selects the default. */
-    uint64_t duration = 0;
 };
 
 /**
- * Parse "site:kind:trigger[:shard][:seed][:duration]" — the
- * AERO_FAULT_PLAN syntax. Sites: trace-byte, worker, ring, alloc.
- * Kinds: bit-flip, truncate, garbage, delay, stall, kill, ring-full,
- * alloc-cap. The kind must belong to the site. shard may be "any".
+ * Parse "site:kind:trigger[:seed]" — the AERO_FAULT_PLAN syntax. Sites:
+ * trace-byte, alloc. Kinds: bit-flip, truncate, garbage, alloc-cap. The
+ * kind must belong to the site.
  * @return nullopt on malformed or mismatched specs.
  */
 std::optional<FaultPlan> parse_fault_plan(const std::string& spec);
@@ -129,14 +109,6 @@ public:
      *  place; @return false to truncate the stream here (sticky). */
     bool filter_text_line(uint64_t line_no, std::string& line);
 
-    /** kWorker: action for the item a worker of `shard` popped;
-     *  kNone when nothing fires. */
-    FaultKind worker_action(uint32_t shard);
-
-    /** kRingPush: true when this push to `shard` must observe a full
-     *  ring. Called from the single reader thread only. */
-    bool ring_full(uint32_t shard);
-
     /** kAlloc: true when the armed allocation cap counts as breached
      *  (sticky from the trigger-th poll on). `bytes` is informational. */
     bool alloc_breach(uint64_t bytes);
@@ -151,7 +123,6 @@ private:
     FaultPlan plan_{};
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> fires_{0};
-    std::atomic<uint64_t> burst_left_{0}; // remaining kRingFull pushes
     std::atomic<bool> truncated_{false};  // sticky injected EOF
 };
 

@@ -62,7 +62,7 @@ public:
 
     /**
      * Decode up to `n` events into `out` — the block-ingestion entry
-     * point consumers (runner, shard reader) drive so sources can
+     * point the runner drives so sources can
      * amortize per-event virtual-call and decode overhead.
      *
      * @return the number of events decoded; 0 only at end of stream.

@@ -66,7 +66,7 @@ bool update_sets_enabled_default();
 
 /** Counters for the evaluation harness and the runner's report.
  *  Single-writer relaxed atomics (support/counter.hpp): safe to read
- *  from another thread while the owning shard worker keeps counting. */
+ *  from another thread while the owning engine keeps counting. */
 struct AdaptiveClockStats {
     /** Operations resolved in O(1): the entry stayed (or was read as) an
      *  epoch, or a pure source reduced the update to one component of an
@@ -169,12 +169,7 @@ public:
     // sweeps at end events may therefore visit only the enrolled entries
     // instead of the whole table; enrollment is an over-approximation
     // (assign can lower a component again), so sweeps still apply the
-    // real gate. Frontier adoption never touches table entries and gate
-    // values are frozen for the life of a transaction, so merges in the
-    // sharded runner preserve the invariant; reseeding does not (it can
-    // grow cb_t mid-transaction), so reseeded engines must reopen windows
-    // via reopen-after-reseed (untracked when the table is already
-    // populated — the end sweep then falls back to the full table).
+    // real gate. Gate values are frozen for the life of a transaction.
 
     /** Toggle update-set tracking (default from AERO_UPDATE_SETS; call
      *  before feeding events). Off = every window untracked = full-table
@@ -222,7 +217,7 @@ public:
         }
     }
 
-    /** Drop t's window entirely (after its end sweep, or on reseed). */
+    /** Drop t's window entirely (after its end sweep). */
     void
     close_update_window(ThreadId t)
     {
@@ -499,7 +494,7 @@ public:
     size_t arena_rows() const { return arena_rows_; }
 
     /** Bytes held by the entry words, the inflation arena and the
-     *  update-window bookkeeping (per-shard memory accounting). */
+     *  update-window bookkeeping (memory accounting). */
     size_t
     memory_bytes() const
     {

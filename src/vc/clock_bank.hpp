@@ -311,7 +311,7 @@ public:
     size_t dim() const { return dim_; }
     size_t stride() const { return stride_; }
 
-    /** Bytes of the backing allocation (per-shard memory accounting). */
+    /** Bytes of the backing allocation (memory accounting). */
     size_t
     memory_bytes() const
     {

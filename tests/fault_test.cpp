@@ -3,11 +3,10 @@
  * Fault-injection harness suite (src/support/fault.hpp).
  *
  * Covers the plan grammar, the deterministic corruption helper, the
- * always-compiled fault sites (worker kill/stall/delay, ring-full
- * backpressure, alloc-cap breach), the bounded SPSC waits the recovery
- * machinery leans on, and the panic-context plumbing. The per-byte
- * trace-reader sites are compile-gated (-DAERO_FAULTS=ON); their tests
- * skip when the hooks are not present (fault_points_compiled()).
+ * always-compiled alloc-cap site, and the panic-context plumbing. The
+ * per-byte trace-reader sites are compile-gated (-DAERO_FAULTS=ON);
+ * their tests skip when the hooks are not present
+ * (fault_points_compiled()).
  *
  * Every injected failure must end in a structured RunStatus — never a
  * hang, an abort, or a torn result.
@@ -15,15 +14,12 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <sstream>
 #include <string>
 
 #include "aerodrome/aerodrome_opt.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
-#include "shard/sharded_runner.hpp"
-#include "shard/spsc_queue.hpp"
 #include "support/assert.hpp"
 #include "support/fault.hpp"
 #include "trace/binary_io.hpp"
@@ -39,12 +35,6 @@ protected:
     void TearDown() override { FaultInjector::instance().disarm(); }
 };
 
-EngineFactory
-opt_factory()
-{
-    return [] { return std::make_unique<AeroDromeOpt>(0, 0, 0); };
-}
-
 // --- Plan grammar -----------------------------------------------------------
 
 TEST_F(Fault, PlanParsesMinimalSpec)
@@ -54,41 +44,39 @@ TEST_F(Fault, PlanParsesMinimalSpec)
     EXPECT_EQ(plan->site, FaultSite::kTraceByte);
     EXPECT_EQ(plan->kind, FaultKind::kBitFlip);
     EXPECT_EQ(plan->trigger, 5u);
-    EXPECT_EQ(plan->shard, FaultPlan::kAnyShard);
     EXPECT_EQ(plan->seed, 1u);
-    EXPECT_EQ(plan->duration, 0u);
 }
 
 TEST_F(Fault, PlanParsesFullSpec)
 {
-    auto plan = parse_fault_plan("worker:kill:3:1:42:100");
+    auto plan = parse_fault_plan("trace-byte:garbage:40:7");
     ASSERT_TRUE(plan.has_value());
-    EXPECT_EQ(plan->site, FaultSite::kWorker);
-    EXPECT_EQ(plan->kind, FaultKind::kWorkerKill);
-    EXPECT_EQ(plan->trigger, 3u);
-    EXPECT_EQ(plan->shard, 1u);
-    EXPECT_EQ(plan->seed, 42u);
-    EXPECT_EQ(plan->duration, 100u);
+    EXPECT_EQ(plan->site, FaultSite::kTraceByte);
+    EXPECT_EQ(plan->kind, FaultKind::kGarbage);
+    EXPECT_EQ(plan->trigger, 40u);
+    EXPECT_EQ(plan->seed, 7u);
 
-    auto any = parse_fault_plan("ring:ring-full:7:any");
-    ASSERT_TRUE(any.has_value());
-    EXPECT_EQ(any->shard, FaultPlan::kAnyShard);
+    auto alloc = parse_fault_plan("alloc:alloc-cap:3:42");
+    ASSERT_TRUE(alloc.has_value());
+    EXPECT_EQ(alloc->site, FaultSite::kAlloc);
+    EXPECT_EQ(alloc->kind, FaultKind::kAllocCap);
+    EXPECT_EQ(alloc->trigger, 3u);
+    EXPECT_EQ(alloc->seed, 42u);
 }
 
 TEST_F(Fault, PlanRejectsMalformedSpecs)
 {
     // Unknown site / kind, kind-site mismatch, bad arity, bad numbers.
     for (const char* spec :
-         {"", "worker", "worker:kill", "bogus:kill:0", "worker:bogus:0",
-          "worker:bit-flip:0",      // byte kind on the worker site
-          "trace-byte:kill:0",      // worker kind on the byte site
-          "alloc:ring-full:0",      // ring kind on the alloc site
-          "worker:kill:abc",        // non-numeric trigger
-          "worker:kill:-1",         // negative trigger
-          "worker:kill:0:zz",       // bad shard
-          "worker:kill:0:0:x",      // bad seed
-          "worker:kill:0:0:1:x",    // bad duration
-          "worker:kill:0:0:1:2:3"}) // too many fields
+         {"", "alloc", "alloc:alloc-cap", "bogus:alloc-cap:0",
+          "alloc:bogus:0",
+          "alloc:bit-flip:0",            // byte kind on the alloc site
+          "trace-byte:alloc-cap:0",      // alloc kind on the byte site
+          "worker:kill:0",               // unknown site and kind
+          "trace-byte:garbage:abc",      // non-numeric trigger
+          "trace-byte:garbage:-1",       // negative trigger
+          "trace-byte:garbage:0:x",      // bad seed
+          "trace-byte:garbage:40:any:7"}) // too many fields
         EXPECT_FALSE(parse_fault_plan(spec).has_value()) << spec;
 }
 
@@ -199,129 +187,7 @@ TEST_F(Fault, InjectedTextGarbageStopsStrictAndResyncsWhenAsked)
     }
 }
 
-// --- Worker faults (always compiled) ----------------------------------------
-
-/** Serializable workload with plenty of events on every shard. */
-Trace
-worker_workload()
-{
-    return gen::make_pipeline(4, 500);
-}
-
-TEST_F(Fault, KilledWorkerIsRecoveredAndTheVerdictStaysSound)
-{
-    FaultPlan plan;
-    plan.site = FaultSite::kWorker;
-    plan.kind = FaultKind::kWorkerKill;
-    plan.trigger = 25;
-    plan.shard = 0;
-    FaultInjector::instance().arm(plan);
-
-    Trace t = worker_workload();
-    ShardOptions opts;
-    opts.shards = 2;
-    opts.watchdog_ms = 150;
-    ShardRunResult r = run_sharded(opt_factory(), t, opts);
-    EXPECT_EQ(FaultInjector::instance().fires(), 1u);
-    EXPECT_GE(r.recoveries, 1u);
-    EXPECT_FALSE(r.result.violation)
-        << "recovery fabricated a violation on a serializable trace";
-    // Exact when the replay window was intact, degraded otherwise —
-    // both are structured completions.
-    const RunStatus status = r.result.status();
-    EXPECT_TRUE(status == RunStatus::kOk || status == RunStatus::kDegraded)
-        << run_status_name(status);
-}
-
-TEST_F(Fault, StalledWorkerIsEvictedAndReplaced)
-{
-    FaultPlan plan;
-    plan.site = FaultSite::kWorker;
-    plan.kind = FaultKind::kWorkerStall;
-    plan.trigger = 40;
-    plan.duration = 5000; // stall cap well past the watchdog deadline
-    FaultInjector::instance().arm(plan);
-
-    Trace t = worker_workload();
-    ShardOptions opts;
-    opts.shards = 2;
-    opts.watchdog_ms = 150;
-    ShardRunResult r = run_sharded(opt_factory(), t, opts);
-    EXPECT_EQ(FaultInjector::instance().fires(), 1u);
-    EXPECT_GE(r.recoveries, 1u);
-    EXPECT_FALSE(r.result.violation);
-    const RunStatus status = r.result.status();
-    EXPECT_TRUE(status == RunStatus::kOk || status == RunStatus::kDegraded)
-        << run_status_name(status);
-}
-
-TEST_F(Fault, DelayBelowTheDeadlineCausesNoEviction)
-{
-    FaultPlan plan;
-    plan.site = FaultSite::kWorker;
-    plan.kind = FaultKind::kWorkerDelay;
-    plan.trigger = 40;
-    plan.duration = 20; // one 20ms hiccup, far below the deadline
-    FaultInjector::instance().arm(plan);
-
-    Trace t = worker_workload();
-    AeroDromeOpt baseline(t.num_threads(), t.num_vars(), t.num_locks());
-    RunResult expected = run_checker(baseline, t);
-
-    ShardOptions opts;
-    opts.shards = 2;
-    opts.watchdog_ms = 500;
-    ShardRunResult r = run_sharded(opt_factory(), t, opts);
-    EXPECT_EQ(FaultInjector::instance().fires(), 1u);
-    EXPECT_EQ(r.recoveries, 0u) << "a transient hiccup must not evict";
-    EXPECT_EQ(r.result.status(), RunStatus::kOk);
-    EXPECT_EQ(r.result.violation, expected.violation);
-}
-
-TEST_F(Fault, ArmedWorkerFaultTurnsOnADefaultWatchdog)
-{
-    // A drill with the watchdog left at 0 must still recover: arming a
-    // kWorker plan flips on the default deadline so the injected death
-    // cannot hang the very harness meant to test it.
-    FaultPlan plan;
-    plan.site = FaultSite::kWorker;
-    plan.kind = FaultKind::kWorkerKill;
-    plan.trigger = 25;
-    FaultInjector::instance().arm(plan);
-
-    Trace t = worker_workload();
-    ShardOptions opts;
-    opts.shards = 2; // watchdog_ms stays 0
-    ShardRunResult r = run_sharded(opt_factory(), t, opts);
-    EXPECT_EQ(FaultInjector::instance().fires(), 1u);
-    EXPECT_GE(r.recoveries, 1u);
-    EXPECT_FALSE(r.result.violation);
-}
-
-// --- Ring and alloc faults --------------------------------------------------
-
-TEST_F(Fault, RingFullBurstOnlyExercisesBackpressure)
-{
-    FaultPlan plan;
-    plan.site = FaultSite::kRingPush;
-    plan.kind = FaultKind::kRingFull;
-    plan.trigger = 100;
-    plan.duration = 64; // burst length in pushes
-    FaultInjector::instance().arm(plan);
-
-    Trace t = worker_workload();
-    AeroDromeOpt baseline(t.num_threads(), t.num_vars(), t.num_locks());
-    RunResult expected = run_checker(baseline, t);
-
-    ShardOptions opts;
-    opts.shards = 2;
-    ShardRunResult r = run_sharded(opt_factory(), t, opts);
-    EXPECT_GE(FaultInjector::instance().fires(), 1u);
-    EXPECT_EQ(r.result.status(), RunStatus::kOk)
-        << "backpressure must not change the outcome";
-    EXPECT_EQ(r.result.violation, expected.violation);
-    EXPECT_EQ(r.result.events_processed, expected.events_processed);
-}
+// --- Alloc faults -----------------------------------------------------------
 
 TEST_F(Fault, AllocCapBreachEndsTheRunAsInternalError)
 {
@@ -343,58 +209,13 @@ TEST_F(Fault, AllocCapBreachEndsTheRunAsInternalError)
     EXPECT_LT(r.events_processed, t.size());
 }
 
-// --- Bounded SPSC waits -----------------------------------------------------
-
-TEST_F(Fault, FullRingPushWaitTimesOutInsteadOfHanging)
-{
-    SpscQueue<int> q(2);
-    int filled = 0;
-    while (q.try_push(filled))
-        ++filled;
-    const auto start = std::chrono::steady_clock::now();
-    EXPECT_FALSE(q.push_wait(99, /*max_wait_us=*/20000));
-    const auto waited = std::chrono::steady_clock::now() - start;
-    // The bound is a floor (whole sleep quanta), but a sick consumer
-    // must surface within the same order of magnitude, not never.
-    EXPECT_LT(waited, std::chrono::seconds(10));
-    // Nothing was pushed; the ring still drains exactly what was there.
-    for (int i = 0; i < filled; ++i) {
-        int out = -1;
-        ASSERT_TRUE(q.try_pop(out));
-        EXPECT_EQ(out, i);
-    }
-    int leftover;
-    EXPECT_FALSE(q.try_pop(leftover));
-}
-
-TEST_F(Fault, EmptyRingPopWaitTimesOutAndLeavesOutUntouched)
-{
-    SpscQueue<int> q(4);
-    int out = 424242;
-    EXPECT_FALSE(q.pop_wait(out, /*max_wait_us=*/20000));
-    EXPECT_EQ(out, 424242);
-}
-
-TEST_F(Fault, BackoffBudgetIsAFloorNotForever)
-{
-    SpscBackoff backoff(/*max_wait_us=*/300);
-    int pauses = 0;
-    while (backoff.pause())
-        ++pauses;
-    // 64 spins + 192 yields + ceil(300/100) sleeps, then exhaustion.
-    EXPECT_GE(pauses, 256);
-    EXPECT_LT(pauses, 10000);
-    backoff.reset();
-    EXPECT_TRUE(backoff.pause()) << "reset must restore the budget";
-}
-
 // --- Panic context ----------------------------------------------------------
 
-TEST_F(Fault, PanicMessageNamesTheEventIndexAndShard)
+TEST_F(Fault, PanicMessageNamesTheEventIndex)
 {
     PanicHandler prev = set_panic_handler(&throwing_panic_handler);
     {
-        PanicContextScope scope(/*shard=*/3);
+        PanicContextScope scope;
         scope.set_index(1234);
         try {
             panic(__FILE__, __LINE__, "drill");
@@ -404,7 +225,6 @@ TEST_F(Fault, PanicMessageNamesTheEventIndexAndShard)
             EXPECT_NE(msg.find("while processing event 1234"),
                       std::string::npos)
                 << msg;
-            EXPECT_NE(msg.find("(shard 3)"), std::string::npos) << msg;
         }
     }
     // Outside any scope the message carries no position suffix.

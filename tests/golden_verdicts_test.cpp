@@ -6,7 +6,8 @@
  * thread) of every engine — the four AeroDrome variants with the
  * epoch-adaptive storage on and off, plus the two Velodrome baselines —
  * over a deterministic corpus: the fuzz-program seeds the differential
- * suites use and the adversarial cross-shard families. Any future engine
+ * suites use, directed cycles, and the open-transaction carrier chains
+ * (gen/adversarial.hpp). Any future engine
  * change that silently shifts a verdict (a check reordered, a gate
  * loosened, a generator drifting) fails this test loudly with the exact
  * corpus line that moved.
@@ -36,6 +37,7 @@
 #include "gen/adversarial.hpp"
 #include "gen/random_program.hpp"
 #include "sim/scheduler.hpp"
+#include "trace/builder.hpp"
 #include "velodrome/velodrome.hpp"
 #include "velodrome/velodrome_pk.hpp"
 
@@ -70,6 +72,60 @@ fuzz_trace(uint64_t seed, uint32_t threads, uint32_t vars, uint32_t locks,
     return std::move(sim.trace);
 }
 
+/** t1: [w(x) ... r(y)] vs t2: [r(x) w(y)] — the closing read of y sees
+ *  t1's own transaction through t2's write. */
+Trace
+two_var_cycle()
+{
+    TraceBuilder b;
+    b.begin("t1").write("t1", "x");
+    b.begin("t2").read("t2", "x");
+    b.write("t2", "y");
+    b.read("t1", "y");
+    b.end("t1").end("t2");
+    return b.take();
+}
+
+/** Same cycle, but the t1 -> t2 edge is carried by a lock handoff: t1
+ *  releases l inside its open transaction and t2 acquires it. */
+Trace
+lock_carried_cycle()
+{
+    TraceBuilder b;
+    b.begin("t1").write("t1", "x");
+    b.acquire("t1", "l").release("t1", "l");
+    b.acquire("t2", "l");
+    b.begin("t2").write("t2", "y");
+    b.read("t1", "y");
+    b.end("t1").end("t2");
+    return b.take();
+}
+
+/** t1 -> t2 via x, t2 -> t3 via y, t3 -> t1 via z. */
+Trace
+three_thread_cycle()
+{
+    TraceBuilder b;
+    b.begin("t1").write("t1", "x");
+    b.begin("t2").read("t2", "x").write("t2", "y");
+    b.begin("t3").read("t3", "y").write("t3", "z");
+    b.read("t1", "z");
+    b.end("t1").end("t2").end("t3");
+    return b.take();
+}
+
+/** Serializable ping-pong: ordered handoffs only. */
+Trace
+ping_pong()
+{
+    TraceBuilder b;
+    for (int round = 0; round < 8; ++round) {
+        b.begin("t1").write("t1", "x").write("t1", "y").end("t1");
+        b.begin("t2").read("t2", "x").read("t2", "y").end("t2");
+    }
+    return b.take();
+}
+
 /** The corpus: same shapes the differential suites sweep, named so a
  *  golden mismatch identifies its input immediately. */
 std::vector<Workload>
@@ -99,7 +155,7 @@ make_corpus()
     }
     for (uint32_t hops : {1u, 2u, 3u}) {
         for (int variant = 0; variant < 4; ++variant) {
-            gen::CrossShardAdversaryOptions o;
+            gen::CarrierChainOptions o;
             o.hops = hops;
             o.open_carriers = (variant != 1);
             o.close_by_write = (variant == 2);
@@ -107,8 +163,50 @@ make_corpus()
             char name[64];
             std::snprintf(name, sizeof(name), "adversary(hops=%u,v=%d)",
                           hops, variant);
-            out.push_back({name, gen::make_cross_shard_adversary(o)});
+            out.push_back({name, gen::make_carrier_chain(o)});
         }
+    }
+    // Entries below were appended after the ones above; keep appending so
+    // existing fixture lines never move.
+    out.push_back({"directed(two-var-cycle)", two_var_cycle()});
+    out.push_back({"directed(lock-carried-cycle)", lock_carried_cycle()});
+    out.push_back({"directed(three-thread-cycle)", three_thread_cycle()});
+    out.push_back({"directed(ping-pong)", ping_pong()});
+    for (uint32_t hops : {1u, 2u, 3u, 7u}) {
+        for (uint32_t offset : {0u, 1u, 2u, 3u, 5u}) {
+            for (bool open_carriers : {true, false}) {
+                for (bool close_by_write : {false, true}) {
+                    // Already covered by the v=0..2 entries above.
+                    if (offset == 0 && hops <= 3 &&
+                        (open_carriers || !close_by_write))
+                        continue;
+                    gen::CarrierChainOptions o;
+                    o.hops = hops;
+                    o.offset = offset;
+                    o.open_carriers = open_carriers;
+                    o.close_by_write = close_by_write;
+                    char name[80];
+                    std::snprintf(name, sizeof(name),
+                                  "adversary(hops=%u,off=%u,open=%d,"
+                                  "write=%d)",
+                                  hops, offset, open_carriers ? 1 : 0,
+                                  close_by_write ? 1 : 0);
+                    out.push_back({name, gen::make_carrier_chain(o)});
+                }
+            }
+        }
+    }
+    for (uint32_t hops : {2u, 3u}) {
+        gen::CarrierChainOptions o;
+        o.hops = hops;
+        o.retouch = true;
+        char name[64];
+        std::snprintf(name, sizeof(name), "adversary(hops=%u,retouch)", hops);
+        out.push_back({name, gen::make_carrier_chain(o)});
+        o.retouch = false;
+        o.lock_carrier = true;
+        std::snprintf(name, sizeof(name), "adversary(hops=%u,lock)", hops);
+        out.push_back({name, gen::make_carrier_chain(o)});
     }
     return out;
 }

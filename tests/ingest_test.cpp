@@ -456,7 +456,10 @@ TEST(BlockBudget, HugeBlockCannotBlowPastMaxSeconds)
     EndlessSource src;
     AeroDromeOpt engine(1, 1, 1);
     RunBudget budget;
-    budget.max_seconds = 0.05;
+    // The first poll comes only after the first 1M-event block is
+    // decoded, which can take tens of ms on a loaded machine; the
+    // deadline must leave room for it or the run stops at event 0.
+    budget.max_seconds = 0.25;
     budget.check_interval = 1000;
     RunResult r = run_checker_stream(engine, src, budget, 1u << 20);
     EXPECT_TRUE(r.timed_out);

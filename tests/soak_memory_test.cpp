@@ -3,11 +3,11 @@
  * Memory soak: on an unbounded-style rolling stream (thread churn +
  * working-set drift, gen/rolling_stream.hpp), engine memory_bytes()
  * must *plateau* once reclamation is on — the second half of the run
- * may not exceed the first half's high-water mark by more than 10% —
- * with and without sharding. The contrast test pins the converse: with
- * gc off the same stream grows the footprint without bound (the thread
- * id space alone inflates every clock), so the plateau is evidence the
- * GC works, not that the workload is small.
+ * may not exceed the first half's high-water mark by more than 10%. The
+ * contrast test pins the converse: with gc off the same stream grows the
+ * footprint without bound (the thread id space alone inflates every
+ * clock), so the plateau is evidence the GC works, not that the workload
+ * is small.
  *
  * Event count is CI-budgeted (kDefaultEvents) and overridable via
  * AERO_SOAK_EVENTS for real soaks; the test is labelled `soak` in ctest.
@@ -29,7 +29,6 @@
 #include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/rolling_stream.hpp"
-#include "shard/sharded_runner.hpp"
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -124,38 +123,6 @@ TEST(SoakMemory, WithoutGcTheSameStreamGrows)
     EXPECT_GT(second, first + first / 10)
         << "gc-off footprint unexpectedly flat: the soak workload no "
         << "longer stresses reclamation";
-}
-
-TEST(SoakMemory, ShardedRunStaysFlatWithGc)
-{
-    // The sharded runner reports per-shard memory only at end of run, so
-    // the plateau check compares a half-length against a full-length
-    // run: near-equal end footprints mean the second half added nothing.
-    const uint64_t n = soak_events() / 2;
-    auto factory = [] {
-        auto e = std::make_unique<AeroDromeOpt>(0, 0, 0);
-        e->set_gc(true);
-        return e;
-    };
-    ShardOptions opts;
-    opts.shards = 2;
-
-    auto total_memory = [&](uint64_t events) {
-        gen::RollingStreamSource src(stream_opts(events));
-        ShardRunResult r = run_sharded(factory, src, opts);
-        EXPECT_FALSE(r.result.violation);
-        uint64_t total = 0;
-        for (uint64_t m : r.shard_memory_bytes)
-            total += m;
-        EXPECT_GT(total, 0u);
-        return total;
-    };
-
-    uint64_t half = total_memory(n / 2);
-    uint64_t full = total_memory(n);
-    EXPECT_LE(full, half + half / 10)
-        << "sharded footprint grew with trace length despite gc ("
-        << half << " -> " << full << " bytes)";
 }
 
 #if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \

@@ -3,7 +3,7 @@
  * End-event update sets (the table's update windows; see
  * vc/adaptive_clock.hpp and src/vc/README.md "End-event complexity").
  *
- * Three properties:
+ * Two properties:
  *  1. Complexity guard — an end event's sweep visits O(|update set|)
  *     entries, not O(|table|): a cold transaction ending against a table
  *     of 10k+ touched variables must sweep a handful of entries (the
@@ -13,9 +13,6 @@
  *     state) are bit-for-bit identical with update sets on and off, over
  *     the random-program corpus. The sets only *skip* entries whose gate
  *     provably cannot fire.
- *  3. Reseed safety — the sharded runner's suspect-window confirmation
- *     replay (which reseeds fresh engines mid-transaction) agrees with
- *     the sets on and off.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +23,6 @@
 #include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/random_program.hpp"
-#include "shard/sharded_runner.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/trace.hpp"
 
@@ -213,60 +209,6 @@ TEST(UpdateSetParity, FuzzFinalWriteClocksMatch)
             EXPECT_EQ(on.clock_of(u), off.clock_of(u))
                 << "seed " << seed << " thread " << u;
     }
-}
-
-// --- Reseed: suspect-window confirmation replay with sets on/off ----------
-
-template <typename Engine>
-EngineFactory
-factory(bool update_sets)
-{
-    return [update_sets] {
-        auto engine = std::make_unique<Engine>(0, 0, 0);
-        engine->set_update_sets(update_sets);
-        return engine;
-    };
-}
-
-TEST(UpdateSetReseed, LegacyReplayParityOnOff)
-{
-    // Legacy periodic-only mode: violations between merges are demoted
-    // to suspects and confirmed by replaying through a *reseeded* fresh
-    // engine — the reseed path that must reopen the update windows.
-    for (uint64_t seed = 1; seed <= 25; ++seed) {
-        Trace t = fuzz_trace(seed);
-        ShardOptions opts;
-        opts.shards = 4;
-        opts.merge_epoch = 16;
-        opts.divergence_barriers = false;
-        opts.confirm_replay = true;
-        ShardRunResult on =
-            run_sharded_inline(factory<AeroDromeReadOpt>(true), t, opts);
-        ShardRunResult off =
-            run_sharded_inline(factory<AeroDromeReadOpt>(false), t, opts);
-        ASSERT_EQ(on.result.violation, off.result.violation)
-            << "seed " << seed;
-        if (on.result.violation) {
-            EXPECT_EQ(on.result.details->event_index,
-                      off.result.details->event_index)
-                << "seed " << seed;
-            EXPECT_EQ(on.result.details->thread, off.result.details->thread)
-                << "seed " << seed;
-        }
-    }
-}
-
-/** Per-shard memory accounting rides along with the runner results. */
-TEST(ShardMemory, AccountingIsPopulated)
-{
-    Trace t = fuzz_trace(7);
-    ShardOptions opts;
-    opts.shards = 2;
-    ShardRunResult r =
-        run_sharded_inline(factory<AeroDromeReadOpt>(true), t, opts);
-    ASSERT_EQ(r.shard_memory_bytes.size(), 2u);
-    for (uint64_t bytes : r.shard_memory_bytes)
-        EXPECT_GT(bytes, 0u); // banks exist once threads were seen
 }
 
 } // namespace
