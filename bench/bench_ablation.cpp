@@ -17,25 +17,15 @@
  *   - independent: GC fast path;
  *   - star:        mixed regime of Table 1.
  *
- * Second mode (--epochs): the epoch-vs-vector sweep. Every engine runs
- * each workload twice — epochs OFF (the always-inflated full-vector
- * baseline, i.e. the PR 1 ClockBank representation) and epochs ON (the
- * adaptive layer of vc/adaptive_clock.hpp) — across contention levels
- * from "none" (thread-local variables, everything stays an epoch) to
- * "high" (every access contends, everything inflates). Results, epoch
- * hit rates and inflation counts are written to BENCH_epochs.json.
- *
- * Usage: bench_ablation [--repeat N] [--epochs] [--json PATH] [--quick]
+ * Usage: bench_ablation [--repeat N]
  */
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
 #include "support/str.hpp"
@@ -61,19 +51,17 @@ time_checker(const Trace& t, int repeat, bool& violation)
 void
 run_workload(const char* name, const Trace& t, int repeat)
 {
-    bool v1 = false, v2 = false, v3 = false, v4 = false;
+    bool v1 = false, v2 = false, v3 = false;
     double basic = time_checker<AeroDromeBasic>(t, repeat, v1);
     double readopt = time_checker<AeroDromeReadOpt>(t, repeat, v2);
     double opt = time_checker<AeroDromeOpt>(t, repeat, v3);
-    double tuned = time_checker<AeroDromeTuned>(t, repeat, v4);
-    if (v1 != v2 || v2 != v3 || v3 != v4)
+    if (v1 != v2 || v2 != v3)
         std::printf("!! verdict mismatch on %s\n", name);
     std::printf("%-22s %10s  basic %9.4fs  readopt %9.4fs (%4.1fx)  "
-                "opt %9.4fs (%6.1fx)  tuned %9.4fs (%6.1fx)\n",
+                "opt %9.4fs (%6.1fx)\n",
                 name, with_commas(t.size()).c_str(), basic, readopt,
                 readopt > 0 ? basic / readopt : 0, opt,
-                opt > 0 ? basic / opt : 0, tuned,
-                tuned > 0 ? basic / tuned : 0);
+                opt > 0 ? basic / opt : 0);
 }
 
 int
@@ -109,168 +97,6 @@ run_classic_ablation(int repeat)
     return 0;
 }
 
-// --- Epoch-vs-vector sweep -------------------------------------------------
-
-struct EpochRun {
-    double off_s = 0;      ///< epochs disabled (full-vector baseline)
-    double on_s = 0;       ///< epochs enabled
-    uint64_t epoch_fast = 0;
-    uint64_t vector_ops = 0;
-    uint64_t inflations = 0;
-    bool verdict_mismatch = false;
-
-    double
-    speedup() const
-    {
-        return on_s > 0 ? off_s / on_s : 0;
-    }
-    double
-    hit_rate() const
-    {
-        uint64_t total = epoch_fast + vector_ops;
-        return total > 0
-                   ? static_cast<double>(epoch_fast) /
-                         static_cast<double>(total)
-                   : 1.0;
-    }
-};
-
-template <typename Checker>
-EpochRun
-run_epoch_pair(const Trace& t, int repeat)
-{
-    EpochRun out;
-    out.off_s = out.on_s = 1e300;
-    bool v_off = false, v_on = false;
-    // Interleave the two modes so drifting machine load hits both
-    // equally, and keep the best of `repeat` per mode.
-    for (int i = 0; i < repeat; ++i) {
-        for (int mode = 0; mode < 2; ++mode) {
-            Checker checker(t.num_threads(), t.num_vars(), t.num_locks());
-            checker.set_epochs(mode == 1);
-            RunResult r = run_checker(checker, t);
-            if (mode == 0) {
-                out.off_s = std::min(out.off_s, r.seconds);
-                v_off = r.violation;
-            } else {
-                out.on_s = std::min(out.on_s, r.seconds);
-                v_on = r.violation;
-                out.epoch_fast = checker.epoch_stats().epoch_fast;
-                out.vector_ops = checker.epoch_stats().vector_ops;
-                out.inflations = checker.epoch_stats().inflations;
-            }
-        }
-    }
-    out.verdict_mismatch = v_off != v_on;
-    return out;
-}
-
-struct SweepWorkload {
-    std::string name;
-    const char* contention;
-    Trace trace;
-};
-
-int
-run_epoch_sweep(const std::string& json_path, int repeat, bool quick)
-{
-    const uint32_t scale = quick ? 8 : 1;
-    std::vector<SweepWorkload> workloads;
-
-    // Contention ladder: "none" keeps every per-var/lock clock a pure
-    // epoch; "high" inflates essentially everything, measuring the
-    // adaptive layer's overhead over the flat-bank baseline. The
-    // end-event-quadratic shapes (star/pipeline, where Algorithm 2's
-    // O(V)-per-end sweep dominates both representations equally) stay in
-    // the classic ablation; this sweep isolates the representation.
-    {
-        // Whole-lifetime transactions over private variables (the
-        // Table 2 "naive atomicity spec" regime with the conflict
-        // disabled): ends are rare, so the per-access O(dim)-vs-O(1)
-        // difference is fully exposed.
-        gen::NaiveSpecOptions opts;
-        opts.threads = 32;
-        opts.events_per_thread = 40000 / scale;
-        opts.conflict_position = 2.0; // never
-        workloads.push_back({"naive 32thr", "none",
-                             gen::make_naive_spec(opts)});
-        // Same shape at 2x the threads: the epoch fast path is O(1) in
-        // |Thr|, the vector baseline O(|Thr|) — the speedup must grow.
-        opts.threads = 64;
-        workloads.push_back({"naive 64thr", "none",
-                             gen::make_naive_spec(opts)});
-    }
-    workloads.push_back({"independent 32tx8", "low",
-                         gen::make_independent(32, 4000 / scale, 8)});
-    workloads.push_back({"philosophers 16", "medium",
-                         gen::make_philosophers(16, 16000 / scale)});
-    workloads.push_back({"reader-mesh 16", "high",
-                         gen::make_reader_mesh(16, 50000 / scale)});
-
-    std::printf("Epoch-adaptive sweep (best of %d; OFF = full-vector "
-                "baseline)\n\n",
-                repeat);
-    std::printf("%-18s %-8s %-18s %10s %10s %8s %9s %10s\n", "workload",
-                "contn", "engine", "off s", "on s", "speedup", "hit rate",
-                "inflations");
-
-    std::string json = "{\n  \"workloads\": [\n";
-    bool any_mismatch = false;
-
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        const SweepWorkload& wl = workloads[w];
-        struct EngineRow {
-            const char* name;
-            EpochRun run;
-        };
-        EngineRow rows[] = {
-            {"readopt", run_epoch_pair<AeroDromeReadOpt>(wl.trace, repeat)},
-            {"opt", run_epoch_pair<AeroDromeOpt>(wl.trace, repeat)},
-            {"tuned", run_epoch_pair<AeroDromeTuned>(wl.trace, repeat)},
-        };
-
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "    {\"name\": \"%s\", \"contention\": \"%s\", "
-                      "\"events\": %zu, \"engines\": [\n",
-                      wl.name.c_str(), wl.contention, wl.trace.size());
-        json += buf;
-
-        for (size_t e = 0; e < 3; ++e) {
-            const EpochRun& r = rows[e].run;
-            any_mismatch |= r.verdict_mismatch;
-            std::printf("%-18s %-8s %-18s %10.4f %10.4f %7.2fx %8.1f%% "
-                        "%10s%s\n",
-                        e == 0 ? wl.name.c_str() : "",
-                        e == 0 ? wl.contention : "", rows[e].name, r.off_s,
-                        r.on_s, r.speedup(), 100.0 * r.hit_rate(),
-                        with_commas(r.inflations).c_str(),
-                        r.verdict_mismatch ? "  !! VERDICT MISMATCH" : "");
-            std::snprintf(
-                buf, sizeof(buf),
-                "      {\"engine\": \"%s\", \"epochs_off_s\": %.6f, "
-                "\"epochs_on_s\": %.6f, \"speedup\": %.3f, "
-                "\"epoch_hit_rate\": %.4f, \"inflations\": %llu}%s\n",
-                rows[e].name, r.off_s, r.on_s, r.speedup(), r.hit_rate(),
-                static_cast<unsigned long long>(r.inflations),
-                e + 1 < 3 ? "," : "");
-            json += buf;
-        }
-        json += w + 1 < workloads.size() ? "    ]},\n" : "    ]}\n";
-    }
-    json += "  ]\n}\n";
-
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path.c_str());
-    return any_mismatch ? 1 : 0;
-}
-
 } // namespace
 
 int
@@ -281,21 +107,10 @@ main(int argc, char** argv)
     // sizes are kept modest; scale up with --repeat / larger sources for
     // precision.
     int repeat = 1;
-    bool epochs = false;
-    bool quick = false;
-    std::string json_path = "BENCH_epochs.json";
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--repeat" && i + 1 < argc)
             repeat = std::stoi(argv[++i]);
-        else if (a == "--epochs")
-            epochs = true;
-        else if (a == "--json" && i + 1 < argc)
-            json_path = argv[++i];
-        else if (a == "--quick")
-            quick = true;
     }
-    if (epochs)
-        return run_epoch_sweep(json_path, repeat, quick);
     return run_classic_ablation(repeat);
 }

@@ -16,7 +16,7 @@
  *                  overhead of each analysis.
  *
  * A second mode, --updsets, is the update-set smoke gate: it measures the
- * basic/readopt end-event path (update sets on vs the AERO_UPDATE_SETS=0
+ * basic/readopt end-event path (update sets on vs the set_update_sets(false)
  * full sweep) on the var-heavy workloads and *fails* if readopt's
  * throughput falls below a floor derived from the pre-update-set
  * baselines — the CI tripwire for the quadratic end sweep sneaking back
@@ -68,7 +68,6 @@
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
 #include "gen/rolling_stream.hpp"
@@ -143,24 +142,13 @@ run_series(const char* name, const std::vector<Trace>& traces,
 
 // --- Update-set smoke gate (--updsets) --------------------------------------
 
-template <typename Engine>
+template <typename Engine, bool kSets>
 RunResult
-run_baseline_nosets(const Trace& t)
+run_end_sweep(const Trace& t)
 {
     Engine engine(t.num_threads(), t.num_vars(), t.num_locks());
-    engine.set_update_sets(false);
-    return run_checker(engine, t);
-}
-
-/** Force update sets ON regardless of the AERO_UPDATE_SETS env — the
- *  --updsets gate measures the mechanism, so the ablation env must not
- *  be able to trip its floor. */
-template <typename Engine>
-RunResult
-run_baseline_sets(const Trace& t)
-{
-    Engine engine(t.num_threads(), t.num_vars(), t.num_locks());
-    engine.set_update_sets(true);
+    if (!kSets)
+        engine.set_update_sets(false);
     return run_checker(engine, t);
 }
 
@@ -204,10 +192,10 @@ run_updsets_smoke(const Args& args)
             bool gated;
         };
         const Row rows[] = {
-            {"aerodrome-readopt", &run_baseline_sets<AeroDromeReadOpt>,
-             &run_baseline_nosets<AeroDromeReadOpt>, true},
-            {"aerodrome-basic", &run_baseline_sets<AeroDromeBasic>,
-             &run_baseline_nosets<AeroDromeBasic>, false},
+            {"aerodrome-readopt", &run_end_sweep<AeroDromeReadOpt, true>,
+             &run_end_sweep<AeroDromeReadOpt, false>, true},
+            {"aerodrome-basic", &run_end_sweep<AeroDromeBasic, true>,
+             &run_end_sweep<AeroDromeBasic, false>, false},
         };
         for (const Row& row : rows) {
             RunResult on = row.on(wl.trace);
@@ -441,8 +429,7 @@ run_memory_bench(const Args& args)
     bool ok = true;
     ok &= run_memory_engine<AeroDromeBasic>(json, n, reps, false);
     ok &= run_memory_engine<AeroDromeReadOpt>(json, n, reps, false);
-    ok &= run_memory_engine<AeroDromeOpt>(json, n, reps, false);
-    ok &= run_memory_engine<AeroDromeTuned>(json, n, reps, true);
+    ok &= run_memory_engine<AeroDromeOpt>(json, n, reps, true);
     json += "  ]\n}\n";
 
     const std::string path =

@@ -238,10 +238,6 @@ bench_end_sweep(size_t entries)
     r.enrolled = kEnrolled;
 
     AdaptiveClockTable tbl;
-    // This kernel measures the window mechanism itself; keep it on even
-    // under the AERO_UPDATE_SETS=0 ablation (without this, the window
-    // never opens and update_entries() below is out of bounds).
-    tbl.set_update_sets_enabled(true);
     tbl.ensure_dim(8);
     ClockBank clocks(2, 8);
     clocks[0].set(0, kGate); // the ending thread's clock (pure)

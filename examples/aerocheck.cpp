@@ -17,8 +17,9 @@
  * sniff); a ".bin" file without the magic is rejected as corrupt rather
  * than mis-parsed as text.
  *
- *   --engine: aerodrome (default) | aerodrome-tuned | aerodrome-readopt |
- *             aerodrome-basic | velodrome | velodrome-pk
+ *   --engine: aerodrome (default) | aerodrome-readopt | aerodrome-basic |
+ *             velodrome | velodrome-pk
+ *   --budget: wall-clock limit in seconds (finite, >= 0; 0 = unlimited)
  *   --ingest-block: events decoded per EventSource::next_n block in
  *             the check loop (default: AERO_INGEST_BLOCK env, else 4096).
  *             Echoed by --stats
@@ -57,7 +58,6 @@
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "oracle/serializability_oracle.hpp"
 #include "support/assert.hpp"
@@ -138,8 +138,8 @@ usage(const char* argv0)
                  "usage: %s <trace[.bin]> [--engine NAME] [--budget S] "
                  "[--ingest-block N] [--resync] [--gc=on|off] [--validate] "
                  "[--stats] [--witness]\n"
-                 "engines: aerodrome aerodrome-tuned aerodrome-readopt "
-                 "aerodrome-basic velodrome velodrome-pk\n",
+                 "engines: aerodrome aerodrome-readopt aerodrome-basic "
+                 "velodrome velodrome-pk\n",
                  argv0);
     return 2;
 }
@@ -151,8 +151,6 @@ make_engine(const std::string& name)
     // grows its state on demand.
     if (name == "aerodrome")
         return std::make_unique<AeroDromeOpt>(0, 0, 0);
-    if (name == "aerodrome-tuned")
-        return std::make_unique<AeroDromeTuned>(0, 0, 0);
     if (name == "aerodrome-readopt")
         return std::make_unique<AeroDromeReadOpt>(0, 0, 0);
     if (name == "aerodrome-basic")
@@ -227,7 +225,8 @@ main(int argc, char** argv)
         if (a == "--engine" && i + 1 < argc) {
             args.engine = argv[++i];
         } else if (a == "--budget" && i + 1 < argc) {
-            args.budget = std::stod(argv[++i]);
+            if (!parse_seconds(argv[++i], args.budget))
+                return usage(argv[0]);
         } else if (a == "--ingest-block" && i + 1 < argc) {
             unsigned long v = 0;
             if (!parse_bounded(argv[++i], 1, 1ul << 22, v))

@@ -130,18 +130,23 @@ cmd_analyze(const std::string& path, double budget)
     return 0;
 }
 
+int
+usage(const char* argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s gen <star|pipeline|ring|naive> <out>\n"
+                 "       %s analyze <in> [--budget SECONDS]\n",
+                 argv0, argv0);
+    return 2;
+}
+
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    if (argc < 3) {
-        std::fprintf(stderr,
-                     "usage: %s gen <star|pipeline|ring|naive> <out>\n"
-                     "       %s analyze <in> [--budget SECONDS]\n",
-                     argv[0], argv[0]);
-        return 2;
-    }
+    if (argc < 3)
+        return usage(argv[0]);
     std::string cmd = argv[1];
     try {
         if (cmd == "gen" && argc >= 4)
@@ -149,8 +154,9 @@ main(int argc, char** argv)
         if (cmd == "analyze") {
             double budget = 10.0;
             for (int i = 3; i < argc; ++i) {
-                if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc)
-                    budget = std::stod(argv[++i]);
+                if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc &&
+                    !parse_seconds(argv[++i], budget))
+                    return usage(argv[0]);
             }
             return cmd_analyze(argv[2], budget);
         }

@@ -26,7 +26,7 @@
  * update sets are ported back onto the fused table (the table's update
  * windows, vc/adaptive_clock.hpp), so a sweep visits only the entries
  * whose gate can fire — O(|updated since begin|), not O(locks + vars) —
- * with AERO_UPDATE_SETS=0 restoring the literal full sweep.
+ * with set_update_sets(false) restoring the literal full sweep.
  *
  * Storage is epoch-adaptive (vc/adaptive_clock.hpp): L_l, W_x and every
  * R_{t,x} are entries of ONE AdaptiveClockTable — a compact (value@thread)
@@ -229,7 +229,7 @@ private:
      *  for C_t^b. Sound but conservative. */
     std::vector<uint8_t> c_pure_;
     std::vector<uint8_t> cb_pure_;
-    bool epochs_ = epochs_enabled_default();
+    bool epochs_ = true;
 
     std::vector<ThreadId> last_rel_thr_;
     std::vector<ThreadId> last_w_thr_;

@@ -191,7 +191,7 @@ private:
 
     /** c_pure_[t] != 0 iff C_t == bot[v/t]; sound but conservative. */
     std::vector<uint8_t> c_pure_;
-    bool epochs_ = epochs_enabled_default();
+    bool epochs_ = true;
 
     std::vector<ThreadId> last_rel_thr_;
     std::vector<ThreadId> last_w_thr_;

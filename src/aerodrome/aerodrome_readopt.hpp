@@ -29,7 +29,7 @@
  * of the ROADMAP) over the entries enrolled in the ending thread's
  * update window (Algorithm 3's update sets ported back onto the table;
  * vc/adaptive_clock.hpp) — O(|updated since begin|) instead of the whole
- * table, with AERO_UPDATE_SETS=0 restoring the literal full sweep.
+ * table, with set_update_sets(false) restoring the literal full sweep.
  * Per-thread clocks C_t / C_t^b stay in ClockBanks; a purity
  * bit per thread ("C_t == bot[v/t]") drives the O(1) fast paths.
  */
@@ -195,7 +195,7 @@ private:
     /** c_pure_[t] != 0 iff C_t == bot[C_t(t)/t] (never received a foreign
      *  ordering); sound but conservative. */
     std::vector<uint8_t> c_pure_;
-    bool epochs_ = epochs_enabled_default();
+    bool epochs_ = true;
 
     std::vector<ThreadId> last_rel_thr_;
     std::vector<ThreadId> last_w_thr_;

@@ -9,8 +9,8 @@ namespace aero {
 
 namespace {
 
-/** Memory-cap poll shared by both runner loops. @return true when the
- *  run must stop (internal_error set). */
+/** Memory-cap poll at each budget check. @return true when the run
+ *  must stop (internal_error set). */
 bool
 memory_breached(AtomicityChecker& checker, const RunBudget& budget,
                 RunResult& result)
@@ -71,51 +71,6 @@ reserve_hint_sane(uint32_t threads, uint32_t vars, uint32_t locks)
 }
 
 RunResult
-run_checker(AtomicityChecker& checker, const Trace& trace,
-            const RunBudget& budget)
-{
-    RunResult result;
-    Stopwatch watch;
-    const auto& events = trace.events();
-    const bool limited = budget.max_seconds > 0;
-
-    // The trace knows its dimensions up front; let arena-backed engines
-    // size their clock banks once instead of re-laying them out as new
-    // thread/var/lock ids appear inside the timed loop.
-    if (reserve_hint_sane(trace.num_threads(), trace.num_vars(),
-                          trace.num_locks()))
-        checker.reserve(trace.num_threads(), trace.num_vars(),
-                        trace.num_locks());
-
-    PanicContextScope panic_scope;
-    try {
-        for (size_t i = 0; i < events.size(); ++i) {
-            if ((i % budget.check_interval) == 0) {
-                if (limited &&
-                    watch.elapsed_seconds() > budget.max_seconds) {
-                    result.timed_out = true;
-                    break;
-                }
-                if (memory_breached(checker, budget, result))
-                    break;
-            }
-            panic_scope.set_index(i);
-            ++result.events_processed;
-            if (checker.process(events[i], i)) {
-                result.violation = true;
-                break;
-            }
-        }
-    } catch (const InternalError& e) {
-        result.internal_error = e.what(); // contained panic
-    }
-    result.seconds = watch.elapsed_seconds();
-    result.details = checker.violation();
-    result.counters = checker.counters();
-    return result;
-}
-
-RunResult
 run_checker_stream(AtomicityChecker& checker, EventSource& source,
                    const RunBudget& budget, size_t block)
 {
@@ -125,8 +80,9 @@ run_checker_stream(AtomicityChecker& checker, EventSource& source,
     block = resolve_ingest_block(block);
 
     // Sources that know the stream's metainfo dimensions up front (binary
-    // headers, in-memory traces) get the same arena pre-sizing as the
-    // materialized path; text sources intern incrementally and grow.
+    // headers, in-memory traces) let arena-backed engines size their clock
+    // banks once instead of re-laying them out inside the timed loop;
+    // text sources intern incrementally and grow.
     // Header dimensions are untrusted input: implausible ones skip the
     // hint rather than turn into a giant allocation.
     uint32_t threads = 0, vars = 0, locks = 0;
@@ -181,6 +137,14 @@ run_checker_stream(AtomicityChecker& checker, EventSource& source,
     result.details = checker.violation();
     result.counters = checker.counters();
     return result;
+}
+
+RunResult
+run_checker(AtomicityChecker& checker, const Trace& trace,
+            const RunBudget& budget)
+{
+    TraceSource source(trace);
+    return run_checker_stream(checker, source, budget);
 }
 
 } // namespace aero

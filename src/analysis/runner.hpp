@@ -112,7 +112,8 @@ struct RunResult {
  *  engine that is never pre-sized simply grows on demand. */
 bool reserve_hint_sane(uint32_t threads, uint32_t vars, uint32_t locks);
 
-/** Stream `trace` through `checker` under `budget`. */
+/** Stream `trace` through `checker` under `budget`: run_checker_stream
+ *  over a TraceSource. */
 RunResult run_checker(AtomicityChecker& checker, const Trace& trace,
                       const RunBudget& budget = {});
 

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 namespace aero {
 
@@ -52,6 +54,19 @@ parse_u64(std::string_view s, uint64_t& out)
             return false;
         v = v * 10 + digit;
     }
+    out = v;
+    return true;
+}
+
+bool
+parse_seconds(std::string_view s, double& out)
+{
+    const std::string buf(s); // strtod needs a terminator
+    char* end = nullptr;
+    const double v = std::strtod(buf.c_str(), &end);
+    if (buf.empty() || end != buf.c_str() + buf.size() ||
+        !std::isfinite(v) || v < 0)
+        return false;
     out = v;
     return true;
 }

@@ -27,6 +27,13 @@ bool starts_with(std::string_view s, std::string_view prefix);
  */
 bool parse_u64(std::string_view s, uint64_t& out);
 
+/**
+ * Parse a finite, non-negative number of seconds (strtod syntax). Returns
+ * false on garbage, overflow, NaN or a negative value; on success stores
+ * the value in `out`.
+ */
+bool parse_seconds(std::string_view s, double& out);
+
 /** Format a count with thousands separators, e.g. 1234567 -> "1,234,567". */
 std::string with_commas(uint64_t n);
 

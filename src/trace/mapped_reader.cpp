@@ -1,6 +1,5 @@
 #include "trace/mapped_reader.hpp"
 
-#include <cstdlib>
 #include <cstring>
 
 #include <fcntl.h>
@@ -61,14 +60,6 @@ clean_scan_avx2(const uint8_t* d, size_t i, size_t end)
 #endif
 
 bool
-mmap_allowed()
-{
-    if (const char* env = std::getenv("AERO_MMAP"))
-        return !(env[0] == '0' && env[1] == '\0');
-    return true;
-}
-
-bool
 ingest_fault_armed()
 {
     return fault_points_compiled() &&
@@ -112,32 +103,30 @@ MappedBinaryEventSource::~MappedBinaryEventSource()
 void
 MappedBinaryEventSource::open_mapped_or_buffered(const std::string& path)
 {
-    if (mmap_allowed()) {
-        const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-        if (fd >= 0) {
-            struct stat st;
-            if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
-                st.st_size > 0) {
-                void* m =
-                    ::mmap(nullptr, static_cast<size_t>(st.st_size),
-                           PROT_READ, MAP_PRIVATE, fd, 0);
-                if (m != MAP_FAILED) {
-                    ::madvise(m, static_cast<size_t>(st.st_size),
-                              MADV_SEQUENTIAL);
-                    ::close(fd);
-                    map_base_ = m;
-                    map_len_ = static_cast<size_t>(st.st_size);
-                    data_ = static_cast<const uint8_t*>(m);
-                    avail_ = map_len_;
-                    mapped_ = true;
-                    return;
-                }
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd >= 0) {
+        struct stat st;
+        if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
+            st.st_size > 0) {
+            void* m =
+                ::mmap(nullptr, static_cast<size_t>(st.st_size),
+                       PROT_READ, MAP_PRIVATE, fd, 0);
+            if (m != MAP_FAILED) {
+                ::madvise(m, static_cast<size_t>(st.st_size),
+                          MADV_SEQUENTIAL);
+                ::close(fd);
+                map_base_ = m;
+                map_len_ = static_cast<size_t>(st.st_size);
+                data_ = static_cast<const uint8_t*>(m);
+                avail_ = map_len_;
+                mapped_ = true;
+                return;
             }
-            ::close(fd);
         }
-        // Not a regular file, or open/map failed: buffered fallback
-        // below keeps pipes and special files working.
+        ::close(fd);
     }
+    // Not a regular file, or open/map failed: the buffered fallback
+    // below keeps pipes and special files working.
     own_stream_ = std::make_unique<std::ifstream>(path, std::ios::binary);
     if (!*own_stream_)
         fatal("cannot open file for reading: " + path);

@@ -18,7 +18,7 @@
  *
  * Fallback rules (the reader never refuses input BinaryEventSource
  * accepts):
- *  - pipes/stdin, mmap failure, or AERO_MMAP=0 switch to a read()-into-
+ *  - pipes/stdin, special files, or mmap failure switch to a read()-into-
  *    buffer window over the same batched kernel (absolute offsets are
  *    preserved across refills);
  *  - an armed AERO_FAULTS ingest plan (FaultSite::kTraceByte) delegates
@@ -48,8 +48,8 @@ namespace aero {
 
 class MappedBinaryEventSource : public EventSource {
 public:
-    /** Open `path`: mmap when it is a regular file and AERO_MMAP != 0,
-     *  else buffered reads. Parses and validates the header immediately;
+    /** Open `path`: mmap when it is a non-empty regular file, else
+     *  buffered reads. Parses and validates the header immediately;
      *  throws StreamCorruption (kBadHeader) when malformed. Fatal when
      *  the file cannot be opened. */
     explicit MappedBinaryEventSource(const std::string& path);

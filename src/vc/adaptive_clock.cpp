@@ -6,32 +6,6 @@
 namespace aero {
 
 bool
-epochs_enabled_default()
-{
-    static const bool enabled = [] {
-        const char* v = std::getenv("AERO_EPOCHS");
-        if (v == nullptr)
-            return true;
-        return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-                 std::strcmp(v, "OFF") == 0);
-    }();
-    return enabled;
-}
-
-bool
-update_sets_enabled_default()
-{
-    static const bool enabled = [] {
-        const char* v = std::getenv("AERO_UPDATE_SETS");
-        if (v == nullptr)
-            return true;
-        return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-                 std::strcmp(v, "OFF") == 0);
-    }();
-    return enabled;
-}
-
-bool
 gc_enabled_default()
 {
     static const bool enabled = [] {

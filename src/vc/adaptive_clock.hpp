@@ -31,8 +31,9 @@
  * must be sound (may be conservatively false, never wrongly true).
  *
  * Toggle: entries behave as always-inflated when epochs are disabled
- * (set_epochs_enabled(false), default from the AERO_EPOCHS env var),
- * which is the PR 1 ClockBank representation plus one indirection.
+ * (set_epochs_enabled(false); on by default), which is the plain
+ * ClockBank representation plus one indirection — the full-vector
+ * reference the differential tests compare against.
  */
 
 #include <cassert>
@@ -47,22 +48,12 @@
 
 namespace aero {
 
-/** Process-wide default for new tables: false iff AERO_EPOCHS is set to
- *  "0"/"off" in the environment (read once). */
-bool epochs_enabled_default();
-
 /** Process-wide default for dead-state reclamation (clock-entry GC and
  *  thread-slot recycling in the engines): true iff AERO_GC is set to
  *  "1"/"on" in the environment (read once). Off by default — unbounded
  *  traces opt in; every verdict is bit-identical either way (enforced by
  *  tests/gc_test.cpp parity fuzzing and the AERO_GC=1 CI pass). */
 bool gc_enabled_default();
-
-/** Process-wide default for update-set tracking: false iff
- *  AERO_UPDATE_SETS is set to "0"/"off" in the environment (read once).
- *  Off reproduces the full-table end sweep — the differential escape
- *  hatch. */
-bool update_sets_enabled_default();
 
 /** Counters for the evaluation harness and the runner's report.
  *  Single-writer relaxed atomics (support/counter.hpp): safe to read
@@ -117,8 +108,6 @@ join_qualified(ClockRef dst, ThreadId dst_thread, uint8_t& dst_pure,
 /** A family of epoch-adaptive clocks sharing one inflation arena. */
 class AdaptiveClockTable {
 public:
-    AdaptiveClockTable() : epochs_(epochs_enabled_default()) {}
-
     /** Toggle the epoch representation (call before feeding events; with
      *  epochs off every entry inflates on first mutation). */
     void set_epochs_enabled(bool on) { epochs_ = on; }
@@ -171,9 +160,9 @@ public:
     // (assign can lower a component again), so sweeps still apply the
     // real gate. Gate values are frozen for the life of a transaction.
 
-    /** Toggle update-set tracking (default from AERO_UPDATE_SETS; call
-     *  before feeding events). Off = every window untracked = full-table
-     *  end sweeps. */
+    /** Toggle update-set tracking (on by default; call before feeding
+     *  events). Off = every window untracked = full-table end sweeps, the
+     *  reference the update-set parity tests compare against. */
     void set_update_sets_enabled(bool on) { upd_sets_ = on; }
     bool update_sets_enabled() const { return upd_sets_; }
 
@@ -584,8 +573,8 @@ private:
     /** Entry indices freed by gc_recycle_index, drained by
      *  add_entry_reusable; entries on the list are bottom. */
     std::vector<uint32_t> free_entries_;
-    bool epochs_;
-    bool upd_sets_ = update_sets_enabled_default();
+    bool epochs_ = true;
+    bool upd_sets_ = true;
     /** Window per thread; upd_gate_[t] != 0 iff t's window is open (still
      *  enrolling); open_windows_ lists exactly those threads. */
     std::vector<UpdWindow> upd_;

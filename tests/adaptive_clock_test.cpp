@@ -71,9 +71,6 @@ protected:
         scratch_.ensure_dim(kDim);
         scratch_.ensure_rows(1);
         tbl_.ensure_dim(kDim);
-        // Pin the mode: these tests must not depend on the AERO_EPOCHS
-        // environment default (tests that want epochs off set it off).
-        tbl_.set_epochs_enabled(true);
     }
 
     /** Load `v` into the scratch row and return a ref to it. */

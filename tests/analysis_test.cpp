@@ -186,6 +186,17 @@ TEST(Support, ParseU64)
     EXPECT_FALSE(parse_u64("18446744073709551616", v)); // overflow
 }
 
+TEST(Support, ParseSeconds)
+{
+    double s = -1;
+    EXPECT_TRUE(parse_seconds("2.5", s));
+    EXPECT_EQ(s, 2.5);
+    EXPECT_TRUE(parse_seconds("0", s));
+    EXPECT_EQ(s, 0.0);
+    for (const char* bad : {"", "abc", "1s", "nan", "inf", "1e999", "-1"})
+        EXPECT_FALSE(parse_seconds(bad, s)) << bad;
+}
+
 TEST(Support, SplitAndTrim)
 {
     auto parts = split("a|b||c", '|');

@@ -17,7 +17,6 @@
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
 #include "gen/random_program.hpp"
@@ -156,20 +155,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialSeedSweep,
                          ::testing::Range<uint64_t>(1000, 1100));
 
 /**
- * Event-for-event agreement of all four AeroDrome engines after the
- * ClockBank migration, processing each fuzz trace in lockstep:
+ * Event-for-event agreement of the three AeroDrome engines, processing
+ * each fuzz trace in lockstep:
  *
  *  - readopt must return exactly what basic returns at *every* event
  *    (Algorithm 2 is an exact reformulation of Algorithm 1);
- *  - tuned must return exactly what opt returns at every event (the
- *    fast paths are semantics-preserving by construction);
  *  - opt may fire at-or-before basic (the lazy-write live-clock proxy
  *    only ever *adds* orderings the end event would have propagated),
- *    and the final verdicts of all four must coincide.
+ *    and the final verdicts of all three must coincide.
  */
 class EngineLockstep : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(EngineLockstep, FourEnginesAgreeEventForEvent)
+TEST_P(EngineLockstep, ThreeEnginesAgreeEventForEvent)
 {
     DiffParams p{GetParam(), 4, 5, 2, 0.8, sim::Policy::kRandom};
     Trace trace = generate(p);
@@ -180,8 +177,6 @@ TEST_P(EngineLockstep, FourEnginesAgreeEventForEvent)
                              trace.num_locks());
     AeroDromeOpt opt(trace.num_threads(), trace.num_vars(),
                      trace.num_locks());
-    AeroDromeTuned tuned(trace.num_threads(), trace.num_vars(),
-                         trace.num_locks());
 
     const auto& events = trace.events();
     bool basic_fired = false, opt_fired = false;
@@ -192,12 +187,8 @@ TEST_P(EngineLockstep, FourEnginesAgreeEventForEvent)
             ASSERT_EQ(b, r) << "basic/readopt diverged at event " << i;
             basic_fired = b;
         }
-        if (!opt_fired) {
-            bool o = opt.process(events[i], i);
-            bool u = tuned.process(events[i], i);
-            ASSERT_EQ(o, u) << "opt/tuned diverged at event " << i;
-            opt_fired = o;
-        }
+        if (!opt_fired)
+            opt_fired = opt.process(events[i], i);
     }
     ASSERT_EQ(basic_fired, opt_fired) << "final verdicts diverged";
     if (basic_fired) {
@@ -206,8 +197,6 @@ TEST_P(EngineLockstep, FourEnginesAgreeEventForEvent)
             << "lazy engine fired after the eager one";
         EXPECT_EQ(basic.violation()->event_index,
                   readopt.violation()->event_index);
-        EXPECT_EQ(opt.violation()->event_index,
-                  tuned.violation()->event_index);
     }
 }
 
@@ -260,7 +249,6 @@ TEST_P(EpochParity, AllEnginesAgreeWithEpochsOff)
     expect_epoch_parity<AeroDromeBasic>(trace);
     expect_epoch_parity<AeroDromeReadOpt>(trace);
     expect_epoch_parity<AeroDromeOpt>(trace);
-    expect_epoch_parity<AeroDromeTuned>(trace);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EpochParity,
@@ -295,7 +283,7 @@ TEST(EpochAdaptive, ContendedVariableInflatesOnceAndStaysExact)
     b.read("t2", "y");
     Trace t = b.take();
 
-    AeroDromeTuned checker(t.num_threads(), t.num_vars(), t.num_locks());
+    AeroDromeOpt checker(t.num_threads(), t.num_vars(), t.num_locks());
     checker.set_epochs(true);
     EXPECT_FALSE(run_checker(checker, t).violation);
     EXPECT_GT(checker.epoch_stats().inflations, 0u);
@@ -303,7 +291,6 @@ TEST(EpochAdaptive, ContendedVariableInflatesOnceAndStaysExact)
     expect_epoch_parity<AeroDromeBasic>(t);
     expect_epoch_parity<AeroDromeReadOpt>(t);
     expect_epoch_parity<AeroDromeOpt>(t);
-    expect_epoch_parity<AeroDromeTuned>(t);
 }
 
 TEST(EpochAdaptive, OpenTransactionContentionParity)
@@ -327,7 +314,6 @@ TEST(EpochAdaptive, OpenTransactionContentionParity)
     expect_epoch_parity<AeroDromeBasic>(t);
     expect_epoch_parity<AeroDromeReadOpt>(t);
     expect_epoch_parity<AeroDromeOpt>(t);
-    expect_epoch_parity<AeroDromeTuned>(t);
 }
 
 TEST(EpochAdaptive, LockHandoffParity)
@@ -344,7 +330,6 @@ TEST(EpochAdaptive, LockHandoffParity)
     expect_epoch_parity<AeroDromeBasic>(t);
     expect_epoch_parity<AeroDromeReadOpt>(t);
     expect_epoch_parity<AeroDromeOpt>(t);
-    expect_epoch_parity<AeroDromeTuned>(t);
 }
 
 } // namespace

@@ -1,24 +1,12 @@
 /**
  * @file
- * Tests for the two extension engines:
- *
- *  - VelodromePK: Velodrome with Pearce-Kelly incremental topological
- *    ordering (a stronger graph baseline);
- *  - AeroDromeTuned: Algorithm 3 plus active-thread tracking and
- *    FastTrack-style same-epoch fast paths (the paper's future-work
- *    direction).
- *
- * Both must agree with the oracle on the fuzz corpus; AeroDromeTuned
- * must give identical *verdicts* to AeroDromeOpt (detection points may
- * differ: skipped repeat accesses can defer a check to the backstop at
- * the next end event, which is where Algorithm 1 would have reported
- * anyway).
+ * Tests for the extension engine VelodromePK: Velodrome with Pearce-Kelly
+ * incremental topological ordering (a stronger graph baseline). It must
+ * agree with the oracle on the fuzz corpus.
  */
 
 #include <gtest/gtest.h>
 
-#include "aerodrome/aerodrome_opt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
 #include "gen/random_program.hpp"
@@ -39,7 +27,7 @@ run(const Trace& trace)
     return run_checker(checker, trace);
 }
 
-// --- Paper traces through the extension engines ---------------------------
+// --- Paper traces through the extension engine ----------------------------
 
 Trace
 rho2()
@@ -55,7 +43,6 @@ rho2()
 TEST(Extensions, Rho2Verdicts)
 {
     EXPECT_TRUE(run<VelodromePK>(rho2()).violation);
-    EXPECT_TRUE(run<AeroDromeTuned>(rho2()).violation);
 }
 
 TEST(Extensions, RingAndPipelineVerdicts)
@@ -63,11 +50,9 @@ TEST(Extensions, RingAndPipelineVerdicts)
     for (uint32_t k = 2; k <= 5; ++k) {
         Trace ring = gen::make_ring(k);
         EXPECT_TRUE(run<VelodromePK>(ring).violation);
-        EXPECT_TRUE(run<AeroDromeTuned>(ring).violation);
     }
     Trace pipe = gen::make_pipeline(4, 200);
     EXPECT_FALSE(run<VelodromePK>(pipe).violation);
-    EXPECT_FALSE(run<AeroDromeTuned>(pipe).violation);
 }
 
 // --- VelodromePK specifics -------------------------------------------------
@@ -118,72 +103,7 @@ TEST(VelodromePk, DetectsOpenTransactionCycles)
     EXPECT_TRUE(run<VelodromePK>(b.trace()).violation);
 }
 
-// --- AeroDromeTuned specifics ----------------------------------------------
-
-TEST(AeroDromeTuned, SameEpochReadsSkipped)
-{
-    TraceBuilder b;
-    b.begin("t1").write("t1", "seed"); // make the txn non-collectible? no:
-    b.end("t1");
-    b.begin("t2");
-    b.read("t2", "seed");
-    for (int i = 0; i < 99; ++i)
-        b.read("t2", "seed"); // identical repeats
-    b.end("t2");
-    Trace t = b.take();
-    AeroDromeTuned checker(t.num_threads(), t.num_vars(), t.num_locks());
-    EXPECT_FALSE(run_checker(checker, t).violation);
-    EXPECT_GE(checker.tuned_stats().same_epoch_reads, 99u);
-}
-
-TEST(AeroDromeTuned, SameEpochWritesSkipped)
-{
-    TraceBuilder b;
-    b.begin("t1");
-    for (int i = 0; i < 100; ++i)
-        b.write("t1", "x");
-    b.end("t1");
-    Trace t = b.take();
-    AeroDromeTuned checker(t.num_threads(), t.num_vars(), t.num_locks());
-    EXPECT_FALSE(run_checker(checker, t).violation);
-    EXPECT_GE(checker.tuned_stats().same_epoch_writes, 99u);
-}
-
-TEST(AeroDromeTuned, InterveningWriteInvalidatesReadSkip)
-{
-    // t2's repeated reads must re-check after t1 writes in between; the
-    // second batch must flag the violation (t1's txn is still open, t2
-    // read stale data inside its own txn... here it creates the cycle).
-    TraceBuilder b;
-    b.begin("t1").begin("t2");
-    b.write("t1", "x");
-    b.read("t2", "x").read("t2", "x"); // second is same-epoch
-    b.write("t2", "y");
-    b.read("t1", "y");
-    b.end("t1"); // closes T1: witness now has one open transaction
-    b.end("t2");
-    EXPECT_TRUE(run<AeroDromeTuned>(b.trace()).violation);
-}
-
-TEST(AeroDromeTuned, VerdictMatchesOptOnPatterns)
-{
-    std::vector<Trace> traces;
-    traces.push_back(gen::make_ring(3));
-    traces.push_back(gen::make_pipeline(3, 100));
-    traces.push_back(gen::make_reader_mesh(5, 200));
-    {
-        gen::StarOptions s;
-        s.rounds = 100;
-        s.violation_at_end = true;
-        traces.push_back(gen::make_star(s));
-    }
-    for (const Trace& t : traces) {
-        EXPECT_EQ(run<AeroDromeTuned>(t).violation,
-                  run<AeroDromeOpt>(t).violation);
-    }
-}
-
-// --- Differential sweep with the extension engines --------------------------
+// --- Differential sweep ----------------------------------------------------
 
 class ExtensionDifferential : public ::testing::TestWithParam<uint64_t> {};
 
@@ -208,8 +128,6 @@ TEST_P(ExtensionDifferential, AgreeWithOracle)
     bool expected = !check_serializability(trace).serializable;
     EXPECT_EQ(run<VelodromePK>(trace).violation, expected)
         << "Velodrome-PK vs oracle, seed " << GetParam();
-    EXPECT_EQ(run<AeroDromeTuned>(trace).violation, expected)
-        << "AeroDrome-tuned vs oracle, seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtensionDifferential,

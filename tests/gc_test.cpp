@@ -26,7 +26,6 @@
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/random_program.hpp"
 #include "gen/rolling_stream.hpp"
@@ -274,7 +273,6 @@ TEST(EngineGc, RecycledSlotDoesNotAliasStaleEpochs)
     expect_no_alias<AeroDromeBasic>();
     expect_no_alias<AeroDromeReadOpt>();
     expect_no_alias<AeroDromeOpt>();
-    expect_no_alias<AeroDromeTuned>();
 }
 
 TEST(EngineGc, RecyclingKeepsTheRowCountAtTheLivePopulation)
@@ -382,13 +380,10 @@ TEST_P(GcParityFuzz, ReclamationIsInvisible)
                 run_aero<AeroDromeReadOpt>(tr, false, epochs, upd),
                 run_aero<AeroDromeReadOpt>(tr, true, epochs, upd));
         }
-        // opt/tuned keep their own update-set vectors: no toggle.
+        // opt keeps its own update-set vectors: no toggle.
         expect_same_outcome("opt",
                             run_aero<AeroDromeOpt>(tr, false, epochs, true),
                             run_aero<AeroDromeOpt>(tr, true, epochs, true));
-        expect_same_outcome(
-            "tuned", run_aero<AeroDromeTuned>(tr, false, epochs, true),
-            run_aero<AeroDromeTuned>(tr, true, epochs, true));
     }
 
     // The graph engines map set_gc onto their node GC; the reclamation
@@ -453,7 +448,6 @@ TEST(RollingStream, AllEnginesCleanUnderChurnWithGc)
     expect_clean_stream<AeroDromeBasic>();
     expect_clean_stream<AeroDromeReadOpt>();
     expect_clean_stream<AeroDromeOpt>();
-    expect_clean_stream<AeroDromeTuned>();
 }
 
 } // namespace

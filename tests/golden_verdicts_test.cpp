@@ -3,7 +3,7 @@
  * Golden-verdict regression corpus.
  *
  * Locks the exact verdict (serializable / violation, violating index and
- * thread) of every engine — the four AeroDrome variants with the
+ * thread) of every engine — the three AeroDrome variants with the
  * epoch-adaptive storage on and off, plus the two Velodrome baselines —
  * over a deterministic corpus: the fuzz-program seeds the differential
  * suites use, directed cycles, and the open-transaction carrier chains
@@ -32,7 +32,6 @@
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/adversarial.hpp"
 #include "gen/random_program.hpp"
@@ -260,8 +259,6 @@ generate_golden(bool gc)
             run_engine<AeroDromeReadOpt>(golden, w, "aerodrome-readopt",
                                          epochs, gc);
             run_engine<AeroDromeOpt>(golden, w, "aerodrome", epochs, gc);
-            run_engine<AeroDromeTuned>(golden, w, "aerodrome-tuned",
-                                       epochs, gc);
         }
         {
             Velodrome velo(w.trace.num_threads(), w.trace.num_vars(),

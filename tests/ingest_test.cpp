@@ -14,9 +14,9 @@
  * through BinaryEventSource::next() one event at a time.
  *
  * Also here: the magic-sniffing format decision (extension only breaks
- * ties), the AERO_MMAP=0 fallback, and the block runner's budget-poll
- * boundaries (a block larger than check_interval must not blow past
- * max_seconds).
+ * ties), the buffered fallback for paths that cannot be mapped, and the
+ * block runner's budget-poll boundaries (a block larger than
+ * check_interval must not blow past max_seconds).
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +28,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "aerodrome/aerodrome_opt.hpp"
 #include "analysis/runner.hpp"
@@ -316,33 +318,28 @@ TEST(BatchedDecodeParity, WideIdsCrossCleanSpanBoundaries)
     }
 }
 
-TEST(BatchedDecodeParity, MappedFallbackUnderAeroMmap0)
+TEST(BatchedDecodeParity, BufferedFallbackOnPipePath)
 {
+    // A path that names a pipe cannot be mapped: the path constructor
+    // must fall back to the buffered window and decode identically. The
+    // image fits in the pipe buffer, so it is written whole and the write
+    // end closed before the reader opens the read end by name.
     const std::string image = serialize(corpus_trace(8777));
-    TempImage file(image, "mmap0");
-    // Only expect a live mapping when the ambient environment is not
-    // already forcing the fallback (the CI AERO_MMAP=0 sweep runs this
-    // whole binary with it set).
-    const char* ambient = ::getenv("AERO_MMAP");
-    const std::string saved = ambient ? ambient : "";
-    if (!(ambient && saved == "0")) {
-        MappedBinaryEventSource src(file.path);
-        EXPECT_TRUE(src.is_mapped());
-        EXPECT_STREQ(src.source_kind(), "binary-mmap");
-    }
-    ::setenv("AERO_MMAP", "0", 1);
+    ASSERT_LT(image.size(), 64u * 1024);
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    ASSERT_EQ(::write(fds[1], image.data(), image.size()),
+              static_cast<ssize_t>(image.size()));
+    ::close(fds[1]);
     {
-        MappedBinaryEventSource src(file.path);
+        MappedBinaryEventSource src("/dev/fd/" + std::to_string(fds[0]));
         EXPECT_FALSE(src.is_mapped());
         EXPECT_STREQ(src.source_kind(), "binary-buffered");
         DrainResult got = drain_batched(src, false, 256);
         DrainResult ref = drain_reference(image, false);
-        expect_same_drain(ref, got, "AERO_MMAP=0");
+        expect_same_drain(ref, got, "pipe");
     }
-    if (ambient)
-        ::setenv("AERO_MMAP", saved.c_str(), 1);
-    else
-        ::unsetenv("AERO_MMAP");
+    ::close(fds[0]);
 }
 
 TEST(BatchedDecodeParity, CheckerVerdictMatchesMaterialized)
@@ -421,12 +418,7 @@ TEST(FormatSniffing, OpenEventSourcePicksBlockReaderForBinary)
     }
     std::unique_ptr<std::istream> storage;
     auto src = open_event_source(path, storage);
-    // Under an ambient AERO_MMAP=0 (the CI sweep) the same block reader
-    // arrives on its buffered window.
-    const char* env = ::getenv("AERO_MMAP");
-    EXPECT_STREQ(src->source_kind(),
-                 env && std::string(env) == "0" ? "binary-buffered"
-                                                : "binary-mmap");
+    EXPECT_STREQ(src->source_kind(), "binary-mmap");
     std::remove(path.c_str());
 }
 

@@ -16,7 +16,6 @@
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/random_program.hpp"
 #include "oracle/serializability_oracle.hpp"
@@ -45,7 +44,6 @@ exercise_all(const Trace& t)
     run_one(AeroDromeReadOpt(t.num_threads(), t.num_vars(),
                              t.num_locks()));
     run_one(AeroDromeOpt(t.num_threads(), t.num_vars(), t.num_locks()));
-    run_one(AeroDromeTuned(t.num_threads(), t.num_vars(), t.num_locks()));
     run_one(Velodrome(t.num_threads(), t.num_vars(), t.num_locks()));
     run_one(VelodromePK(t.num_threads(), t.num_vars(), t.num_locks()));
     check_serializability(t);

@@ -26,7 +26,6 @@
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/rolling_stream.hpp"
 
@@ -104,7 +103,6 @@ expect_plateau()
 }
 
 TEST(SoakMemory, OptPlateausWithGc) { expect_plateau<AeroDromeOpt>(); }
-TEST(SoakMemory, TunedPlateausWithGc) { expect_plateau<AeroDromeTuned>(); }
 TEST(SoakMemory, ReadOptPlateausWithGc)
 {
     expect_plateau<AeroDromeReadOpt>();
@@ -143,7 +141,7 @@ TEST(SoakMemory, AccountingCoversTheMallocDelta)
     // trackers) is small next to the clock banks and table.
     const uint64_t n = 100000;
     const size_t before = heap_in_use();
-    AeroDromeTuned e(0, 0, 0);
+    AeroDromeOpt e(0, 0, 0);
     e.set_gc(false);
     gen::RollingStreamSource src(stream_opts(n));
     Event ev;

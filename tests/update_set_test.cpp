@@ -7,7 +7,7 @@
  *  1. Complexity guard — an end event's sweep visits O(|update set|)
  *     entries, not O(|table|): a cold transaction ending against a table
  *     of 10k+ touched variables must sweep a handful of entries (the
- *     counters expose the visit count), while the AERO_UPDATE_SETS=0
+ *     counters expose the visit count), while the set_update_sets(false)
  *     full sweep visits everything.
  *  2. Fuzz parity — for every engine, verdicts (and spot-checked clock
  *     state) are bit-for-bit identical with update sets on and off, over
@@ -20,7 +20,6 @@
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/random_program.hpp"
 #include "sim/scheduler.hpp"
@@ -118,7 +117,7 @@ TEST(UpdateSetComplexity, WarmEndStillSweepsItsOwnAccesses)
     EXPECT_GE(engine.stats().end_swept_entries.load(), uint64_t{vars});
 }
 
-// --- Fuzz parity: AERO_UPDATE_SETS on vs off, all four engines ------------
+// --- Fuzz parity: update sets on vs off, all three engines -----------------
 
 Trace
 fuzz_trace(uint64_t seed)
@@ -175,15 +174,12 @@ TEST(UpdateSetParity, FuzzOnOffAllEngines)
         // perturb that cross-engine agreement either.
         expect_same_verdict(basic_on, ro_on, "basic vs readopt");
 
-        // opt/tuned carry Algorithm 3's structural update sets (no
-        // toggle); their verdict presence must keep matching (Theorem 3
-        // — the fuzz corpus closes every transaction it opens).
+        // opt carries Algorithm 3's structural update sets (no toggle);
+        // its verdict presence must keep matching (Theorem 3 — the fuzz
+        // corpus closes every transaction it opens).
         AeroDromeOpt opt(t.num_threads(), t.num_vars(), t.num_locks());
         RunResult opt_r = run_checker(opt, t);
-        AeroDromeTuned tuned(t.num_threads(), t.num_vars(), t.num_locks());
-        RunResult tuned_r = run_checker(tuned, t);
         EXPECT_EQ(basic_on.violation, opt_r.violation) << "seed " << seed;
-        expect_same_verdict(opt_r, tuned_r, "opt vs tuned");
     }
 }
 
