@@ -31,19 +31,9 @@
  * Usage: bench_scaling [--budget SECONDS] [--points N]
  *        bench_scaling --updsets [--quick]
  *        bench_scaling --faults [--quick]
- *        bench_scaling --memory [--quick] [--json PATH]
  *        bench_scaling --ingest [--quick] [--json PATH]
  *
- * A fourth mode, --memory, is the reclamation gate: it drives every
- * AeroDrome engine over the rolling stream (gen/rolling_stream.hpp —
- * thread churn + hot-window drift, the unbounded-stream model) once
- * with gc off and once with gc on, writes BENCH_memory.json
- * (events/s, footprint at the midpoint and the end, bytes per live
- * clock entry, reclamation counters), and fails if the gc-on footprint
- * is not flat (end > 1.15x midpoint) or if reclamation costs more than
- * 5% throughput against the gc-off run of the same engine.
- *
- * A fifth mode, --ingest, is the block-ingestion gate: it writes a
+ * A fourth mode, --ingest, is the block-ingestion gate: it writes a
  * ~10M-event binary trace (~1M under --quick) to a temp file and
  * records, best of three each, decode-only rows (istream per-event
  * next(), istream batched next_n, read()-buffered batched, mmap batched)
@@ -70,7 +60,6 @@
 #include "aerodrome/aerodrome_readopt.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
-#include "gen/rolling_stream.hpp"
 #include "support/fault.hpp"
 #include "support/stopwatch.hpp"
 #include "support/str.hpp"
@@ -89,10 +78,9 @@ struct Args {
     int points = 5;
     bool updsets_mode = false;
     bool faults_mode = false;
-    bool memory_mode = false;
     bool ingest_mode = false;
     bool quick = false;
-    std::string json_path; // per-mode default unless --json is given
+    std::string json_path; // BENCH_ingest.json unless --json is given
 };
 
 void
@@ -223,227 +211,6 @@ run_updsets_smoke(const Args& args)
     }
     if (ok)
         std::printf("update-set smoke gate passed\n");
-    return ok ? 0 : 1;
-}
-
-// --- Memory/reclamation gate (--memory) -------------------------------------
-
-struct MemoryRow {
-    std::string engine;
-    bool gc = false;
-    double seconds = 0;
-    uint64_t events = 0;
-    size_t mem_mid = 0;
-    size_t mem_end = 0;
-    StatList counters;
-};
-
-uint64_t
-counter_value(const StatList& counters, const char* key)
-{
-    for (const auto& [k, v] : counters)
-        if (k == key)
-            return v;
-    return 0;
-}
-
-/** The soak-shaped rolling stream every engine is measured on. */
-gen::RollingStreamOptions
-memory_stream_opts(uint64_t max_events)
-{
-    gen::RollingStreamOptions so;
-    so.workers = 8;
-    so.churn_every = 1024;
-    so.vars = 2048;
-    so.hot_window = 256;
-    so.drift_every = 4096;
-    so.locks = 8;
-    so.max_events = max_events;
-    return so;
-}
-
-template <typename Engine>
-MemoryRow
-run_memory_pass(bool gc, uint64_t n)
-{
-    gen::RollingStreamSource src(memory_stream_opts(n));
-    Engine e(0, 0, 0);
-    e.set_gc(gc);
-
-    MemoryRow row;
-    row.engine = e.name();
-    row.gc = gc;
-    Event ev;
-    uint64_t i = 0;
-    const auto start = std::chrono::steady_clock::now();
-    while (src.next(ev)) {
-        if (e.process(ev, i)) {
-            std::fprintf(stderr,
-                         "BUG: violation on the violation-free stream\n");
-            break;
-        }
-        if (++i == n / 2)
-            row.mem_mid = e.memory_bytes();
-    }
-    row.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    row.events = i;
-    row.mem_end = e.memory_bytes();
-    row.counters = e.counters();
-    return row;
-}
-
-/** Best wall-clock of three passes (memory numbers are deterministic,
- *  so any pass's footprint is THE footprint; only time is noisy). */
-template <typename Engine>
-MemoryRow
-best_memory_pass(bool gc, uint64_t n, int reps)
-{
-    MemoryRow best = run_memory_pass<Engine>(gc, n);
-    for (int i = 1; i < reps; ++i) {
-        MemoryRow r = run_memory_pass<Engine>(gc, n);
-        if (r.seconds < best.seconds)
-            best = r;
-    }
-    return best;
-}
-
-void
-append_memory_row(std::string& json, const MemoryRow& r, double evs,
-                  double overhead_pct, double flat_ratio, bool last)
-{
-    const uint64_t live =
-        counter_value(r.counters, "gc_live_entries");
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"engine\": \"%s\", \"gc\": %s, \"events\": %llu, "
-        "\"seconds\": %.4f, \"events_per_s\": %.0f, "
-        "\"memory_mid_bytes\": %zu, \"memory_end_bytes\": %zu, "
-        "\"flat_ratio\": %.3f, \"bytes_per_live_entry\": %.1f, "
-        "\"gc_overhead_pct\": %.2f, "
-        "\"gc_sweeps\": %llu, \"gc_reclaimed\": %llu, "
-        "\"gc_rows_freed\": %llu, \"gc_live_entries\": %llu, "
-        "\"slots_retired\": %llu, \"slots_recycled\": %llu}%s\n",
-        r.engine.c_str(), r.gc ? "true" : "false",
-        static_cast<unsigned long long>(r.events), r.seconds, evs,
-        r.mem_mid, r.mem_end, flat_ratio,
-        live ? static_cast<double>(r.mem_end) / static_cast<double>(live)
-             : 0.0,
-        overhead_pct,
-        static_cast<unsigned long long>(
-            counter_value(r.counters, "gc_sweeps")),
-        static_cast<unsigned long long>(
-            counter_value(r.counters, "gc_reclaimed")),
-        static_cast<unsigned long long>(
-            counter_value(r.counters, "gc_rows_freed")),
-        static_cast<unsigned long long>(live),
-        static_cast<unsigned long long>(
-            counter_value(r.counters, "slots_retired")),
-        static_cast<unsigned long long>(
-            counter_value(r.counters, "slots_recycled")),
-        last ? "" : ",");
-    json += buf;
-}
-
-template <typename Engine>
-bool
-run_memory_engine(std::string& json, uint64_t n, int reps, bool last)
-{
-    const MemoryRow off = best_memory_pass<Engine>(false, n, reps);
-    const MemoryRow on = best_memory_pass<Engine>(true, n, reps);
-
-    auto evs = [](const MemoryRow& r) {
-        return r.seconds > 0
-                   ? static_cast<double>(r.events) / r.seconds
-                   : 0.0;
-    };
-    const double evs_off = evs(off);
-    const double evs_on = evs(on);
-    const double overhead_pct =
-        evs_off > 0 ? (evs_off - evs_on) / evs_off * 100.0 : 0.0;
-    auto flat = [](const MemoryRow& r) {
-        return r.mem_mid
-                   ? static_cast<double>(r.mem_end) /
-                         static_cast<double>(r.mem_mid)
-                   : 0.0;
-    };
-
-    append_memory_row(json, off, evs_off, 0.0, flat(off), false);
-    append_memory_row(json, on, evs_on, overhead_pct, flat(on), last);
-
-    std::printf("%10s  gc=off %9.0f ev/s  end %11s B | gc=on %9.0f "
-                "ev/s  end %11s B  flat %.3f  overhead %+.1f%%\n",
-                off.engine.c_str(), evs_off,
-                with_commas(off.mem_end).c_str(), evs_on,
-                with_commas(on.mem_end).c_str(), flat(on), overhead_pct);
-
-    bool ok = true;
-    if (flat(on) > 1.15) {
-        std::fprintf(stderr,
-                     "FAIL: %s gc-on footprint is not flat "
-                     "(mid %zu -> end %zu bytes, ratio %.3f > 1.15)\n",
-                     on.engine.c_str(), on.mem_mid, on.mem_end, flat(on));
-        ok = false;
-    }
-    if (overhead_pct > 5.0) {
-        std::fprintf(stderr,
-                     "FAIL: %s reclamation costs %.1f%% throughput "
-                     "(>5%% floor) on the rolling stream\n",
-                     on.engine.c_str(), overhead_pct);
-        ok = false;
-    }
-    if (counter_value(on.counters, "slots_recycled") == 0 ||
-        counter_value(on.counters, "gc_sweeps") == 0) {
-        std::fprintf(stderr,
-                     "FAIL: %s gc-on run never recycled a slot or "
-                     "swept — the gates above measured nothing\n",
-                     on.engine.c_str());
-        ok = false;
-    }
-    return ok;
-}
-
-int
-run_memory_bench(const Args& args)
-{
-    const uint64_t n = args.quick ? 200000 : 1000000;
-    const int reps = 3;
-    const gen::RollingStreamOptions so = memory_stream_opts(n);
-
-    std::printf("Reclamation gate: rolling stream, %s events "
-                "(churn every %u, drift every %u)\n",
-                with_commas(n).c_str(), so.churn_every, so.drift_every);
-
-    std::string json = "{\n";
-    char head[256];
-    std::snprintf(head, sizeof(head),
-                  "  \"events\": %llu, \"workers\": %u, "
-                  "\"churn_every\": %u, \"drift_every\": %u, "
-                  "\"vars\": %u, \"hot_window\": %u,\n  \"rows\": [\n",
-                  static_cast<unsigned long long>(n), so.workers,
-                  so.churn_every, so.drift_every, so.vars, so.hot_window);
-    json += head;
-
-    bool ok = true;
-    ok &= run_memory_engine<AeroDromeBasic>(json, n, reps, false);
-    ok &= run_memory_engine<AeroDromeReadOpt>(json, n, reps, false);
-    ok &= run_memory_engine<AeroDromeOpt>(json, n, reps, true);
-    json += "  ]\n}\n";
-
-    const std::string path =
-        args.json_path.empty() ? "BENCH_memory.json" : args.json_path;
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    if (ok)
-        std::printf("memory gate passed\n");
     return ok ? 0 : 1;
 }
 
@@ -770,8 +537,6 @@ main(int argc, char** argv)
             args.updsets_mode = true;
         else if (a == "--faults")
             args.faults_mode = true;
-        else if (a == "--memory")
-            args.memory_mode = true;
         else if (a == "--ingest")
             args.ingest_mode = true;
         else if (a == "--quick")
@@ -781,8 +546,6 @@ main(int argc, char** argv)
     }
     if (args.ingest_mode)
         return run_ingest_bench(args);
-    if (args.memory_mode)
-        return run_memory_bench(args);
     if (args.faults_mode)
         return run_faults_smoke(args);
     if (args.updsets_mode)

@@ -5,11 +5,8 @@
  * rows: "13 nodes in the graph for pmd, 4 nodes in sor").
  *
  * For each workload the harness runs Velodrome with GC on and off and
- * reports rows in the BENCH_memory.json schema (engine, gc, seconds,
- * events/s, end footprint, reclamation counters), written to
- * BENCH_velodrome_gc.json, so the reclamation reports of the clock
- * engines (bench_scaling --memory) and the graph baseline read the
- * same way.
+ * writes one row per run (engine, gc, seconds, events/s, end footprint,
+ * reclamation counters) to BENCH_velodrome_gc.json.
  *
  * The run is also a gate: on the GC-friendly workloads (independent,
  * pipeline, naive — every transaction's predecessors complete) the

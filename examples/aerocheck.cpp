@@ -5,12 +5,11 @@
  * The "production" front end: pick an engine, stream a trace file in
  * constant memory, get a violation report with evidence and engine
  * statistics. Complements trace_pipeline (which demonstrates the
- * generate-then-analyze workflow) by exposing every engine and knob.
+ * generate-then-analyze workflow) by exposing every engine by name.
  *
  * Usage:
  *   aerocheck <trace[.bin]> [--engine NAME] [--budget SECONDS]
- *             [--ingest-block N] [--resync] [--gc=on|off] [--validate]
- *             [--stats] [--witness]
+ *             [--resync] [--validate] [--stats] [--witness]
  *
  * The trace format is sniffed from the AEROTRC1 magic, not the file
  * extension (the ".bin" suffix only breaks ties for files too short to
@@ -20,13 +19,6 @@
  *   --engine: aerodrome (default) | aerodrome-readopt | aerodrome-basic |
  *             velodrome | velodrome-pk
  *   --budget: wall-clock limit in seconds (finite, >= 0; 0 = unlimited)
- *   --ingest-block: events decoded per EventSource::next_n block in
- *             the check loop (default: AERO_INGEST_BLOCK env, else 4096).
- *             Echoed by --stats
- *   --gc:     force clock-entry reclamation and thread-slot recycling on
- *             or off for this run (default: the AERO_GC env, else off);
- *             verdicts are identical either way, memory is not —
- *             long-running streams with thread churn need gc on
  *   --resync: skip corrupt records and keep checking (the verdict
  *             degrades to "no violation found", exit 5, when records
  *             were skipped) instead of stopping at the first one
@@ -51,7 +43,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -78,9 +69,7 @@ struct Args {
     std::string path;
     std::string engine = "aerodrome";
     double budget = 0;
-    uint32_t ingest_block = 0; // 0: AERO_INGEST_BLOCK env, else 4096
     bool resync = false;
-    int gc = -1; // -1: engine default (AERO_GC env), 0/1: forced
     bool validate_first = false;
     bool stats = false;
     bool witness = false;
@@ -117,27 +106,12 @@ print_witness(const Trace& trace, size_t violation_index)
     }
 }
 
-/** Parse a decimal integer in [lo, hi]; false on garbage/out-of-range. */
-bool
-parse_bounded(const char* s, unsigned long lo, unsigned long hi,
-              unsigned long& out)
-{
-    char* end = nullptr;
-    unsigned long v = std::strtoul(s, &end, 10);
-    if (s[0] == '\0' || s[0] == '-' || !end || *end != '\0' || v < lo ||
-        v > hi)
-        return false;
-    out = v;
-    return true;
-}
-
 int
 usage(const char* argv0)
 {
     std::fprintf(stderr,
                  "usage: %s <trace[.bin]> [--engine NAME] [--budget S] "
-                 "[--ingest-block N] [--resync] [--gc=on|off] [--validate] "
-                 "[--stats] [--witness]\n"
+                 "[--resync] [--validate] [--stats] [--witness]\n"
                  "engines: aerodrome aerodrome-readopt aerodrome-basic "
                  "velodrome velodrome-pk\n",
                  argv0);
@@ -163,7 +137,8 @@ make_engine(const std::string& name)
 }
 
 /** One-line reclamation summary pulled out of the counter list; silent
- *  when the engine has no reclamation counters at all. */
+ *  when the engine has no reclamation counters at all. A run that never
+ *  swept prints zero counts. */
 void
 print_gc_block(const StatList& counters)
 {
@@ -184,11 +159,6 @@ print_gc_block(const StatList& counters)
     get("gc_live_entries", live);
     get("slots_retired", retired);
     get("slots_recycled", recycled);
-    if (sweeps == 0 && retired == 0) {
-        std::printf("  reclamation: off (nothing retired or swept; "
-                    "--gc=on or AERO_GC=1 to enable)\n");
-        return;
-    }
     std::printf("  reclamation: %s sweeps, %s entries reclaimed, %s "
                 "rows freed, %s live entries after the last sweep, "
                 "%s thread slots retired (%s reissued)\n",
@@ -227,17 +197,8 @@ main(int argc, char** argv)
         } else if (a == "--budget" && i + 1 < argc) {
             if (!parse_seconds(argv[++i], args.budget))
                 return usage(argv[0]);
-        } else if (a == "--ingest-block" && i + 1 < argc) {
-            unsigned long v = 0;
-            if (!parse_bounded(argv[++i], 1, 1ul << 22, v))
-                return usage(argv[0]);
-            args.ingest_block = static_cast<uint32_t>(v);
         } else if (a == "--resync") {
             args.resync = true;
-        } else if (a == "--gc=on" || a == "--gc=1") {
-            args.gc = 1;
-        } else if (a == "--gc=off" || a == "--gc=0") {
-            args.gc = 0;
         } else if (a == "--validate") {
             args.validate_first = true;
         } else if (a == "--stats") {
@@ -260,8 +221,6 @@ main(int argc, char** argv)
         std::fprintf(stderr, "unknown engine '%s'\n", args.engine.c_str());
         return usage(argv[0]);
     }
-    if (args.gc >= 0)
-        checker->set_gc(args.gc == 1);
 
     // Contain engine panics as a structured internal-error outcome (exit
     // 6 with context) instead of an abort, and arm any AERO_FAULT_PLAN
@@ -292,8 +251,7 @@ main(int argc, char** argv)
         RunBudget budget;
         budget.max_seconds = args.budget;
 
-        const RunResult r = run_checker_stream(*checker, *source, budget,
-                                               args.ingest_block);
+        const RunResult r = run_checker_stream(*checker, *source, budget);
 
         const RunStatus status = r.status();
         const char* verdict = "serializable";
@@ -355,8 +313,7 @@ main(int argc, char** argv)
         if (args.stats) {
             std::printf("  ingest: %s source, block %s\n",
                         source->source_kind(),
-                        with_commas(resolve_ingest_block(args.ingest_block))
-                            .c_str());
+                        with_commas(kDefaultIngestBlock).c_str());
             print_counters(checker->counters());
             print_gc_block(checker->counters());
         }

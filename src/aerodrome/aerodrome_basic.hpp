@@ -102,7 +102,6 @@ public:
     /** Toggle dead-state reclamation (clock-entry GC + thread-slot
      *  recycling); call before the first event. */
     void set_gc(bool on) override { gc_ = on; }
-    bool gc_enabled() const { return gc_; }
 
     /** Test hook: with gc on, sweep every n outermost ends (0 restores
      *  the arena-growth trigger). */
@@ -235,7 +234,7 @@ private:
     std::vector<ThreadId> last_w_thr_;
 
     /** Dead-state reclamation (src/vc/README.md, "Reclamation"). */
-    bool gc_ = gc_enabled_default();
+    bool gc_ = true;
     ThreadSlotMap slots_;
     GcFrontier gcf_;
     uint64_t gc_sweeps_ = 0;

@@ -96,7 +96,6 @@ public:
     /** Toggle dead-state reclamation (clock-entry GC + thread-slot
      *  recycling); call before the first event. */
     void set_gc(bool on) override { gc_ = on; }
-    bool gc_enabled() const { return gc_; }
 
     /** Test hook: with gc on, sweep every n outermost ends (0 restores
      *  the arena-growth trigger). */
@@ -233,7 +232,7 @@ private:
     std::vector<uint64_t> parent_txn_seq_; // 0 = fork outside a transaction
 
     /** Dead-state reclamation (src/vc/README.md, "Reclamation"). */
-    bool gc_ = gc_enabled_default();
+    bool gc_ = true;
     ThreadSlotMap slots_;
     GcFrontier gcf_;
     uint64_t gc_sweeps_ = 0;

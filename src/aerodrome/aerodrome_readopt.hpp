@@ -82,7 +82,6 @@ public:
     /** Toggle dead-state reclamation (clock-entry GC + thread-slot
      *  recycling); call before the first event. */
     void set_gc(bool on) override { gc_ = on; }
-    bool gc_enabled() const { return gc_; }
 
     /** Test hook: with gc on, run a full sweep every n outermost end
      *  events instead of waiting for the arena-growth trigger (0 restores
@@ -203,7 +202,7 @@ private:
     /** Dead-state reclamation (src/vc/README.md, "Reclamation"). With
      *  gc_ on, every per-thread row is a recycled *slot* and events are
      *  translated through slots_ before processing. */
-    bool gc_ = gc_enabled_default();
+    bool gc_ = true;
     ThreadSlotMap slots_;
     GcFrontier gcf_;
     uint64_t gc_sweeps_ = 0;

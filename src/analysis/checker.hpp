@@ -85,9 +85,10 @@ public:
     /**
      * Toggle dead-state reclamation (clock-entry GC + thread-slot
      * recycling; src/vc/README.md "Reclamation") before the first event.
-     * The process-wide default is gc_enabled_default() (AERO_GC, off
-     * unless set); verdicts are bit-identical either way. Engines
-     * without a reclamation path ignore the call.
+     * Every engine reclaims by default; set_gc(false) keeps all state
+     * and is the reference the tests compare against. Verdicts are
+     * bit-identical either way. Engines without a reclamation path
+     * ignore the call.
      */
     virtual void set_gc(bool /*on*/) {}
 

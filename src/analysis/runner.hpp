@@ -127,10 +127,10 @@ class EventSource;
  *
  * Events are pulled in blocks of `block` via EventSource::next_n so
  * block-decoding sources (MappedBinaryEventSource) amortize per-event
- * overhead; 0 resolves through AERO_INGEST_BLOCK to the default
- * (resolve_ingest_block). Budget polls fire on the first event boundary
- * at-or-after each check_interval regardless of the block size, so a
- * huge block cannot blow past max_seconds.
+ * overhead; 0 means kDefaultIngestBlock (resolve_ingest_block).
+ * Budget polls fire on the first event boundary at-or-after each
+ * check_interval regardless of the block size, so a huge block cannot
+ * blow past max_seconds.
  */
 RunResult run_checker_stream(AtomicityChecker& checker, EventSource& source,
                              const RunBudget& budget = {},

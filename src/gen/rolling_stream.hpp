@@ -4,7 +4,7 @@
  * @file
  * Rolling-stream generator — an unbounded, violation-free synthetic
  * workload for the reclamation soak tests (tests/soak_memory_test.cpp)
- * and bench_scaling --memory.
+ * and perfbench's `rolling` workload.
  *
  * The stream models a long-running server: a fixed-size pool of worker
  * threads runs strict-2PL transactions (stripe lock acquired before the
@@ -22,8 +22,9 @@
  *    clock entries go cold and become reclaimable while the live
  *    footprint stays put.
  *
- * Without reclamation (AERO_GC=0) engine memory grows with the trace;
- * with it the soak test asserts memory_bytes() plateaus.
+ * With reclamation off (set_gc(false)) engine memory grows with the
+ * trace; with it on, the default, the soak test asserts memory_bytes()
+ * plateaus.
  *
  * Events are produced one transaction at a time (workers round-robin),
  * deterministically from the seed: the same options always yield the

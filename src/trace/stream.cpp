@@ -1,7 +1,6 @@
 #include "trace/stream.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -63,15 +62,7 @@ stream_error_cause_name(StreamError::Cause cause)
 size_t
 resolve_ingest_block(size_t requested)
 {
-    if (requested != 0)
-        return requested;
-    if (const char* env = std::getenv("AERO_INGEST_BLOCK")) {
-        char* end = nullptr;
-        unsigned long long v = std::strtoull(env, &end, 10);
-        if (end && *end == '\0' && v >= 1 && v <= (1ull << 22))
-            return static_cast<size_t>(v);
-    }
-    return kDefaultIngestBlock;
+    return requested != 0 ? requested : kDefaultIngestBlock;
 }
 
 const std::vector<StreamError>&

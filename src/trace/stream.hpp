@@ -43,9 +43,8 @@ inline constexpr uint32_t kMaxHeaderIds = 1u << 26;
 /** Default block size for batched ingestion (resolve_ingest_block). */
 inline constexpr size_t kDefaultIngestBlock = 4096;
 
-/** Resolve a block-ingestion size: `requested` when nonzero, else the
- *  AERO_INGEST_BLOCK environment variable, else kDefaultIngestBlock.
- *  Garbage or out-of-range env values fall back to the default. */
+/** Resolve a block-ingestion size: `requested` when nonzero, else
+ *  kDefaultIngestBlock. */
 size_t resolve_ingest_block(size_t requested);
 
 /** Pull-based event stream. */

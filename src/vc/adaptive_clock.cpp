@@ -1,22 +1,6 @@
 #include "vc/adaptive_clock.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace aero {
-
-bool
-gc_enabled_default()
-{
-    static const bool enabled = [] {
-        const char* v = std::getenv("AERO_GC");
-        if (v == nullptr)
-            return false; // reclamation is opt-in
-        return std::strcmp(v, "1") == 0 || std::strcmp(v, "on") == 0 ||
-               std::strcmp(v, "ON") == 0;
-    }();
-    return enabled;
-}
 
 ClockRef
 AdaptiveClockTable::inflate(size_t i, bool copy_contents)

@@ -48,13 +48,6 @@
 
 namespace aero {
 
-/** Process-wide default for dead-state reclamation (clock-entry GC and
- *  thread-slot recycling in the engines): true iff AERO_GC is set to
- *  "1"/"on" in the environment (read once). Off by default — unbounded
- *  traces opt in; every verdict is bit-identical either way (enforced by
- *  tests/gc_test.cpp parity fuzzing and the AERO_GC=1 CI pass). */
-bool gc_enabled_default();
-
 /** Counters for the evaluation harness and the runner's report.
  *  Single-writer relaxed atomics (support/counter.hpp): safe to read
  *  from another thread while the owning engine keeps counting. */

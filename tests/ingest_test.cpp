@@ -22,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -472,19 +471,10 @@ TEST(BlockBudget, ExpiredBudgetStopsAtFirstBoundary)
     EXPECT_EQ(r.events_processed, 0u);
 }
 
-TEST(BlockBudget, ResolveIngestBlockEnvAndDefault)
+TEST(BlockBudget, ResolveIngestBlockExplicitAndDefault)
 {
-    ::unsetenv("AERO_INGEST_BLOCK");
     EXPECT_EQ(resolve_ingest_block(0), kDefaultIngestBlock);
     EXPECT_EQ(resolve_ingest_block(77), 77u);
-    ::setenv("AERO_INGEST_BLOCK", "512", 1);
-    EXPECT_EQ(resolve_ingest_block(0), 512u);
-    EXPECT_EQ(resolve_ingest_block(9), 9u); // explicit beats env
-    ::setenv("AERO_INGEST_BLOCK", "garbage", 1);
-    EXPECT_EQ(resolve_ingest_block(0), kDefaultIngestBlock);
-    ::setenv("AERO_INGEST_BLOCK", "0", 1);
-    EXPECT_EQ(resolve_ingest_block(0), kDefaultIngestBlock);
-    ::unsetenv("AERO_INGEST_BLOCK");
 }
 
 } // namespace

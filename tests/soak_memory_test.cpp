@@ -2,8 +2,9 @@
  * @file
  * Memory soak: on an unbounded-style rolling stream (thread churn +
  * working-set drift, gen/rolling_stream.hpp), engine memory_bytes()
- * must *plateau* once reclamation is on — the second half of the run
- * may not exceed the first half's high-water mark by more than 10%. The
+ * must *plateau* with reclamation on (the engines' default) — the second
+ * half of the run may not exceed the first half's high-water mark by
+ * more than 10%. The
  * contrast test pins the converse: with gc off the same stream grows the
  * footprint without bound (the thread id space alone inflates every
  * clock), so the plateau is evidence the GC works, not that the workload
@@ -90,8 +91,7 @@ void
 expect_plateau()
 {
     const uint64_t n = soak_events();
-    Engine e(0, 0, 0);
-    e.set_gc(true);
+    Engine e(0, 0, 0); // reclamation is on by default
     auto [first, second] = sample_halves(e, n);
     ASSERT_GT(first, 0u);
     EXPECT_LE(second, first + first / 10)
