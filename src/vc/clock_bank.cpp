@@ -2,6 +2,20 @@
 
 #include <new>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define AERO_BANK_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define AERO_BANK_ASAN 1
+#endif
+#endif
+#ifdef AERO_BANK_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 #ifdef AERO_VC_X86_DISPATCH
 #include <immintrin.h>
 #endif
@@ -74,21 +88,6 @@ leq_avx2(const ClockValue* a, const ClockValue* b, size_t n)
 
 namespace {
 
-constexpr size_t kAlignment = 64;
-
-ClockValue*
-alloc_aligned(size_t values)
-{
-    return static_cast<ClockValue*>(::operator new(
-        values * sizeof(ClockValue), std::align_val_t(kAlignment)));
-}
-
-void
-free_aligned(ClockValue* p)
-{
-    ::operator delete(p, std::align_val_t(kAlignment));
-}
-
 size_t
 round_to_line(size_t values)
 {
@@ -96,29 +95,120 @@ round_to_line(size_t values)
     return (values + line - 1) / line * line;
 }
 
+size_t
+round_to_page(size_t bytes)
+{
+    static const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    return (bytes + page - 1) / page * page;
+}
+
+/** Ask for 2 MiB pages. Advisory: the kernel ignores it where the
+ *  mapping holds no aligned 2 MiB extent, and a failure costs only the
+ *  small pages we already have. */
+void
+advise_huge(void* p, size_t bytes)
+{
+    (void)::madvise(p, bytes, MADV_HUGEPAGE);
+}
+
+/** A fresh private anonymous mapping: page-aligned and zero-filled. */
+ClockValue*
+map_zeroed(size_t bytes)
+{
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    advise_huge(p, bytes);
+    return static_cast<ClockValue*>(p);
+}
+
+// ASan keeps the whole mapping addressable and does not carry shadow
+// state across mremap/munmap, so the bank poisons its spare capacity
+// itself and unpoisons before handing pages back to the kernel.
+void
+poison(const ClockValue* p, size_t bytes)
+{
+#ifdef AERO_BANK_ASAN
+    ASAN_POISON_MEMORY_REGION(p, bytes);
+#else
+    (void)p;
+    (void)bytes;
+#endif
+}
+
+void
+unpoison(const ClockValue* p, size_t bytes)
+{
+#ifdef AERO_BANK_ASAN
+    ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+#else
+    (void)p;
+    (void)bytes;
+#endif
+}
+
 } // namespace
 
 void
 ClockBank::release()
 {
-    free_aligned(data_);
+    if (data_ != nullptr) {
+        unpoison(data_, map_bytes_);
+        ::munmap(data_, map_bytes_);
+    }
     data_ = nullptr;
-    rows_ = row_cap_ = dim_ = stride_ = 0;
+    rows_ = row_cap_ = dim_ = stride_ = map_bytes_ = 0;
 }
 
 void
-ClockBank::relayout(size_t new_row_cap, size_t new_stride)
+ClockBank::adopt(ClockValue* base, size_t bytes, size_t stride)
 {
-    ClockValue* fresh = alloc_aligned(new_row_cap * new_stride);
-    std::memset(fresh, 0, new_row_cap * new_stride * sizeof(ClockValue));
+    data_ = base;
+    map_bytes_ = bytes;
+    stride_ = stride;
+    row_cap_ = bytes / (stride * sizeof(ClockValue));
+    const size_t live = rows_ * stride * sizeof(ClockValue);
+    unpoison(data_, live);
+    poison(data_ + rows_ * stride, bytes - live);
+}
+
+void
+ClockBank::grow_rows(size_t new_row_cap)
+{
+    const size_t bytes =
+        round_to_page(new_row_cap * stride_ * sizeof(ClockValue));
+    if (data_ == nullptr) {
+        adopt(map_zeroed(bytes), bytes, stride_);
+        return;
+    }
+    // The kernel moves the page tables, not the data, and the grown
+    // tail reads as zero pages: bottom rows with zero padding.
+    unpoison(data_, map_bytes_);
+    void* p = ::mremap(data_, map_bytes_, bytes, MREMAP_MAYMOVE);
+    if (p == MAP_FAILED) {
+        adopt(data_, map_bytes_, stride_); // the old mapping is intact
+        throw std::bad_alloc();
+    }
+    advise_huge(p, bytes);
+    adopt(static_cast<ClockValue*>(p), bytes, stride_);
+}
+
+void
+ClockBank::grow_stride(size_t new_stride)
+{
+    const size_t bytes =
+        round_to_page(row_cap_ * new_stride * sizeof(ClockValue));
+    ClockValue* fresh = map_zeroed(bytes);
+    // Only the live components move; the fresh mapping is already zero
+    // everywhere else.
     for (size_t i = 0; i < rows_; ++i) {
         std::memcpy(fresh + i * new_stride, data_ + i * stride_,
                     dim_ * sizeof(ClockValue));
     }
-    free_aligned(data_);
-    data_ = fresh;
-    row_cap_ = new_row_cap;
-    stride_ = new_stride;
+    unpoison(data_, map_bytes_);
+    ::munmap(data_, map_bytes_);
+    adopt(fresh, bytes, new_stride);
 }
 
 void
@@ -132,10 +222,13 @@ ClockBank::ensure_rows(size_t n)
         size_t new_cap = row_cap_ < 4 ? 4 : row_cap_ * 2;
         if (new_cap < n)
             new_cap = n;
-        relayout(new_cap, stride_);
+        grow_rows(new_cap);
     }
-    // Rows rows_..n are already zero (relayout and first allocation zero
-    // the whole arena, and clear() keeps retired rows at bottom).
+    // Rows rows_..n have never been written, so they are bottom: mapped
+    // and remapped pages start zero, and stride growth copies only live
+    // rows into a fresh zero mapping.
+    unpoison(data_ + rows_ * stride_,
+             (n - rows_) * stride_ * sizeof(ClockValue));
     rows_ = n;
 }
 
@@ -152,7 +245,7 @@ ClockBank::ensure_dim(size_t d)
         if (row_cap_ == 0) {
             stride_ = new_stride; // nothing allocated yet
         } else {
-            relayout(row_cap_, new_stride);
+            grow_stride(new_stride);
         }
     }
     // Components dim_..d are zero in every row (the padding invariant), so

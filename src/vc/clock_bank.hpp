@@ -15,16 +15,19 @@
  *   row i  ->  data[i * stride .. i * stride + dim)
  *
  * with `stride` rounded up to a whole cache line (16 ClockValues = 64
- * bytes) and the base pointer 64-byte aligned, so every clock starts on a
- * cache-line boundary and a sweep over rows is a pure streaming access.
- * Components beyond `dim` (the padding) are kept zero at all times — the
- * vector-time bottom for threads not yet seen — which makes dimension
- * growth within the current stride free.
+ * bytes). The array is a private anonymous page mapping, so the base is
+ * page-aligned and every clock starts on a cache-line boundary: a sweep
+ * over rows is a pure streaming access. Mapped pages start zero, which
+ * gives bottom rows and zero padding without a memset. Components beyond
+ * `dim` (the padding) are kept zero at all times — the vector-time
+ * bottom for threads not yet seen — which makes dimension growth within
+ * the current stride free. Row growth remaps pages (mremap) instead of
+ * copying; only stride growth copies, and only the live components.
  *
  * Access is handle-based: `bank[i]` returns a ClockRef/ConstClockRef (raw
- * pointer + dimension). Refs are invalidated by ensure_rows/ensure_dim,
- * exactly like vector iterators; engines take refs only after all
- * ensure_* calls for the current event.
+ * pointer + dimension). Refs are invalidated by ensure_rows/ensure_dim
+ * (a remap may move the base), exactly like vector iterators; engines
+ * take refs only after all ensure_* calls for the current event.
  *
  * The pointwise kernels (vck::join / leq / ...) are tight loops over
  * __restrict pointers written so the compiler auto-vectorizes them at
@@ -270,12 +273,14 @@ private:
 
 /**
  * A bank of `rows()` vector clocks, each of dimension `dim()`, stored
- * contiguously with cache-line-aligned rows.
+ * contiguously with cache-line-aligned rows in one anonymous mapping.
  *
- * Growth is amortized in both directions: row capacity doubles, and the
- * per-row stride doubles (in cache-line units) when the dimension
- * outgrows it, triggering a single re-layout copy. Padding components
- * (dim..stride) are zero at all times.
+ * Growth is amortized in both directions. Row capacity doubles by
+ * remapping pages: nothing is copied, and the new tail reads as zero.
+ * The per-row stride doubles (in cache-line units) when the dimension
+ * outgrows it; that maps a fresh arena and copies the live components
+ * of each row. Padding components (dim..stride) are zero at all times.
+ * A failed map or remap throws std::bad_alloc.
  */
 class ClockBank {
 public:
@@ -311,12 +316,8 @@ public:
     size_t dim() const { return dim_; }
     size_t stride() const { return stride_; }
 
-    /** Bytes of the backing allocation (memory accounting). */
-    size_t
-    memory_bytes() const
-    {
-        return row_cap_ * stride_ * sizeof(ClockValue);
-    }
+    /** Bytes of the backing mapping, page-rounded (memory accounting). */
+    size_t memory_bytes() const { return map_bytes_; }
 
     /** Grow to at least n rows (new rows are bottom). Invalidates refs. */
     void ensure_rows(size_t n);
@@ -353,17 +354,26 @@ private:
         std::swap(row_cap_, other.row_cap_);
         std::swap(dim_, other.dim_);
         std::swap(stride_, other.stride_);
+        std::swap(map_bytes_, other.map_bytes_);
     }
 
-    /** Re-allocate to (row_cap, stride), copying live rows and zeroing
-     *  everything else. */
-    void relayout(size_t new_row_cap, size_t new_stride);
+    /** Map or remap to hold at least new_row_cap rows at the current
+     *  stride. */
+    void grow_rows(size_t new_row_cap);
+
+    /** Move to a fresh mapping at new_stride, copying the live
+     *  components of each row. */
+    void grow_stride(size_t new_stride);
+
+    /** Take `base` (a mapping of `bytes`) as the arena at `stride`. */
+    void adopt(ClockValue* base, size_t bytes, size_t stride);
 
     ClockValue* data_ = nullptr;
-    size_t rows_ = 0;    ///< live rows
-    size_t row_cap_ = 0; ///< allocated rows
-    size_t dim_ = 0;     ///< live components per row
-    size_t stride_ = 0;  ///< allocated components per row (multiple of 16)
+    size_t rows_ = 0;      ///< live rows
+    size_t row_cap_ = 0;   ///< rows the mapping holds
+    size_t dim_ = 0;       ///< live components per row
+    size_t stride_ = 0;    ///< allocated components per row (multiple of 16)
+    size_t map_bytes_ = 0; ///< mapping length (whole pages)
 };
 
 } // namespace aero

@@ -15,13 +15,16 @@
  *
  * The accounting audit at the bottom keeps memory_bytes() honest: on a
  * growth workload the sum the engine reports must cover the bulk of the
- * process-level malloc delta (glibc mallinfo2), so new containers can't
- * silently dodge the soak assertions by going unaccounted.
+ * process-level delta, so new containers can't silently dodge the soak
+ * assertions by going unaccounted. That delta is the malloc heap (glibc
+ * mallinfo2) plus the private mappings (VmData), since the clock banks
+ * live in their own page mappings off the malloc heap.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 #include "aerodrome/aerodrome_basic.hpp"
@@ -134,13 +137,30 @@ heap_in_use()
     return mi.uordblks;
 }
 
+/** Bytes of private writable mappings (VmData), or 0 if unreadable. */
+size_t
+vm_data_bytes()
+{
+    size_t kb = 0;
+    if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+        char line[256];
+        while (std::fgets(line, sizeof line, f)) {
+            if (std::sscanf(line, "VmData: %zu kB", &kb) == 1)
+                break;
+        }
+        std::fclose(f);
+    }
+    return kb << 10;
+}
+
 TEST(SoakMemory, AccountingCoversTheMallocDelta)
 {
     // Growth workload (gc off) so the engine's own state dominates the
     // process delta; everything else allocated below (stream buffers,
     // trackers) is small next to the clock banks and table.
     const uint64_t n = 100000;
-    const size_t before = heap_in_use();
+    const size_t heap_before = heap_in_use();
+    const size_t maps_before = vm_data_bytes();
     AeroDromeOpt e(0, 0, 0);
     e.set_gc(false);
     gen::RollingStreamSource src(stream_opts(n));
@@ -148,14 +168,15 @@ TEST(SoakMemory, AccountingCoversTheMallocDelta)
     uint64_t i = 0;
     while (src.next(ev))
         ASSERT_FALSE(e.process(ev, i++));
-    const size_t delta = heap_in_use() - before;
+    const size_t delta = (heap_in_use() - heap_before) +
+                         (vm_data_bytes() - maps_before);
     const size_t reported = e.memory_bytes();
     // memory_bytes() must cover at least half of what the process
     // actually allocated and held; a big gap means some container went
     // unaccounted and the soak plateau above could be lying.
     EXPECT_GE(reported, delta / 2)
         << "reported " << reported << " of " << delta
-        << " malloc-observed bytes";
+        << " observed bytes (malloc heap + VmData)";
 }
 
 #endif // __GLIBC__ && !ASan && !TSan

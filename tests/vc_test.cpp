@@ -7,10 +7,26 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <utility>
+
+#include <unistd.h>
+
 #include "support/rng.hpp"
 #include "vc/clock_bank.hpp"
 #include "vc/flat_table.hpp"
 #include "vc/vector_clock.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define AERO_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define AERO_TEST_ASAN 1
+#endif
+#endif
+#ifdef AERO_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace aero {
 namespace {
@@ -398,6 +414,158 @@ TEST(ClockBank, FuzzGrowthParity)
         EXPECT_EQ(bank[1].to_vector_clock(), ref[1]);
     }
 }
+
+/** Row i's expected value at component d in the growth tests below. */
+ClockValue
+grow_pattern(size_t i, size_t d)
+{
+    return static_cast<ClockValue>(i * 31 + d + 1);
+}
+
+/** Every row below `written` holds grow_pattern in components
+ *  [0, old_dim) and zero in [old_dim, dim); every later row is bottom;
+ *  components dim..stride are zero everywhere. Read through the raw
+ *  base so the padding is checked too. */
+void
+expect_grown_layout(const ClockBank& bank, size_t written, size_t old_dim)
+{
+    const ClockValue* base = bank.data();
+    size_t bad = 0;
+    for (size_t i = 0; i < bank.rows(); ++i) {
+        const ClockValue* row = base + i * bank.stride();
+        for (size_t d = 0; d < bank.stride(); ++d) {
+            ClockValue want =
+                (i < written && d < old_dim) ? grow_pattern(i, d) : 0;
+            bad += row[d] != want;
+        }
+    }
+    EXPECT_EQ(bad, 0u) << "rows=" << bank.rows()
+                       << " stride=" << bank.stride();
+}
+
+TEST(ClockBank, RowByRowGrowthPastHugePagesKeepsRowsAndPadding)
+{
+    // 64-byte rows: past 4 MiB takes several capacity doublings, each a
+    // remap that may move the base, and crosses the 2 MiB huge-page size.
+    const size_t dim = 12;
+    ClockBank bank(0, dim);
+    size_t grows = 0;
+    size_t cap_bytes = bank.memory_bytes();
+    while (bank.memory_bytes() <= (size_t{4} << 20)) {
+        const size_t i = bank.rows();
+        bank.ensure_rows(i + 1);
+        EXPECT_TRUE(bank[i].is_bottom());
+        for (size_t d = 0; d < dim; ++d)
+            bank[i].set(d, grow_pattern(i, d));
+        if (bank.memory_bytes() != cap_bytes) {
+            cap_bytes = bank.memory_bytes();
+            ++grows;
+            expect_grown_layout(bank, i + 1, dim);
+        }
+    }
+    EXPECT_GE(grows, 5u);
+    EXPECT_EQ(bank.stride(), 16u);
+    const size_t written = bank.rows();
+    bank.ensure_rows(written + 1000); // bottom rows past the last write
+    expect_grown_layout(bank, written, dim);
+
+    // Past the one-line stride: the copying re-layout path.
+    bank.ensure_dim(20);
+    EXPECT_EQ(bank.stride(), 32u);
+    EXPECT_GE(bank.memory_bytes(),
+              bank.rows() * bank.stride() * sizeof(ClockValue));
+    expect_grown_layout(bank, written, dim);
+}
+
+TEST(ClockBank, MoveCarriesTheMapping)
+{
+    ClockBank a(100, 5);
+    a[99].set(4, 7);
+    const ClockValue* base = a.data();
+    const size_t bytes = a.memory_bytes();
+
+    ClockBank b(std::move(a));
+    EXPECT_EQ(b.data(), base);
+    EXPECT_EQ(b.memory_bytes(), bytes);
+    EXPECT_EQ(b[99].get(4), 7u);
+    EXPECT_EQ(a.rows(), 0u);
+    EXPECT_EQ(a.memory_bytes(), 0u);
+
+    ClockBank c(3, 2);
+    c = std::move(b);
+    EXPECT_EQ(c.data(), base);
+    EXPECT_EQ(c.rows(), 100u);
+    EXPECT_EQ(c.dim(), 5u);
+    EXPECT_EQ(c[99].get(4), 7u);
+    EXPECT_EQ(b.memory_bytes(), 0u);
+    c.ensure_rows(5000); // the moved-to bank still grows
+    EXPECT_EQ(c[99].get(4), 7u);
+    EXPECT_TRUE(c[4999].is_bottom());
+}
+
+/** This process's VmData (private writable mappings) in KiB, or 0. */
+size_t
+vm_data_kb()
+{
+    size_t kb = 0;
+    if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+        char line[256];
+        while (std::fgets(line, sizeof line, f)) {
+            if (std::sscanf(line, "VmData: %zu kB", &kb) == 1)
+                break;
+        }
+        std::fclose(f);
+    }
+    return kb;
+}
+
+TEST(ClockBank, ReleaseReturnsTheMapping)
+{
+    // LeakSanitizer does not track mappings; this is the leak check.
+    const size_t page_kb =
+        static_cast<size_t>(::sysconf(_SC_PAGESIZE)) >> 10;
+    const size_t start = vm_data_kb();
+    if (start == 0)
+        GTEST_SKIP() << "no VmData in /proc/self/status";
+    {
+        ClockBank big(1 << 17, 20); // 16 MiB at a 32-value stride
+        big[(1 << 17) - 1].set(19, 1);
+        EXPECT_GE(vm_data_kb(), start + (16u << 10));
+    }
+    EXPECT_LE(vm_data_kb(), start + page_kb);
+    EXPECT_GE(vm_data_kb() + page_kb, start);
+
+    ClockBank small(1, 4);
+    {
+        ClockBank big(1 << 17, 20);
+        big[0].set(0, 1);
+        small = std::move(big); // small's page goes, big's mapping stays
+    }
+    EXPECT_EQ(small[0].get(0), 1u);
+    small = ClockBank();
+    EXPECT_LE(vm_data_kb(), start + page_kb);
+    EXPECT_GE(vm_data_kb() + page_kb, start);
+}
+
+#ifdef AERO_TEST_ASAN
+TEST(ClockBank, SpareCapacityIsPoisoned)
+{
+    ClockBank bank(3, 12);
+    const ClockValue* last = bank[2].data() + bank.dim() - 1;
+    const ClockValue* past = bank.data() + bank.rows() * bank.stride();
+    EXPECT_FALSE(__asan_address_is_poisoned(last));
+    EXPECT_TRUE(__asan_address_is_poisoned(past));
+    bank.ensure_rows(4);
+    EXPECT_FALSE(__asan_address_is_poisoned(past));
+    bank.ensure_rows(10000); // remapped: the new tail is poisoned too
+    EXPECT_TRUE(__asan_address_is_poisoned(bank.data() +
+                                           bank.rows() * bank.stride()));
+    bank.ensure_dim(40); // stride re-layout into a fresh mapping
+    EXPECT_FALSE(__asan_address_is_poisoned(bank[9999].data() + 39));
+    EXPECT_TRUE(__asan_address_is_poisoned(bank.data() +
+                                           bank.rows() * bank.stride()));
+}
+#endif
 
 // --- FlatTable -----------------------------------------------------------
 
