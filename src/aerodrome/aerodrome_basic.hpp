@@ -59,9 +59,9 @@ struct AeroDromeStats {
     RelaxedCounter joins;
     /** Number of vector-clock ordering comparisons performed. */
     RelaxedCounter comparisons;
-    /** Table entries visited by end-event sweeps (basic/readopt): the
-     *  update-set size when tracked, the whole table when not — the
-     *  complexity-guard suite asserts this scales with the former. */
+    /** Table entries visited by end-event sweeps: the update-set size
+     *  when tracked, the whole table when not — the complexity-guard
+     *  suite asserts this scales with the former. */
     RelaxedCounter end_swept_entries;
     /** Visited entries whose propagation gate was false (enrollment is an
      *  over-approximation; a full sweep skips most of the table). */

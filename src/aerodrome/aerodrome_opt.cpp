@@ -14,8 +14,6 @@ AeroDromeOpt::AeroDromeOpt(uint32_t num_threads, uint32_t num_vars,
     c_pure_.assign(num_threads, 1);
     for (uint32_t t = 0; t < num_threads; ++t)
         c_[t].set(t, 1);
-    upd_r_.resize(num_threads);
-    upd_w_.resize(num_threads);
     parent_thread_.assign(num_threads, kNoThread);
     parent_txn_seq_.assign(num_threads, 0);
     if (num_vars > 0)
@@ -42,6 +40,7 @@ AeroDromeOpt::grow_dim(size_t n)
     c_.ensure_dim(n);
     cb_.ensure_dim(n);
     tbl_.ensure_dim(n);
+    locks_.ensure_dim(n);
 }
 
 void
@@ -54,8 +53,6 @@ AeroDromeOpt::ensure_thread(ThreadId t)
         c_.ensure_rows(n);
         cb_.ensure_rows(n);
         c_pure_.resize(n, 1);
-        upd_r_.resize(n);
-        upd_w_.resize(n);
         parent_thread_.resize(n, kNoThread);
         parent_txn_seq_.resize(n, 0);
         for (size_t u = old; u < n; ++u)
@@ -67,48 +64,38 @@ AeroDromeOpt::ensure_thread(ThreadId t)
 void
 AeroDromeOpt::ensure_var(VarId x)
 {
-    while (x >= var_base_.size()) {
-        uint32_t base = tbl_.add_entry(); // W_x
-        tbl_.add_entry();                 // R_x
-        tbl_.add_entry();                 // hR_x
-        var_base_.push_back(base);
-        last_w_thr_.push_back(kNoThread);
-        stale_write_.push_back(0);
-        stale_readers_.emplace_back();
-    }
+    // One resize per array for the whole id range (reserve sizes every
+    // variable of the trace header at once).
+    if (x < last_w_thr_.size())
+        return;
+    const size_t n = size_t{x} + 1;
+    tbl_.add_entries(3 * (n - last_w_thr_.size()));
+    last_w_thr_.resize(n, kNoThread);
+    stale_write_.resize(n, 0);
+    stale_readers_.resize(n);
 }
 
 void
 AeroDromeOpt::ensure_lock(LockId l)
 {
-    while (l >= lock_slot_.size()) {
-        lock_slot_.push_back(tbl_.add_entry());
-        last_rel_thr_.push_back(kNoThread);
-    }
+    if (l < last_rel_thr_.size())
+        return;
+    const size_t n = size_t{l} + 1;
+    locks_.add_entries(n - last_rel_thr_.size());
+    last_rel_thr_.resize(n, kNoThread);
 }
 
 bool
-AeroDromeOpt::check_and_get_entry(size_t slot, ThreadId t, size_t index,
+AeroDromeOpt::check_and_get_entry(AdaptiveClockTable& tbl,
+                                  size_t check_slot, size_t join_slot,
+                                  ThreadId t, size_t index,
                                   const char* reason)
 {
     ++stats_.comparisons;
-    if (txns_.active(t) && begin_before(t, tbl_.get(slot, t)))
+    if (txns_.active(t) && begin_before(t, tbl.get(check_slot, t)))
         return report(index, rid(t), reason);
     ++stats_.joins;
-    tbl_.join_into(c_[t], slot, t, c_pure_[t]);
-    return false;
-}
-
-bool
-AeroDromeOpt::check_and_get_entry2(size_t check_slot, size_t join_slot,
-                                   ThreadId t, size_t index,
-                                   const char* reason)
-{
-    ++stats_.comparisons;
-    if (txns_.active(t) && begin_before(t, tbl_.get(check_slot, t)))
-        return report(index, rid(t), reason);
-    ++stats_.joins;
-    tbl_.join_into(c_[t], join_slot, t, c_pure_[t]);
+    tbl.join_into(c_[t], join_slot, t, c_pure_[t]);
     return false;
 }
 
@@ -167,7 +154,7 @@ AeroDromeOpt::has_incoming_edge(ThreadId t) const
 void
 AeroDromeOpt::flush_stale_readers(VarId x)
 {
-    const size_t base = var_base_[x];
+    const size_t base = w_entry(x);
     for (ThreadId u : stale_readers_[x]) {
         stats_.joins += 2;
         const bool pure = pure_of(u);
@@ -177,40 +164,48 @@ AeroDromeOpt::flush_stale_readers(VarId x)
     stale_readers_[x].clear();
 }
 
+template <typename F>
 void
-AeroDromeOpt::enroll_update_sets(ThreadId t, VarId x, bool is_write)
+AeroDromeOpt::for_each_window_entry(ThreadId t, F f)
 {
-    // Enroll x with every thread whose active transaction is ordered
-    // before the current access: those transactions must push their final
-    // timestamps into R_x/W_x when they complete (Algorithm 3, lines 34-36
-    // and 50-52). The one-component test keeps this O(|Thr|).
-    auto& sets = is_write ? upd_w_ : upd_r_;
-    for (ThreadId u = 0; u < c_.rows(); ++u) {
-        if (txns_.active(u) && cb_[u].get(u) <= c_[t].get(u))
-            sets[u].insert(x);
+    if (tbl_.update_window_tracked(t)) {
+        for (uint32_t i : tbl_.update_entries(t))
+            f(i);
+    } else {
+        const size_t n = tbl_.size();
+        for (size_t i = 0; i < n; ++i)
+            f(i);
     }
 }
 
 bool
 AeroDromeOpt::handle_end(ThreadId t, size_t index)
 {
+    // Seal first, so the sweep's own joins enroll only into *other*
+    // threads' windows, never into the list being iterated.
+    tbl_.seal_update_window(t);
     if (!has_incoming_edge(t)) {
         // Garbage-collected end: this transaction can never lie on a
-        // cycle, so skip the propagation entirely and only tidy the lazy
-        // bookkeeping (Algorithm 3, lines 75-86).
+        // cycle, so skip the propagation entirely and only drop its own
+        // lazy bookkeeping (Algorithm 3, lines 75-86). Its stale reads
+        // and write were enrolled into its window when they were made.
         ++opt_stats_.gc_skipped_ends;
-        for (VarId x : upd_r_[t].list) {
-            auto& sr = stale_readers_[x];
-            sr.erase(std::remove(sr.begin(), sr.end(), t), sr.end());
-        }
-        upd_r_[t].clear();
-        for (VarId x : upd_w_[t].list) {
-            if (last_w_thr_[x] == t) {
-                stale_write_[x] = 0;
-                last_w_thr_[x] = kNoThread;
+        for_each_window_entry(t, [&](size_t i) {
+            ++stats_.end_swept_entries;
+            const VarId x = static_cast<VarId>(i / 3);
+            if (i % 3 == 0) {
+                if (stale_write_[x] && last_w_thr_[x] == t) {
+                    stale_write_[x] = 0;
+                    last_w_thr_[x] = kNoThread;
+                }
+            } else if (i % 3 == 1) {
+                auto& sr = stale_readers_[x];
+                auto it = std::find(sr.begin(), sr.end(), t);
+                if (it != sr.end())
+                    sr.erase(it);
             }
-        }
-        upd_w_[t].clear();
+        });
+        tbl_.close_update_window(t);
         for (LockId l = 0; l < last_rel_thr_.size(); ++l) {
             if (last_rel_thr_[l] == t)
                 last_rel_thr_[l] = kNoThread;
@@ -235,34 +230,70 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
             }
         }
     }
-    for (size_t l = 0; l < lock_slot_.size(); ++l) {
+    for (size_t l = 0; l < locks_.size(); ++l) {
         ++stats_.comparisons;
-        if (cbt_t <= tbl_.get(lock_slot_[l], t)) {
+        if (cbt_t <= locks_.get(l, t)) {
             ++stats_.joins;
-            tbl_.join(lock_slot_[l], ct, t, ct_pure);
+            locks_.join(l, ct, t, ct_pure);
         }
     }
-    for (VarId x : upd_w_[t].list) {
-        // If another thread's *stale* write supersedes ours, skip: future
-        // readers will pick the ordering up from that thread's live clock
-        // (which already absorbed C_t via the thread loop above).
-        if (!stale_write_[x] || last_w_thr_[x] == t) {
-            ++stats_.joins;
-            tbl_.join(var_base_[x], ct, t, ct_pure);
+    // The window holds this transaction's own stale reads and write
+    // (enrolled when made) plus every entry whose gate an eager mutation
+    // could have made fireable; the rest of the table provably cannot
+    // fire. Entries are independent, so the visit order is immaterial.
+    for_each_window_entry(t, [&](size_t i) {
+        ++stats_.end_swept_entries;
+        const VarId x = static_cast<VarId>(i / 3);
+        switch (i % 3) {
+          case 0: // W_x
+            if (stale_write_[x]) {
+                // Our own stale write lands now. Another thread's stale
+                // write supersedes ours: future readers pick the ordering
+                // up from that thread's live clock (which absorbed C_t in
+                // the thread loop above).
+                if (last_w_thr_[x] == t) {
+                    ++stats_.joins;
+                    tbl_.join(i, ct, t, ct_pure);
+                    stale_write_[x] = 0;
+                } else {
+                    ++stats_.end_gate_skipped;
+                }
+                break;
+            }
+            ++stats_.comparisons;
+            if (cbt_t <= tbl_.get(i, t)) {
+                ++stats_.joins;
+                tbl_.join(i, ct, t, ct_pure);
+            } else {
+                ++stats_.end_gate_skipped;
+            }
+            break;
+          case 1: { // R_x, driving its hR_x partner
+            auto& sr = stale_readers_[x];
+            auto it = std::find(sr.begin(), sr.end(), t);
+            bool fire;
+            if (it != sr.end()) {
+                sr.erase(it); // our own stale read lands now
+                fire = true;
+            } else {
+                ++stats_.comparisons;
+                fire = cbt_t <= tbl_.get(i, t);
+            }
+            if (fire) {
+                stats_.joins += 2;
+                tbl_.join(i, ct, t, ct_pure);
+                tbl_.join_except(i + 1, ct, t, ct_pure);
+            } else {
+                ++stats_.end_gate_skipped;
+            }
+            break;
+          }
+          default: // hR_x: handled with its R_x partner at i - 1
+            ++stats_.end_gate_skipped;
+            break;
         }
-        if (last_w_thr_[x] == t)
-            stale_write_[x] = 0;
-    }
-    upd_w_[t].clear();
-    for (VarId x : upd_r_[t].list) {
-        stats_.joins += 2;
-        const size_t base = var_base_[x];
-        tbl_.join(base + 1, ct, t, ct_pure);
-        tbl_.join_except(base + 2, ct, t, ct_pure);
-        auto& sr = stale_readers_[x];
-        sr.erase(std::remove(sr.begin(), sr.end(), t), sr.end());
-    }
-    upd_r_[t].clear();
+    });
+    tbl_.close_update_window(t);
     return false;
 }
 
@@ -286,6 +317,8 @@ AeroDromeOpt::process(const Event& e, size_t index)
         if (txns_.on_begin(t)) {
             c_[t].tick(t); // purity preserved
             cb_[t].assign(c_[t]);
+            // The tick minted cb_t(t) fresh: the window starts empty.
+            tbl_.open_update_window(t, cb_[t].get(t));
         }
         return false;
 
@@ -301,14 +334,14 @@ AeroDromeOpt::process(const Event& e, size_t index)
       case Op::kAcquire:
         ensure_lock(target);
         if (last_rel_thr_[target] != t) {
-            return check_and_get_entry(lock_slot_[target], t, index,
+            return check_and_get_entry(locks_, target, target, t, index,
                                        "acquire saw conflicting release");
         }
         return false;
 
       case Op::kRelease:
         ensure_lock(target);
-        tbl_.assign(lock_slot_[target], c_[t], t, pure_of(t));
+        locks_.assign(target, c_[t], t, pure_of(t));
         last_rel_thr_[target] = t;
         return false;
 
@@ -335,7 +368,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
       case Op::kRead: {
         const VarId x = target;
         ensure_var(x);
-        const size_t base = var_base_[x];
+        const size_t base = w_entry(x);
         if (last_w_thr_[x] != t) {
             bool v;
             if (stale_write_[x]) {
@@ -344,7 +377,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
                                         index,
                                         "read saw conflicting write");
             } else {
-                v = check_and_get_entry(base, t, index,
+                v = check_and_get_entry(tbl_, base, base, t, index,
                                         "read saw conflicting write");
             }
             if (v)
@@ -352,10 +385,12 @@ AeroDromeOpt::process(const Event& e, size_t index)
         }
         if (txns_.active(t)) {
             // Lazy: defer the R_x/hR_x update to the next write of x or to
-            // our transaction end.
+            // our transaction end, which finds R_x in our window.
             auto& sr = stale_readers_[x];
-            if (std::find(sr.begin(), sr.end(), t) == sr.end())
+            if (std::find(sr.begin(), sr.end(), t) == sr.end()) {
                 sr.push_back(t);
+                tbl_.enroll_pending(base + 1, t);
+            }
             ++opt_stats_.lazy_reads;
         } else {
             // Unary read: its transaction completes now; flush eagerly so
@@ -366,14 +401,13 @@ AeroDromeOpt::process(const Event& e, size_t index)
             tbl_.join(base + 1, c_[t], t, pure);
             tbl_.join_except(base + 2, c_[t], t, pure);
         }
-        enroll_update_sets(t, x, /*is_write=*/false);
         return false;
       }
 
       case Op::kWrite: {
         const VarId x = target;
         ensure_var(x);
-        const size_t base = var_base_[x];
+        const size_t base = w_entry(x);
         if (last_w_thr_[x] != t) {
             bool v;
             if (stale_write_[x]) {
@@ -382,18 +416,20 @@ AeroDromeOpt::process(const Event& e, size_t index)
                                         index,
                                         "write saw conflicting write");
             } else {
-                v = check_and_get_entry(base, t, index,
+                v = check_and_get_entry(tbl_, base, base, t, index,
                                         "write saw conflicting write");
             }
             if (v)
                 return true;
         }
         flush_stale_readers(x);
-        if (check_and_get_entry2(base + 2, base + 1, t, index,
-                                 "write saw conflicting read")) {
+        if (check_and_get_entry(tbl_, base + 2, base + 1, t, index,
+                                "write saw conflicting read")) {
             return true;
         }
         if (txns_.active(t)) {
+            if (!stale_write_[x] || last_w_thr_[x] != t)
+                tbl_.enroll_pending(base, t); // newly the stale writer
             stale_write_[x] = 1;
             ++opt_stats_.lazy_writes;
         } else {
@@ -401,7 +437,6 @@ AeroDromeOpt::process(const Event& e, size_t index)
             tbl_.assign(base, c_[t], t, pure_of(t));
         }
         last_w_thr_[x] = t;
-        enroll_update_sets(t, x, /*is_write=*/true);
         return false;
       }
     }
@@ -416,12 +451,12 @@ AeroDromeOpt::retire_slot(uint32_t s)
     // Scrub every cached fact that names this row. The lazy proxies must
     // be materialized/flushed BEFORE the clock reset: they stand in for
     // c_[s], which is about to become the reissue continuation.
-    for (VarId x = 0; x < var_base_.size(); ++x) {
+    for (VarId x = 0; x < last_w_thr_.size(); ++x) {
         if (last_w_thr_[x] == s) {
             if (stale_write_[x]) {
                 // Defensive: a well-formed trace cleared this at s's last
                 // end. Materialize W_x from the proxy before it vanishes.
-                tbl_.assign(var_base_[x], c_[s], s, pure_of(s));
+                tbl_.assign(w_entry(x), c_[s], s, pure_of(s));
                 stale_write_[x] = 0;
             }
             last_w_thr_[x] = kNoThread;
@@ -430,7 +465,7 @@ AeroDromeOpt::retire_slot(uint32_t s)
         for (size_t k = 0; k < sr.size(); ++k) {
             if (sr[k] == s) {
                 stats_.joins += 2;
-                const size_t base = var_base_[x];
+                const size_t base = w_entry(x);
                 const bool pure = pure_of(s);
                 tbl_.join(base + 1, c_[s], s, pure);
                 tbl_.join_except(base + 2, c_[s], s, pure);
@@ -443,8 +478,7 @@ AeroDromeOpt::retire_slot(uint32_t s)
         if (r == s)
             r = kNoThread;
     }
-    upd_r_[s].clear();
-    upd_w_[s].clear();
+    tbl_.close_update_window(s);
     parent_thread_[s] = kNoThread;
     parent_txn_seq_[s] = 0;
     const ClockValue v = c_[s].get(s);
@@ -468,9 +502,9 @@ AeroDromeOpt::gc_sweep_now()
         if (bound[s] != kNoThread && txns_.active(s))
             gcf_.cap_active(s, c_[s].get(s));
     }
-    gc_live_entries_ = tbl_.gc_sweep(gcf_);
+    gc_live_entries_ = tbl_.gc_sweep(gcf_) + locks_.gc_sweep(gcf_);
     ++gc_sweeps_;
-    gc_rows_baseline_ = tbl_.arena_rows_live();
+    gc_rows_baseline_ = arena_rows_live();
     gc_ends_ = 0;
 }
 
@@ -482,15 +516,30 @@ AeroDromeOpt::maybe_gc_sweep()
             gc_sweep_now();
         return;
     }
-    const size_t rows = tbl_.arena_rows_live();
+    const size_t rows = arena_rows_live();
     if (rows >= 128 && rows >= 2 * gc_rows_baseline_)
         gc_sweep_now();
+}
+
+AdaptiveClockStats
+AeroDromeOpt::epoch_stats() const
+{
+    const AdaptiveClockStats& v = tbl_.stats();
+    const AdaptiveClockStats& l = locks_.stats();
+    AdaptiveClockStats sum;
+    sum.epoch_fast = v.epoch_fast + l.epoch_fast;
+    sum.vector_ops = v.vector_ops + l.vector_ops;
+    sum.inflations = v.inflations + l.inflations;
+    sum.upd_enrolled = v.upd_enrolled + l.upd_enrolled;
+    sum.gc_reclaimed = v.gc_reclaimed + l.gc_reclaimed;
+    sum.gc_rows_freed = v.gc_rows_freed + l.gc_rows_freed;
+    return sum;
 }
 
 StatList
 AeroDromeOpt::counters() const
 {
-    const AdaptiveClockStats& es = tbl_.stats();
+    const AdaptiveClockStats es = epoch_stats();
     return {
         {"joins", stats_.joins},
         {"comparisons", stats_.comparisons},
@@ -501,6 +550,9 @@ AeroDromeOpt::counters() const
         {"epoch_fast_ops", es.epoch_fast},
         {"vector_ops", es.vector_ops},
         {"inflations", es.inflations},
+        {"upd_enrolled", es.upd_enrolled},
+        {"end_swept_entries", stats_.end_swept_entries},
+        {"end_gate_skipped", stats_.end_gate_skipped},
         {"gc_reclaimed", es.gc_reclaimed},
         {"gc_rows_freed", es.gc_rows_freed},
         {"gc_sweeps", gc_sweeps_},
@@ -513,19 +565,16 @@ AeroDromeOpt::counters() const
 size_t
 AeroDromeOpt::memory_bytes() const
 {
-    size_t n = c_.memory_bytes() + cb_.memory_bytes() + tbl_.memory_bytes();
-    n += (lock_slot_.capacity() + var_base_.capacity()) * sizeof(uint32_t);
+    size_t n = c_.memory_bytes() + cb_.memory_bytes() + tbl_.memory_bytes() +
+               locks_.memory_bytes();
     n += c_pure_.capacity() + stale_write_.capacity();
     n += (last_rel_thr_.capacity() + last_w_thr_.capacity() +
           parent_thread_.capacity()) *
          sizeof(ThreadId);
     n += parent_txn_seq_.capacity() * sizeof(uint64_t);
+    n += stale_readers_.capacity() * sizeof(stale_readers_[0]);
     for (const auto& sr : stale_readers_)
         n += sr.capacity() * sizeof(ThreadId);
-    for (const auto* sets : {&upd_r_, &upd_w_}) {
-        for (const auto& s : *sets)
-            n += s.list.capacity() * sizeof(VarId) + s.member.capacity();
-    }
     n += slots_.memory_bytes() + gcf_.memory_bytes() + txns_.memory_bytes();
     return n;
 }

@@ -18,10 +18,19 @@
  *    handled eagerly — their "transaction" completes immediately, so the
  *    live-clock proxy would be unsound for them.
  *
- * 2. Per-thread update sets. Algorithm 2 scans every variable at each end
- *    event. Here each read/write enrolls the variable in UpdateSet^r/w_u of
- *    exactly those threads u whose active transaction is ordered before the
- *    access, so an end event touches only the variables it must.
+ * 2. Per-thread update sets, as the table's update windows
+ *    (vc/adaptive_clock.hpp, shared with Algorithms 1 and 2). Each
+ *    outermost begin opens a window; every eager mutation of a W_x, R_x
+ *    or hR_x entry enrolls it into the window of each thread whose end
+ *    gate it could make fireable, and a lazy access enrolls its entry
+ *    into the accessing thread's own window (enroll_pending) when the
+ *    thread newly becomes a stale reader or the stale writer. An end
+ *    event visits only its window's entries, never the variable table:
+ *    no access scans the thread rows. A thread ordered before a lazy
+ *    access needs no entry of its own for it: if its window is still
+ *    open when the stale value is flushed, the flush's join enrolls the
+ *    entry; if it ended first, its end joined its clock into the lazy
+ *    accessor's clock, which the flush carries.
  *
  * 3. Garbage collection ("hasIncomingEdge"). A completed transaction that
  *    received no orderings from other threads since its begin (its clock is
@@ -33,11 +42,13 @@
  * All ordering tests use the one-component ("lightweight timestamp") form;
  * see aerodrome_readopt.hpp for why this is equivalent.
  *
- * Storage is epoch-adaptive (vc/adaptive_clock.hpp): L_l, W_x, R_x and
- * hR_x share one AdaptiveClockTable (a variable's W/R/hR are adjacent
- * entries), giving O(1) conflict checks and updates while the touched
- * state stays epoch-shaped, inflating into the shared arena on first
- * contention. Purity bits on C_t drive the fast paths.
+ * Storage is epoch-adaptive (vc/adaptive_clock.hpp): W_x, R_x and hR_x
+ * are entries 3x, 3x+1 and 3x+2 of one AdaptiveClockTable, so an entry's
+ * kind and variable follow from its index; the L_l live in a second,
+ * window-less table that propagated ends sweep in full. Both give O(1)
+ * conflict checks and updates while the touched state stays
+ * epoch-shaped, inflating into their arena on first contention. Purity
+ * bits on C_t drive the fast paths.
  */
 
 #include <cstdint>
@@ -81,8 +92,9 @@ public:
     const AeroDromeStats& stats() const { return stats_; }
     const AeroDromeOptStats& opt_stats() const { return opt_stats_; }
 
-    /** Epoch-adaptive storage statistics (hits, inflations). */
-    const AdaptiveClockStats& epoch_stats() const { return tbl_.stats(); }
+    /** Epoch-adaptive storage statistics (hits, inflations), summed over
+     *  the variable and lock tables. */
+    AdaptiveClockStats epoch_stats() const;
 
     /** Toggle the epoch representation and its purity fast paths; call
      *  before the first event. Off reproduces the full-vector baseline. */
@@ -91,7 +103,13 @@ public:
     {
         epochs_ = on;
         tbl_.set_epochs_enabled(on);
+        locks_.set_epochs_enabled(on);
     }
+
+    /** Toggle end-event update windows; call before the first event. Off
+     *  sweeps the whole variable table at every end — the reference the
+     *  update-set tests compare against. */
+    void set_update_sets(bool on) { tbl_.set_update_sets_enabled(on); }
 
     /** Toggle dead-state reclamation (clock-entry GC + thread-slot
      *  recycling); call before the first event. */
@@ -140,15 +158,20 @@ private:
     void gc_sweep_now();
     void maybe_gc_sweep();
 
-    /** checkAndGet where both the check and the join use table entry
-     *  `slot` (locks, W_x). */
-    bool check_and_get_entry(size_t slot, ThreadId t, size_t index,
-                             const char* reason);
+    /** Arena rows backing inflated entries of both tables (the gc
+     *  pressure signal). */
+    size_t
+    arena_rows_live() const
+    {
+        return tbl_.arena_rows_live() + locks_.arena_rows_live();
+    }
 
-    /** checkAndGet checking `check_slot` but joining `join_slot` (the
-     *  hR_x / R_x pair at writes). */
-    bool check_and_get_entry2(size_t check_slot, size_t join_slot,
-                              ThreadId t, size_t index, const char* reason);
+    /** checkAndGet checking `check_slot` of `tbl` but joining
+     *  `join_slot` (equal for locks and W_x; the hR_x / R_x pair at
+     *  writes). */
+    bool check_and_get_entry(AdaptiveClockTable& tbl, size_t check_slot,
+                             size_t join_slot, ThreadId t, size_t index,
+                             const char* reason);
 
     /** checkAndGet against the clock of thread `src` (pure iff src_pure). */
     bool check_and_get_clock(ConstClockRef clk, ThreadId src, bool src_pure,
@@ -166,9 +189,12 @@ private:
     /** Flush staleReaders_x into R_x / hR_x (before a write's checks). */
     void flush_stale_readers(VarId x);
 
-    /** Enroll x in the read/write update set of every thread with an
-     *  active transaction ordered before C_t. */
-    void enroll_update_sets(ThreadId t, VarId x, bool is_write);
+    /** Call f(i) for every entry of t's sealed window, or for every
+     *  variable-table entry when the window is untracked. */
+    template <typename F> void for_each_window_entry(ThreadId t, F f);
+
+    /** Variable x's W_x entry; R_x and hR_x follow it. */
+    static size_t w_entry(VarId x) { return 3 * size_t{x}; }
 
     void ensure_thread(ThreadId t);
     void ensure_var(VarId x);
@@ -182,11 +208,11 @@ private:
     ClockBank c_;  // one row per thread
     ClockBank cb_; // one row per thread
 
-    /** L_l, W_x, R_x, hR_x — one adaptive table; var x occupies entries
-     *  var_base_[x] + {0: W, 1: R, 2: hR}. */
+    /** W_x, R_x, hR_x at entries w_entry(x) + {0, 1, 2}; update windows
+     *  open at outermost begins. */
     AdaptiveClockTable tbl_;
-    std::vector<uint32_t> lock_slot_; // LockId -> entry
-    std::vector<uint32_t> var_base_;  // VarId -> W entry
+    /** L_l at entry l; no windows (ends sweep it in full). */
+    AdaptiveClockTable locks_;
 
     /** c_pure_[t] != 0 iff C_t == bot[v/t]; sound but conservative. */
     std::vector<uint8_t> c_pure_;
@@ -201,31 +227,6 @@ private:
     std::vector<uint8_t> stale_write_;
     /** staleReaders_x: threads whose last read of x is not yet in R_x. */
     std::vector<std::vector<ThreadId>> stale_readers_;
-
-    /** UpdateSet^r_t / UpdateSet^w_t as a list plus membership bytes. */
-    struct UpdateSet {
-        std::vector<VarId> list;
-        std::vector<uint8_t> member; // indexed by VarId
-        void
-        insert(VarId x)
-        {
-            if (x >= member.size())
-                member.resize(x + 1, 0);
-            if (!member[x]) {
-                member[x] = 1;
-                list.push_back(x);
-            }
-        }
-        void
-        clear()
-        {
-            for (VarId x : list)
-                member[x] = 0;
-            list.clear();
-        }
-    };
-    std::vector<UpdateSet> upd_r_;
-    std::vector<UpdateSet> upd_w_;
 
     /** Fork bookkeeping for hasIncomingEdge's "parentTr is alive". */
     std::vector<ThreadId> parent_thread_;

@@ -119,6 +119,10 @@ public:
         return static_cast<uint32_t>(entries_.size() - 1);
     }
 
+    /** Append n bottom entries with consecutive indices (one resize for
+     *  a whole id range). */
+    void add_entries(size_t n) { entries_.resize(entries_.size() + n, 0); }
+
     /** Like add_entry, but prefers indices returned by gc_recycle_index
      *  (the retired per-thread reader entries of the basic engine), so a
      *  churning thread population reuses entry words instead of growing
@@ -211,6 +215,16 @@ public:
             w.member[i] = 0;
         w.list.clear();
         w.tracked = 0;
+    }
+
+    /** Enroll entry i into t's open window without touching the entry:
+     *  for a deferred (lazy) update of i that some later flush applies.
+     *  No-op when t has no open window. */
+    void
+    enroll_pending(size_t i, ThreadId t)
+    {
+        if (t < upd_gate_.size() && upd_gate_[t] != 0)
+            enroll_into(t, static_cast<uint32_t>(i));
     }
 
     /** True iff t's end sweep may visit only update_entries(t); false

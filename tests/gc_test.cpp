@@ -337,20 +337,6 @@ expect_same_outcome(const char* tag, const RunResult& off,
     }
 }
 
-// Only basic/readopt expose the update-set toggle.
-template <typename Engine>
-auto
-set_update_sets_if_supported(Engine& e, bool on, int)
-    -> decltype(e.set_update_sets(on))
-{
-    e.set_update_sets(on);
-}
-template <typename Engine>
-void
-set_update_sets_if_supported(Engine&, bool, long)
-{
-}
-
 template <typename Engine>
 RunResult
 run_aero(const Trace& tr, bool gc, bool epochs, bool upd_sets)
@@ -360,7 +346,7 @@ run_aero(const Trace& tr, bool gc, bool epochs, bool upd_sets)
     e.set_gc(gc);
     if (gc)
         e.set_gc_sweep_every(1); // most hostile sweep schedule
-    set_update_sets_if_supported(e, upd_sets, 0);
+    e.set_update_sets(upd_sets);
     return run_checker(e, tr);
 }
 
@@ -379,11 +365,11 @@ TEST_P(GcParityFuzz, ReclamationIsInvisible)
                 "readopt",
                 run_aero<AeroDromeReadOpt>(tr, false, epochs, upd),
                 run_aero<AeroDromeReadOpt>(tr, true, epochs, upd));
+            expect_same_outcome(
+                "opt",
+                run_aero<AeroDromeOpt>(tr, false, epochs, upd),
+                run_aero<AeroDromeOpt>(tr, true, epochs, upd));
         }
-        // opt keeps its own update-set vectors: no toggle.
-        expect_same_outcome("opt",
-                            run_aero<AeroDromeOpt>(tr, false, epochs, true),
-                            run_aero<AeroDromeOpt>(tr, true, epochs, true));
     }
 
     // The graph engines map set_gc onto their node GC; the reclamation

@@ -13,6 +13,10 @@
  *     state) are bit-for-bit identical with update sets on and off, over
  *     the random-program corpus. The sets only *skip* entries whose gate
  *     provably cannot fire.
+ *  3. Lazy enrollment — the optimized engine's stale reads and writes
+ *     enter only the accessing thread's window (enroll_pending); directed
+ *     traces pin the cases where another thread's ordering must still
+ *     reach the deferred entry, against the oracle and Algorithm 1.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +26,9 @@
 #include "aerodrome/aerodrome_readopt.hpp"
 #include "analysis/runner.hpp"
 #include "gen/random_program.hpp"
+#include "oracle/serializability_oracle.hpp"
 #include "sim/scheduler.hpp"
+#include "trace/builder.hpp"
 #include "trace/trace.hpp"
 
 namespace aero {
@@ -89,6 +95,11 @@ TEST(UpdateSetComplexity, ReadOptColdEndSweepsSetNotTable)
     expect_cold_end_sweep_is_small<AeroDromeReadOpt>(true, 10000);
 }
 
+TEST(UpdateSetComplexity, OptColdEndSweepsSetNotTable)
+{
+    expect_cold_end_sweep_is_small<AeroDromeOpt>(true, 10000);
+}
+
 TEST(UpdateSetComplexity, BasicFullSweepWithoutSets)
 {
     expect_cold_end_sweep_is_small<AeroDromeBasic>(false, 10000);
@@ -97,6 +108,11 @@ TEST(UpdateSetComplexity, BasicFullSweepWithoutSets)
 TEST(UpdateSetComplexity, ReadOptFullSweepWithoutSets)
 {
     expect_cold_end_sweep_is_small<AeroDromeReadOpt>(false, 10000);
+}
+
+TEST(UpdateSetComplexity, OptFullSweepWithoutSets)
+{
+    expect_cold_end_sweep_is_small<AeroDromeOpt>(false, 10000);
 }
 
 /** A warm end — the transaction that touched every variable — must still
@@ -174,12 +190,14 @@ TEST(UpdateSetParity, FuzzOnOffAllEngines)
         // perturb that cross-engine agreement either.
         expect_same_verdict(basic_on, ro_on, "basic vs readopt");
 
-        // opt carries Algorithm 3's structural update sets (no toggle);
-        // its verdict presence must keep matching (Theorem 3 — the fuzz
-        // corpus closes every transaction it opens).
-        AeroDromeOpt opt(t.num_threads(), t.num_vars(), t.num_locks());
-        RunResult opt_r = run_checker(opt, t);
-        EXPECT_EQ(basic_on.violation, opt_r.violation) << "seed " << seed;
+        RunResult opt_on = run_with_sets<AeroDromeOpt>(t, true);
+        RunResult opt_off = run_with_sets<AeroDromeOpt>(t, false);
+        expect_same_verdict(opt_on, opt_off, "opt on/off");
+
+        // opt may fire earlier than Algorithm 1 (lazy writes check
+        // against the live clock), but its verdict presence must match
+        // (Theorem 3 — the fuzz corpus closes every transaction it opens).
+        EXPECT_EQ(basic_on.violation, opt_on.violation) << "seed " << seed;
     }
 }
 
@@ -205,6 +223,143 @@ TEST(UpdateSetParity, FuzzFinalWriteClocksMatch)
             EXPECT_EQ(on.clock_of(u), off.clock_of(u))
                 << "seed " << seed << " thread " << u;
     }
+}
+
+// --- Lazy enrollment (optimized engine) ------------------------------------
+
+/** The directed trace's verdict must match the oracle and Algorithm 1,
+ *  and the optimized engine must be bit-identical with update sets on
+ *  and off. */
+void
+expect_lazy_case_agrees(const Trace& t, bool violating)
+{
+    ASSERT_EQ(!check_serializability(t).serializable, violating);
+    RunResult basic_on = run_with_sets<AeroDromeBasic>(t, true);
+    RunResult basic_off = run_with_sets<AeroDromeBasic>(t, false);
+    RunResult opt_on = run_with_sets<AeroDromeOpt>(t, true);
+    RunResult opt_off = run_with_sets<AeroDromeOpt>(t, false);
+    EXPECT_EQ(basic_on.violation, violating);
+    expect_same_verdict(basic_on, basic_off, "basic on/off");
+    EXPECT_EQ(opt_on.violation, violating);
+    expect_same_verdict(opt_on, opt_off, "opt on/off");
+}
+
+/** (a) u's transaction is ordered before t's lazy read of y, and u is
+ *  ordered after w only after that read; u ends first, then w writes y.
+ *  The ordering w -> u reaches R_y only through C_t: u's end joins C_u
+ *  into C_t, and w's write flushes t's stale read. */
+Trace
+lazy_read_after_ended_peer(bool close_cycle)
+{
+    TraceBuilder b;
+    b.begin("w");
+    if (close_cycle)
+        b.write("w", "z");
+    b.begin("u").write("u", "v");
+    b.begin("t").read("t", "v"); // t ordered after u
+    b.read("t", "y");            // lazy: only t's window holds R_y
+    b.read("u", "z");            // u ordered after w (if w wrote z)
+    b.end("u");
+    b.write("w", "y"); // flushes t's stale read
+    b.end("t").end("w");
+    return b.take();
+}
+
+TEST(LazyEnrollment, ReadOrderedAfterEndedPeer)
+{
+    expect_lazy_case_agrees(lazy_read_after_ended_peer(true), true);
+    expect_lazy_case_agrees(lazy_read_after_ended_peer(false), false);
+}
+
+/** (b) As (a), but t's lazy write of y is superseded by s's stale write
+ *  (s ordered after t) before u ends, t ends with its write superseded,
+ *  and w then reads y against s's live clock or, once s has ended, W_y. */
+Trace
+lazy_write_superseded(bool close_cycle, bool s_ends_first)
+{
+    TraceBuilder b;
+    b.begin("w");
+    if (close_cycle)
+        b.write("w", "z");
+    b.begin("u").write("u", "v");
+    b.begin("t").read("t", "v"); // t ordered after u
+    b.write("t", "y");           // t becomes the stale writer of y
+    b.begin("s").write("s", "y"); // s ordered after t, supersedes it
+    b.read("u", "z");             // u ordered after w (if w wrote z)
+    b.end("u").end("t");
+    if (s_ends_first)
+        b.end("s");
+    b.read("w", "y");
+    if (!s_ends_first)
+        b.end("s");
+    b.end("w");
+    return b.take();
+}
+
+TEST(LazyEnrollment, WriteSupersededByStaleWrite)
+{
+    for (bool s_first : {false, true}) {
+        SCOPED_TRACE(s_first ? "s ends before w reads" : "s still open");
+        expect_lazy_case_agrees(lazy_write_superseded(true, s_first), true);
+        expect_lazy_case_agrees(lazy_write_superseded(false, s_first),
+                                false);
+    }
+}
+
+/** (c) The naive pattern: whole-thread transactions that read, then
+ *  write, the same few variables over and over. Each window must stay
+ *  bounded by the entries those variables own, and the engine's state
+ *  must not grow with the number of cycles. */
+TEST(LazyEnrollment, ReadWriteCyclesStayBoundedPerVariable)
+{
+    const uint32_t kVars = 4;
+    const uint32_t kCycles = 500;
+    TraceBuilder b;
+    b.begin("t0").begin("t1");
+    for (uint32_t c = 0; c < kCycles; ++c) {
+        const std::string x = "x" + std::to_string(c % kVars);
+        const std::string y = "y" + std::to_string(c % kVars);
+        b.read("t0", x).write("t0", x);
+        b.read("t1", y).write("t1", y);
+    }
+    Trace open = b.trace();
+    b.end("t0").end("t1");
+    Trace t = b.take();
+    expect_lazy_case_agrees(t, false);
+
+    // Both transactions still open: each window holds at most the three
+    // entries of each of its thread's kVars variables.
+    AeroDromeOpt opt(open.num_threads(), open.num_vars(), open.num_locks());
+    size_t half_bytes = 0;
+    for (size_t i = 0; i < open.size(); ++i) {
+        ASSERT_FALSE(opt.process(open[i], i));
+        if (i == open.size() / 2)
+            half_bytes = opt.memory_bytes();
+    }
+    EXPECT_EQ(opt.memory_bytes(), half_bytes);
+    EXPECT_GT(opt.opt_stats().lazy_reads, uint64_t{kCycles});
+    EXPECT_LE(opt.epoch_stats().upd_enrolled, uint64_t{2 * 3 * kVars});
+}
+
+/** (d) A garbage-collected end (no incoming edge) holding its own stale
+ *  read of x and stale write of y must drop both: otherwise u's later
+ *  write of x / read of y would check against t's *next* transaction,
+ *  which is ordered after u, and report a false violation. */
+TEST(LazyEnrollment, GcSkippedEndDropsOwnLazyState)
+{
+    TraceBuilder b;
+    b.begin("t").read("t", "x").write("t", "y").end("t");
+    b.begin("u").write("u", "q");
+    b.begin("t").read("t", "q"); // t's second transaction follows u
+    b.write("u", "x");
+    b.read("u", "y");
+    b.end("u").end("t");
+    Trace t = b.take();
+    expect_lazy_case_agrees(t, false);
+
+    AeroDromeOpt opt(t.num_threads(), t.num_vars(), t.num_locks());
+    EXPECT_FALSE(run_checker(opt, t).violation);
+    EXPECT_GE(opt.opt_stats().gc_skipped_ends, 1u);
 }
 
 } // namespace
