@@ -17,7 +17,7 @@
  * than mis-parsed as text.
  *
  *   --engine: aerodrome (default) | aerodrome-readopt | aerodrome-basic |
- *             velodrome | velodrome-pk
+ *             velodrome
  *   --budget: wall-clock limit in seconds (finite, >= 0; 0 = unlimited)
  *   --resync: skip corrupt records and keep checking (the verdict
  *             degrades to "no violation found", exit 5, when records
@@ -59,7 +59,6 @@
 #include "trace/text_io.hpp"
 #include "trace/validator.hpp"
 #include "velodrome/velodrome.hpp"
-#include "velodrome/velodrome_pk.hpp"
 
 namespace {
 
@@ -113,7 +112,7 @@ usage(const char* argv0)
                  "usage: %s <trace[.bin]> [--engine NAME] [--budget S] "
                  "[--resync] [--validate] [--stats] [--witness]\n"
                  "engines: aerodrome aerodrome-readopt aerodrome-basic "
-                 "velodrome velodrome-pk\n",
+                 "velodrome\n",
                  argv0);
     return 2;
 }
@@ -131,8 +130,6 @@ make_engine(const std::string& name)
         return std::make_unique<AeroDromeBasic>(0, 0, 0);
     if (name == "velodrome")
         return std::make_unique<Velodrome>(0, 0, 0);
-    if (name == "velodrome-pk")
-        return std::make_unique<VelodromePK>(0, 0, 0);
     return nullptr;
 }
 

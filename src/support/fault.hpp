@@ -97,6 +97,8 @@ public:
 
     /** Times the armed fault actually fired (test assertions). */
     uint64_t fires() const { return fires_.load(std::memory_order_relaxed); }
+    /** Hits counted at the armed site since arm() (test assertions). */
+    uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
     const FaultPlan& plan() const { return plan_; }
 
     // --- site hooks -------------------------------------------------------

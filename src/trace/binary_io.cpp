@@ -5,9 +5,10 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <vector>
 
 #include "support/assert.hpp"
-#include "trace/stream.hpp"
+#include "trace/mapped_reader.hpp"
 
 namespace aero {
 
@@ -67,36 +68,48 @@ write_binary_file(const std::string& path, const Trace& trace)
         fatal("error while writing: " + path);
 }
 
-Trace
-read_binary(std::istream& is)
-{
-    // Decode through the hardened streaming reader: header plausibility
-    // caps, id bounds against the header-declared spaces, and structured
-    // StreamCorruption (an aero::FatalError) on any malformation.
-    BinaryEventSource source(is);
+namespace {
 
+/** Drain a block reader into a Trace. Decoding goes through the hardened
+ *  reader: header plausibility caps, id bounds against the
+ *  header-declared spaces, and structured StreamCorruption (an
+ *  aero::FatalError) on any malformation. */
+Trace
+drain(MappedBinaryEventSource& source)
+{
     Trace trace;
     // The header count is untrusted input — reserve at most a modest
     // slab and let push() grow for genuinely huge traces.
     trace.reserve(static_cast<size_t>(
         std::min<uint64_t>(source.expected_events(), 1ull << 22)));
-    trace.threads().ensure(source.num_threads());
-    trace.vars().ensure(source.num_vars());
-    trace.locks().ensure(source.num_locks());
+    uint32_t threads = 0, vars = 0, locks = 0;
+    source.dimensions(threads, vars, locks);
+    trace.threads().ensure(threads);
+    trace.vars().ensure(vars);
+    trace.locks().ensure(locks);
 
-    Event e;
-    while (source.next(e))
-        trace.push(e);
+    std::vector<Event> block(kDefaultIngestBlock);
+    while (size_t n = source.next_n(block.data(), block.size())) {
+        for (size_t i = 0; i < n; ++i)
+            trace.push(block[i]);
+    }
     return trace;
+}
+
+} // namespace
+
+Trace
+read_binary(std::istream& is)
+{
+    MappedBinaryEventSource source(is);
+    return drain(source);
 }
 
 Trace
 read_binary_file(const std::string& path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        fatal("cannot open file for reading: " + path);
-    return read_binary(is);
+    MappedBinaryEventSource source(path);
+    return drain(source);
 }
 
 } // namespace aero

@@ -28,10 +28,13 @@ void write_binary(std::ostream& os, const Trace& trace);
 /** Serialize to a file; throws FatalError on I/O failure. */
 void write_binary_file(const std::string& path, const Trace& trace);
 
-/** Deserialize a trace; throws FatalError on corrupt input. */
+/** Deserialize a trace through the block reader
+ *  (MappedBinaryEventSource's buffered window); throws FatalError on
+ *  corrupt input. */
 Trace read_binary(std::istream& is);
 
-/** Deserialize from a file; throws FatalError on I/O or format errors. */
+/** Deserialize from a file, mmap'd when it is a regular file; throws
+ *  FatalError on I/O or format errors. */
 Trace read_binary_file(const std::string& path);
 
 } // namespace aero

@@ -212,6 +212,11 @@ private:
  * underlying stream (pipes included). Event ids are validated against
  * the header-declared id spaces — a tid or target at or beyond them is
  * corruption, never an instruction to allocate.
+ *
+ * Production reads (open_event_source, read_binary) go through the block
+ * reader, MappedBinaryEventSource. This per-event reader is the parity
+ * reference that reader is tested against, and the delegate it hands
+ * input to when a per-byte fault plan is armed.
  */
 class BinaryEventSource : public EventSource {
 public:

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
@@ -164,13 +166,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialSeedSweep,
  *    only ever *adds* orderings the end event would have propagated),
  *    and the final verdicts of all three must coincide.
  */
-class EngineLockstep : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(EngineLockstep, ThreeEnginesAgreeEventForEvent)
+void
+expect_lockstep(const Trace& trace)
 {
-    DiffParams p{GetParam(), 4, 5, 2, 0.8, sim::Policy::kRandom};
-    Trace trace = generate(p);
-
     AeroDromeBasic basic(trace.num_threads(), trace.num_vars(),
                          trace.num_locks());
     AeroDromeReadOpt readopt(trace.num_threads(), trace.num_vars(),
@@ -200,8 +198,46 @@ TEST_P(EngineLockstep, ThreeEnginesAgreeEventForEvent)
     }
 }
 
+class EngineLockstep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EngineLockstep, ThreeEnginesAgreeEventForEvent)
+{
+    DiffParams p{GetParam(), 4, 5, 2, 0.8, sim::Policy::kRandom};
+    expect_lockstep(generate(p));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineLockstep,
                          ::testing::Range<uint64_t>(1, 200));
+
+/**
+ * The same lockstep over generator shapes that each stress one rung of
+ * the optimization ladder (Section 4.3): repeated reads of one variable
+ * (read clocks), disjoint transactions (the GC fast path), end-heavy
+ * pipelines and Table 1's star (update sets), and whole-thread
+ * transactions with no shared access (lazy updates at scale).
+ */
+TEST(EngineLockstepShapes, ThreeEnginesAgreeOnAblationWorkloads)
+{
+    gen::StarOptions star;
+    star.producers = 3;
+    star.consumers = 3;
+    star.rounds = 250;
+    gen::NaiveSpecOptions naive;
+    naive.threads = 8;
+    naive.events_per_thread = 4000;
+    naive.conflict_position = 2.0; // past the end: no shared access
+    const std::pair<const char*, Trace> shapes[] = {
+        {"reader-mesh 8x3000", gen::make_reader_mesh(8, 3000)},
+        {"independent 8x800x8", gen::make_independent(8, 800, 8)},
+        {"pipeline 6x300", gen::make_pipeline(6, 300)},
+        {"star p3/c3 r250", gen::make_star(star)},
+        {"naive 8x4000 no-conflict", gen::make_naive_spec(naive)},
+    };
+    for (const auto& [name, trace] : shapes) {
+        SCOPED_TRACE(name);
+        expect_lockstep(trace);
+    }
+}
 
 /**
  * Epoch-representation parity: every engine with the epoch-adaptive

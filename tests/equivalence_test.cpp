@@ -12,10 +12,6 @@
  * 2. Serial traces are serializable: any trace in which each
  *    transaction's events are contiguous (no interleaving inside
  *    transactions) is trivially conflict serializable.
- *
- * 3. Velodrome and Velodrome-PK are the same decision procedure with
- *    different cycle-check engines: on every fuzz trace they must agree
- *    on the verdict *and* on the exact event at which the cycle closes.
  */
 
 #include <gtest/gtest.h>
@@ -26,8 +22,6 @@
 #include "oracle/serializability_oracle.hpp"
 #include "sim/scheduler.hpp"
 #include "support/rng.hpp"
-#include "velodrome/velodrome.hpp"
-#include "velodrome/velodrome_pk.hpp"
 
 namespace aero {
 namespace {
@@ -192,29 +186,6 @@ TEST_P(PrefixSweep, ViolationsAreMonotoneInPrefixes)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrefixSweep,
                          ::testing::Range<uint64_t>(3300, 3330));
-
-// --- Velodrome vs Velodrome-PK ------------------------------------------------
-
-class VelodromeEngines : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(VelodromeEngines, SameVerdictSamePoint)
-{
-    Trace trace = fuzz_trace(GetParam() + 7777);
-    Velodrome plain(trace.num_threads(), trace.num_vars(),
-                    trace.num_locks());
-    VelodromePK pk(trace.num_threads(), trace.num_vars(),
-                   trace.num_locks());
-    RunResult rp = run_checker(plain, trace);
-    RunResult rk = run_checker(pk, trace);
-    EXPECT_EQ(rp.violation, rk.violation);
-    if (rp.violation && rk.violation) {
-        // Both declare at the event whose edge closes the first cycle.
-        EXPECT_EQ(rp.details->event_index, rk.details->event_index);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, VelodromeEngines,
-                         ::testing::Range<uint64_t>(3200, 3260));
 
 } // namespace
 } // namespace aero

@@ -2,7 +2,8 @@
  * @file
  * Fault-injection harness suite (src/support/fault.hpp).
  *
- * Covers the plan grammar, the deterministic corruption helper, the
+ * Covers the plan grammar, the deterministic corruption helper, what the
+ * trace-byte hooks count on the shipped binary reader, the
  * always-compiled alloc-cap site, and the panic-context plumbing. The
  * per-byte trace-reader sites are compile-gated (-DAERO_FAULTS=ON);
  * their tests skip when the hooks are not present
@@ -14,8 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include "aerodrome/aerodrome_opt.hpp"
 #include "analysis/runner.hpp"
@@ -23,6 +29,7 @@
 #include "support/assert.hpp"
 #include "support/fault.hpp"
 #include "trace/binary_io.hpp"
+#include "trace/mapped_reader.hpp"
 #include "trace/stream.hpp"
 #include "trace/text_io.hpp"
 
@@ -185,6 +192,101 @@ TEST_F(Fault, InjectedTextGarbageStopsStrictAndResyncsWhenAsked)
         ASSERT_EQ(src.recovered_errors().size(), 1u);
         EXPECT_EQ(src.recovered_errors()[0].byte_offset, 11u);
     }
+}
+
+// --- Hook cost as a count ---------------------------------------------------
+
+/** Every event of `src`, pulled in blocks with next_n. */
+std::vector<Event>
+drain(EventSource& src)
+{
+    std::vector<Event> events;
+    std::vector<Event> block(kDefaultIngestBlock);
+    while (size_t n = src.next_n(block.data(), block.size()))
+        events.insert(events.end(), block.begin(),
+                      block.begin() + static_cast<long>(n));
+    return events;
+}
+
+/** What one pass of the shipped binary reader over a file observed. */
+struct MappedPass {
+    std::string kind;
+    std::vector<Event> events;
+    RunResult result;
+};
+
+/** Drain `path` through MappedBinaryEventSource, then check it end to
+ *  end (a second open) with the default engine. */
+MappedPass
+stream_mapped(const std::string& path)
+{
+    MappedPass pass;
+    {
+        MappedBinaryEventSource src(path);
+        pass.kind = src.source_kind();
+        pass.events = drain(src);
+    }
+    MappedBinaryEventSource src(path);
+    AeroDromeOpt engine(0, 0, 0);
+    pass.result = run_checker_stream(engine, src);
+    return pass;
+}
+
+// What the per-byte hooks cost, as counts. Disarmed, the shipped reader
+// keeps its block path and the injector counts nothing. Armed but idle
+// (a trigger that never comes), the run is unchanged; with the hooks
+// compiled in, each post-header byte is exactly one counted hit, and
+// without them nothing on the path consults the injector. A plan
+// disarmed after the reader chose its per-byte delegate leaves the hooks
+// in the byte loop, where each must be one load that counts nothing.
+TEST_F(Fault, IdleTraceByteHooksCountBytesNotTime)
+{
+    Trace t = gen::make_pipeline(8, 500);
+    std::ostringstream blob;
+    write_binary(blob, t);
+    const std::string image = blob.str();
+    const std::string path = ::testing::TempDir() + "aero_fault_idle_" +
+                             std::to_string(::getpid()) + ".bin";
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f.write(image.data(), static_cast<std::streamsize>(image.size()));
+    }
+    constexpr uint64_t kHeaderBytes = 28;
+
+    FaultInjector& inj = FaultInjector::instance();
+    inj.arm(FaultPlan{}); // a kNone plan zeroes the counters, arms nothing
+    ASSERT_FALSE(inj.armed());
+    const MappedPass disarmed = stream_mapped(path);
+    EXPECT_EQ(inj.hits(), 0u);
+    EXPECT_TRUE(disarmed.kind == "binary-mmap" ||
+                disarmed.kind == "binary-buffered")
+        << disarmed.kind;
+    ASSERT_EQ(disarmed.events, t.events());
+    EXPECT_EQ(disarmed.result.status(), RunStatus::kOk);
+
+    FaultPlan idle;
+    idle.site = FaultSite::kTraceByte;
+    idle.kind = FaultKind::kBitFlip;
+    idle.trigger = UINT64_MAX;
+    inj.arm(idle);
+    const MappedPass armed = stream_mapped(path);
+    EXPECT_EQ(inj.fires(), 0u);
+    EXPECT_EQ(armed.events, disarmed.events);
+    EXPECT_EQ(armed.result.status(), disarmed.result.status());
+    EXPECT_EQ(armed.result.events_processed,
+              disarmed.result.events_processed);
+    // Two opens (drain, then check) each read every post-header byte.
+    const uint64_t bytes = image.size() - kHeaderBytes;
+    EXPECT_EQ(inj.hits(), fault_points_compiled() ? 2 * bytes : 0u);
+
+    inj.arm(idle);
+    {
+        MappedBinaryEventSource src(path);
+        inj.disarm();
+        EXPECT_EQ(drain(src), disarmed.events);
+    }
+    EXPECT_EQ(inj.hits(), 0u);
+    std::remove(path.c_str());
 }
 
 // --- Alloc faults -----------------------------------------------------------

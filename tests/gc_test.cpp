@@ -34,7 +34,6 @@
 #include "vc/adaptive_clock.hpp"
 #include "vc/gc.hpp"
 #include "velodrome/velodrome.hpp"
-#include "velodrome/velodrome_pk.hpp"
 
 namespace aero {
 namespace {
@@ -383,15 +382,8 @@ TEST_P(GcParityFuzz, ReclamationIsInvisible)
         return std::make_unique<Velodrome>(tr.num_threads(), tr.num_vars(),
                                            tr.num_locks());
     };
-    auto mk_pk = [&] {
-        return std::make_unique<VelodromePK>(tr.num_threads(),
-                                             tr.num_vars(),
-                                             tr.num_locks());
-    };
     expect_same_outcome("velodrome", run_graph(mk_velo, false),
                         run_graph(mk_velo, true));
-    expect_same_outcome("velodrome-pk", run_graph(mk_pk, false),
-                        run_graph(mk_pk, true));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GcParityFuzz,

@@ -4,7 +4,7 @@
  *
  * Locks the exact verdict (serializable / violation, violating index and
  * thread) of every engine — the three AeroDrome variants with the
- * epoch-adaptive storage on and off, plus the two Velodrome baselines —
+ * epoch-adaptive storage on and off, plus the Velodrome baseline —
  * over a deterministic corpus: the fuzz-program seeds the differential
  * suites use, directed cycles, and the open-transaction carrier chains
  * (gen/adversarial.hpp). Any future engine
@@ -38,7 +38,6 @@
 #include "sim/scheduler.hpp"
 #include "trace/builder.hpp"
 #include "velodrome/velodrome.hpp"
-#include "velodrome/velodrome_pk.hpp"
 
 #ifndef AERO_SOURCE_DIR
 #define AERO_SOURCE_DIR "."
@@ -266,11 +265,6 @@ generate_golden(bool gc)
             velo.set_gc(gc);
             append_line(golden, w.name, "velodrome", 0,
                         run_checker(velo, w.trace));
-            VelodromePK pk(w.trace.num_threads(), w.trace.num_vars(),
-                           w.trace.num_locks());
-            pk.set_gc(gc);
-            append_line(golden, w.name, "velodrome-pk", 0,
-                        run_checker(pk, w.trace));
         }
     }
     return golden;

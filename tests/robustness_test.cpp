@@ -28,7 +28,6 @@
 #include "trace/text_io.hpp"
 #include "trace/validator.hpp"
 #include "velodrome/velodrome.hpp"
-#include "velodrome/velodrome_pk.hpp"
 
 namespace aero {
 namespace {
@@ -45,7 +44,6 @@ exercise_all(const Trace& t)
                              t.num_locks()));
     run_one(AeroDromeOpt(t.num_threads(), t.num_vars(), t.num_locks()));
     run_one(Velodrome(t.num_threads(), t.num_vars(), t.num_locks()));
-    run_one(VelodromePK(t.num_threads(), t.num_vars(), t.num_locks()));
     check_serializability(t);
 }
 
