@@ -315,7 +315,7 @@ append_results(std::string& out, const char* kernel,
 int
 run_kernel_comparison(const std::string& json_path)
 {
-    const size_t dims[] = {4, 16, 32, 64, 256};
+    const size_t dims[] = {4, 8, 16, 32, 64, 256};
 
     std::vector<KernelResult> join, leq, join_except;
     for (size_t dim : dims) {

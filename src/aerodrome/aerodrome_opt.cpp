@@ -1,6 +1,6 @@
 #include "aerodrome/aerodrome_opt.hpp"
 
-#include <algorithm>
+#include <cassert>
 
 namespace aero {
 
@@ -155,13 +155,12 @@ void
 AeroDromeOpt::flush_stale_readers(VarId x)
 {
     const size_t base = w_entry(x);
-    for (ThreadId u : stale_readers_[x]) {
+    stale_readers_.drain(x, [&](ThreadId u) {
         stats_.joins += 2;
         const bool pure = pure_of(u);
         tbl_.join(base + 1, c_[u], u, pure);        // R_x
         tbl_.join_except(base + 2, c_[u], u, pure); // hR_x
-    }
-    stale_readers_[x].clear();
+    });
 }
 
 template <typename F>
@@ -199,10 +198,7 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
                     last_w_thr_[x] = kNoThread;
                 }
             } else if (i % 3 == 1) {
-                auto& sr = stale_readers_[x];
-                auto it = std::find(sr.begin(), sr.end(), t);
-                if (it != sr.end())
-                    sr.erase(it);
+                stale_readers_.erase(x, t);
             }
         });
         tbl_.close_update_window(t);
@@ -269,12 +265,9 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
             }
             break;
           case 1: { // R_x, driving its hR_x partner
-            auto& sr = stale_readers_[x];
-            auto it = std::find(sr.begin(), sr.end(), t);
             bool fire;
-            if (it != sr.end()) {
-                sr.erase(it); // our own stale read lands now
-                fire = true;
+            if (stale_readers_.erase(x, t)) {
+                fire = true; // our own stale read lands now
             } else {
                 ++stats_.comparisons;
                 fire = cbt_t <= tbl_.get(i, t);
@@ -386,11 +379,8 @@ AeroDromeOpt::process(const Event& e, size_t index)
         if (txns_.active(t)) {
             // Lazy: defer the R_x/hR_x update to the next write of x or to
             // our transaction end, which finds R_x in our window.
-            auto& sr = stale_readers_[x];
-            if (std::find(sr.begin(), sr.end(), t) == sr.end()) {
-                sr.push_back(t);
+            if (stale_readers_.insert(x, t))
                 tbl_.enroll_pending(base + 1, t);
-            }
             ++opt_stats_.lazy_reads;
         } else {
             // Unary read: its transaction completes now; flush eagerly so
@@ -461,18 +451,10 @@ AeroDromeOpt::retire_slot(uint32_t s)
             }
             last_w_thr_[x] = kNoThread;
         }
-        auto& sr = stale_readers_[x];
-        for (size_t k = 0; k < sr.size(); ++k) {
-            if (sr[k] == s) {
-                stats_.joins += 2;
-                const size_t base = w_entry(x);
-                const bool pure = pure_of(s);
-                tbl_.join(base + 1, c_[s], s, pure);
-                tbl_.join_except(base + 2, c_[s], s, pure);
-                sr.erase(sr.begin() + static_cast<ptrdiff_t>(k));
-                break;
-            }
-        }
+        // No stale read names s: s is not active, so its last end was
+        // outermost and unlinked its own (window walk or full sweep; a
+        // violation there ends the run).
+        assert(!stale_readers_.contains(x, s));
     }
     for (ThreadId& r : last_rel_thr_) {
         if (r == s)
@@ -572,9 +554,7 @@ AeroDromeOpt::memory_bytes() const
           parent_thread_.capacity()) *
          sizeof(ThreadId);
     n += parent_txn_seq_.capacity() * sizeof(uint64_t);
-    n += stale_readers_.capacity() * sizeof(stale_readers_[0]);
-    for (const auto& sr : stale_readers_)
-        n += sr.capacity() * sizeof(ThreadId);
+    n += stale_readers_.memory_bytes();
     n += slots_.memory_bytes() + gcf_.memory_bytes() + txns_.memory_bytes();
     return n;
 }

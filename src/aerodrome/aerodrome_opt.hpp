@@ -48,7 +48,9 @@
  * window-less table that propagated ends sweep in full. Both give O(1)
  * conflict checks and updates while the touched state stays
  * epoch-shaped, inflating into their arena on first contention. Purity
- * bits on C_t drive the fast paths.
+ * bits on C_t drive the fast paths. The staleReaders_x sets are chains in
+ * one pooled node array (StaleReaderPool), so a variable without stale
+ * readers costs a 4-byte head and no allocation of its own.
  */
 
 #include <cstdint>
@@ -225,8 +227,113 @@ private:
      *  the live clock of last_w_thr_[x] (within that thread's still-active
      *  transaction). */
     std::vector<uint8_t> stale_write_;
-    /** staleReaders_x: threads whose last read of x is not yet in R_x. */
-    std::vector<std::vector<ThreadId>> stale_readers_;
+    /**
+     * staleReaders_x for every variable x: one 4-byte chain head per
+     * variable into a shared pool of {thread, next} nodes with a free list.
+     * A variable with no stale reader costs only its head, and the pool
+     * holds as many nodes as stale reads are outstanding at once, not one
+     * allocation per variable. Chains keep insertion order, so a flush
+     * joins the readers in the order they read.
+     */
+    class StaleReaderPool {
+    public:
+        static constexpr uint32_t kNoNode = UINT32_MAX;
+
+        /** Give variables [0, n) a head (new ones empty). */
+        void resize(size_t n) { head_.resize(n, kNoNode); }
+
+        /** Add t to x's set; false if it is already there. */
+        bool
+        insert(VarId x, ThreadId t)
+        {
+            uint32_t tail = kNoNode;
+            for (uint32_t n = head_[x]; n != kNoNode; n = pool_[n].next) {
+                if (pool_[n].t == t)
+                    return false;
+                tail = n;
+            }
+            uint32_t fresh = free_;
+            if (fresh != kNoNode) {
+                free_ = pool_[fresh].next;
+                pool_[fresh] = {t, kNoNode};
+            } else {
+                fresh = static_cast<uint32_t>(pool_.size());
+                pool_.push_back({t, kNoNode});
+            }
+            (tail == kNoNode ? head_[x] : pool_[tail].next) = fresh;
+            return true;
+        }
+
+        bool
+        contains(VarId x, ThreadId t) const
+        {
+            for (uint32_t n = head_[x]; n != kNoNode; n = pool_[n].next) {
+                if (pool_[n].t == t)
+                    return true;
+            }
+            return false;
+        }
+
+        /** Remove t from x's set; false if it was not there. */
+        bool
+        erase(VarId x, ThreadId t)
+        {
+            for (uint32_t* link = &head_[x]; *link != kNoNode;
+                 link = &pool_[*link].next) {
+                Node& n = pool_[*link];
+                if (n.t == t) {
+                    const uint32_t dead = *link;
+                    *link = n.next;
+                    n.next = free_;
+                    free_ = dead;
+                    return true;
+                }
+            }
+            return false;
+        }
+
+        /** Call f(t) for every thread of x's set in insertion order, then
+         *  empty the set by splicing its chain onto the free list. f must
+         *  not touch the pool. */
+        template <typename F>
+        void
+        drain(VarId x, F f)
+        {
+            const uint32_t first = head_[x];
+            if (first == kNoNode)
+                return;
+            uint32_t last = first;
+            for (uint32_t n = first; n != kNoNode; n = pool_[n].next) {
+                last = n;
+                f(pool_[n].t);
+            }
+            pool_[last].next = free_;
+            free_ = first;
+            head_[x] = kNoNode;
+        }
+
+        size_t
+        memory_bytes() const
+        {
+            return head_.capacity() * sizeof(uint32_t) +
+                   pool_.capacity() * sizeof(Node);
+        }
+
+    private:
+        struct Node {
+            ThreadId t;
+            uint32_t next;
+        };
+
+        std::vector<uint32_t> head_; ///< per variable; kNoNode = empty set
+        std::vector<Node> pool_;
+        uint32_t free_ = kNoNode; ///< free-list head, linked through next
+    };
+
+    /** staleReaders_x: threads whose last read of x is not yet in R_x,
+     *  as chains in one pooled node array (4 bytes per variable plus
+     *  8 per outstanding stale read). */
+    StaleReaderPool stale_readers_;
 
     /** Fork bookkeeping for hasIncomingEdge's "parentTr is alive". */
     std::vector<ThreadId> parent_thread_;

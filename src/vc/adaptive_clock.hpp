@@ -212,7 +212,7 @@ public:
         seal_update_window(t);
         UpdWindow& w = upd_[t];
         for (uint32_t i : w.list)
-            w.member[i] = 0;
+            w.member[i >> 6] &= ~(uint64_t{1} << (i & 63));
         w.list.clear();
         w.tracked = 0;
     }
@@ -502,7 +502,7 @@ public:
                    free_entries_.capacity() * sizeof(uint32_t);
         for (const UpdWindow& w : upd_) {
             n += sizeof(UpdWindow) + w.list.capacity() * sizeof(uint32_t) +
-                 w.member.capacity();
+                 w.member.capacity() * sizeof(uint64_t);
         }
         return n;
     }
@@ -510,11 +510,12 @@ public:
 private:
     static constexpr uint64_t kInflatedTag = uint64_t{1} << 63;
 
-    /** One thread's update window: enrolled entries as a list plus
-     *  membership bytes (lazily sized by entry id) for O(1) dedup. */
+    /** One thread's update window: enrolled entries as a list plus a
+     *  membership bitset (bit i of word i / 64, lazily sized by entry
+     *  id) for O(1) dedup. */
     struct UpdWindow {
         std::vector<uint32_t> list;
-        std::vector<uint8_t> member;
+        std::vector<uint64_t> member;
         uint8_t tracked = 0;
     };
 
@@ -548,10 +549,12 @@ private:
     enroll_into(ThreadId u, uint32_t i)
     {
         UpdWindow& w = upd_[u];
-        if (i >= w.member.size())
-            w.member.resize(i + 1, 0);
-        if (!w.member[i]) {
-            w.member[i] = 1;
+        const size_t word = i >> 6;
+        const uint64_t bit = uint64_t{1} << (i & 63);
+        if (word >= w.member.size())
+            w.member.resize(word + 1, 0);
+        if (!(w.member[word] & bit)) {
+            w.member[word] |= bit;
             w.list.push_back(i);
             ++stats_.upd_enrolled;
         }

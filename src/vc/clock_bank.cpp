@@ -95,6 +95,22 @@ round_to_line(size_t values)
     return (values + line - 1) / line * line;
 }
 
+/** The stride for dimension d when the current stride `cur` is too
+ *  small: half a line while d fits one, then whole lines, at least
+ *  doubling. A row never straddles a line: stride 8 divides 16 and the
+ *  base is page-aligned. */
+size_t
+stride_for(size_t d, size_t cur)
+{
+    if (d <= 8)
+        return 8;
+    const size_t line = ClockBank::kLineValues;
+    size_t want = cur < line ? line : cur * 2;
+    if (want < d)
+        want = d;
+    return round_to_line(want);
+}
+
 size_t
 round_to_page(size_t bytes)
 {
@@ -217,7 +233,7 @@ ClockBank::ensure_rows(size_t n)
     if (n <= rows_)
         return;
     if (stride_ == 0)
-        stride_ = kLineValues; // dimension still 0: reserve one line
+        stride_ = stride_for(dim_, 0); // dimension still 0
     if (n > row_cap_) {
         size_t new_cap = row_cap_ < 4 ? 4 : row_cap_ * 2;
         if (new_cap < n)
@@ -238,10 +254,7 @@ ClockBank::ensure_dim(size_t d)
     if (d <= dim_)
         return;
     if (d > stride_) {
-        size_t want = stride_ < kLineValues ? kLineValues : stride_ * 2;
-        if (want < d)
-            want = d;
-        size_t new_stride = round_to_line(want);
+        const size_t new_stride = stride_for(d, stride_);
         if (row_cap_ == 0) {
             stride_ = new_stride; // nothing allocated yet
         } else {

@@ -14,12 +14,15 @@
  *
  *   row i  ->  data[i * stride .. i * stride + dim)
  *
- * with `stride` rounded up to a whole cache line (16 ClockValues = 64
- * bytes). The array is a private anonymous page mapping, so the base is
- * page-aligned and every clock starts on a cache-line boundary: a sweep
- * over rows is a pure streaming access. Mapped pages start zero, which
- * gives bottom rows and zero padding without a memset. Components beyond
- * `dim` (the padding) are kept zero at all times — the vector-time
+ * with `stride` sized to the dimension: 8 ClockValues (32 bytes, half a
+ * cache line) while dim <= 8, then whole lines (16 ClockValues = 64
+ * bytes), doubling. The array is a private anonymous page mapping, so
+ * the base is page-aligned and no clock straddles a cache line: a sweep
+ * over rows is a pure streaming access, and small-dimension rows pack
+ * two to a line, so a fetched line is mostly live components. Mapped
+ * pages start zero, which gives bottom rows and zero padding without a
+ * memset. Components beyond `dim` (the padding) are kept zero at all
+ * times — the vector-time
  * bottom for threads not yet seen — which makes dimension growth within
  * the current stride free. Row growth remaps pages (mremap) instead of
  * copying; only stride growth copies, and only the live components.
@@ -273,18 +276,20 @@ private:
 
 /**
  * A bank of `rows()` vector clocks, each of dimension `dim()`, stored
- * contiguously with cache-line-aligned rows in one anonymous mapping.
+ * contiguously in one anonymous mapping; no row straddles a cache line.
  *
  * Growth is amortized in both directions. Row capacity doubles by
  * remapping pages: nothing is copied, and the new tail reads as zero.
- * The per-row stride doubles (in cache-line units) when the dimension
- * outgrows it; that maps a fresh arena and copies the live components
- * of each row. Padding components (dim..stride) are zero at all times.
+ * The per-row stride grows 8 -> 16 components and then doubles in
+ * cache-line units when the dimension outgrows it; that maps a fresh
+ * arena and copies the live components of each row. Padding components
+ * (dim..stride) are zero at all times.
  * A failed map or remap throws std::bad_alloc.
  */
 class ClockBank {
 public:
-    /** Components per cache line; strides are multiples of this. */
+    /** Components per cache line; strides above 8 are multiples of
+     *  this, stride 8 divides it. */
     static constexpr size_t kLineValues = 64 / sizeof(ClockValue);
 
     ClockBank() = default;
@@ -372,7 +377,7 @@ private:
     size_t rows_ = 0;      ///< live rows
     size_t row_cap_ = 0;   ///< rows the mapping holds
     size_t dim_ = 0;       ///< live components per row
-    size_t stride_ = 0;    ///< allocated components per row (multiple of 16)
+    size_t stride_ = 0;    ///< allocated components per row (8 or 16k)
     size_t map_bytes_ = 0; ///< mapping length (whole pages)
 };
 

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "support/rng.hpp"
 #include "vc/adaptive_clock.hpp"
 #include "vc/clock_bank.hpp"
@@ -212,6 +215,42 @@ TEST_F(AdaptiveTableTest, VectorLeqEntryBothRepresentations)
     EXPECT_TRUE(tbl_.vector_leq_entry(ref(VectorClock{2, 6}), i, 0, false));
     EXPECT_FALSE(
         tbl_.vector_leq_entry(ref(VectorClock{3, 0}), i, 0, false));
+}
+
+/** Window membership is one bit per entry: entries on both sides of a
+ *  64-bit word boundary dedup independently, and closing the window
+ *  clears exactly their bits, so a reopened window counts them again. */
+TEST_F(AdaptiveTableTest, WindowBitsDedupAcrossWordsAndClearOnClose)
+{
+    tbl_.add_entries(70);
+    const ThreadId t = 1;
+    const uint32_t kIds[] = {63, 64, 65};
+    tbl_.open_update_window(t, 5);
+    for (int round = 0; round < 2; ++round) {
+        for (uint32_t i : kIds)
+            tbl_.enroll_pending(i, t);
+    }
+    // A mutation whose source reaches the gate enrolls through the same
+    // bits: still no duplicate.
+    tbl_.assign(64, ref(VectorClock{0, 5}), t, true);
+    EXPECT_EQ(tbl_.stats().upd_enrolled, 3u);
+    ASSERT_TRUE(tbl_.update_window_tracked(t));
+    std::vector<uint32_t> got = tbl_.update_entries(t);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, (std::vector<uint32_t>{63, 64, 65}));
+
+    tbl_.close_update_window(t);
+    EXPECT_FALSE(tbl_.update_window_tracked(t));
+    tbl_.open_update_window(t, 6);
+    tbl_.enroll_pending(65, t);
+    tbl_.enroll_pending(64, t);
+    tbl_.enroll_pending(65, t);
+    EXPECT_EQ(tbl_.stats().upd_enrolled, 5u);
+    got = tbl_.update_entries(t);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, (std::vector<uint32_t>{64, 65}));
+    tbl_.enroll_pending(63, t);
+    EXPECT_EQ(tbl_.stats().upd_enrolled, 6u);
 }
 
 // --- Model-based fuzz ------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
 #include "analysis/runner.hpp"
+#include "gen/patterns.hpp"
 #include "trace/builder.hpp"
 
 namespace aero {
@@ -420,6 +421,42 @@ TYPED_TEST(AeroDromeVariants, DynamicThreadAndVarGrowth)
     TypeParam checker(0, 0, 0);
     auto r = run_checker(checker, t);
     EXPECT_TRUE(r.violation);
+}
+
+// --- Footprint, counted -----------------------------------------------------
+
+TEST(AeroDromeOptimized, StarFootprintPerVariableFitsTheLayout)
+{
+    // The Table 1 star regime at dim 7: every round writes a fresh
+    // variable whose W_x, R_x and hR_x all inflate, and the hub's open
+    // transaction keeps one stale read of it. Growth per added variable
+    // is pinned by memory_bytes() at two sizes, not by a stopwatch.
+    size_t bytes[2];
+    size_t vars[2];
+    const uint32_t kRounds[2] = {1000, 2000};
+    for (int k = 0; k < 2; ++k) {
+        gen::StarOptions opts;
+        opts.producers = 3;
+        opts.consumers = 2;
+        opts.rounds = kRounds[k];
+        Trace t = gen::make_star(opts);
+        ASSERT_EQ(t.num_threads(), 7u);
+        AeroDromeOpt e(t.num_threads(), t.num_vars(), t.num_locks());
+        ASSERT_FALSE(run_checker(e, t).violation);
+        bytes[k] = e.memory_bytes();
+        vars[k] = t.num_vars();
+    }
+    const double per_var = static_cast<double>(bytes[1] - bytes[0]) /
+                           static_cast<double>(vars[1] - vars[0]);
+    // The layout: three 32-byte rows (stride 8 at dim 7), three 8-byte
+    // entry words, a 4-byte stale-reader head, a 4-byte last writer, a
+    // 1-byte stale flag, the hub's pooled 8-byte stale-reader node and
+    // 4-byte window-list slot, and one window bit per entry per thread.
+    // Arena rows and vectors grow by doubling, so allow twice that.
+    // Measured: 233 B.
+    const double layout =
+        3 * 32 + 3 * 8 + 4 + 4 + 1 + 8 + 4 + 7 * 3 / 8.0;
+    EXPECT_LE(per_var, 2 * layout);
 }
 
 } // namespace

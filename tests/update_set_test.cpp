@@ -362,5 +362,157 @@ TEST(LazyEnrollment, GcSkippedEndDropsOwnLazyState)
     EXPECT_GE(opt.opt_stats().gc_skipped_ends, 1u);
 }
 
+// --- staleReaders_x pool ------------------------------------------------
+//
+// The optimized engine keeps every variable's stale readers as a chain in
+// one shared node pool with a free list (StaleReaderPool). Each case runs
+// against the oracle and Algorithm 1 (expect_lazy_case_agrees).
+
+/** (a) One whole-thread transaction reads then writes 8 variables 10^5
+ *  times: every write flushes the read before it, so the pool must reuse
+ *  one node per variable and the engine's footprint must stay flat. A
+ *  second thread's short transactions read a variable of their own, and
+ *  each end unlinks that stale read: erase must free its node too. */
+TEST(StaleReaderPool, ReadWriteCyclesReuseNodes)
+{
+    const uint32_t kVars = 8;
+    const uint32_t kCycles = 100000;
+    Trace open;
+    open.begin(0);
+    open.begin(1);
+    open.write(1, kVars); // a third thread, disjoint from the others
+    for (uint32_t c = 0; c < kCycles; ++c) {
+        open.read(0, c % kVars);
+        open.write(0, c % kVars);
+        if (c % 8 == 0) {
+            open.begin(2);
+            open.read(2, kVars + 1);
+            open.end(2);
+        }
+    }
+    Trace t = open;
+    t.end(0);
+    t.end(1);
+    expect_lazy_case_agrees(t, false);
+
+    AeroDromeOpt opt(open.num_threads(), open.num_vars(), open.num_locks());
+    size_t early_bytes = 0;
+    for (size_t i = 0; i < open.size(); ++i) {
+        ASSERT_FALSE(opt.process(open[i], i));
+        if (i == open.size() / 100) // every variable cycled many times
+            early_bytes = opt.memory_bytes();
+    }
+    EXPECT_EQ(opt.memory_bytes(), early_bytes);
+    EXPECT_EQ(opt.opt_stats().lazy_reads, uint64_t{kCycles + kCycles / 8});
+    EXPECT_EQ(opt.opt_stats().gc_skipped_ends, uint64_t{kCycles / 8});
+}
+
+/** (b) Three open transactions read x and sit in its chain; one write
+ *  flushes them all. The cycle closes through the reader at `closer`
+ *  (first, middle or last in the chain), so the write must see every
+ *  node of the chain. */
+Trace
+stale_readers_flushed_by_one_write(int closer)
+{
+    const char* readers[] = {"r0", "r1", "r2"};
+    TraceBuilder b;
+    b.begin("w").write("w", "z");
+    for (const char* r : readers)
+        b.begin(r).read(r, "x");
+    if (closer >= 0)
+        b.read(readers[closer], "z"); // w -> closer
+    b.write("w", "x");                // flushes all three: readers -> w
+    for (const char* r : readers)
+        b.end(r);
+    b.end("w");
+    // The flushed nodes are free again: a second round reuses them.
+    b.begin("r1").read("r1", "x").begin("r0").read("r0", "x");
+    b.write("w", "x");
+    b.end("r0").end("r1");
+    return b.take();
+}
+
+TEST(StaleReaderPool, OneWriteFlushesEveryStaleReader)
+{
+    for (int closer : {-1, 0, 1, 2}) {
+        SCOPED_TRACE("closer " + std::to_string(closer));
+        expect_lazy_case_agrees(stale_readers_flushed_by_one_write(closer),
+                                closer >= 0);
+    }
+}
+
+/** (c) A garbage-collected end (no incoming edge) whose stale read of x
+ *  sits in the middle of x's chain, between two open readers, must
+ *  unlink only its own node. If it stayed, u's write of x would flush
+ *  t's *next* transaction (ordered after u) and report a false
+ *  violation; if a neighbour were lost, the genuine cycle through b would
+ *  go unseen. */
+Trace
+gc_skipped_end_in_mid_chain(bool close_cycle)
+{
+    TraceBuilder b;
+    b.begin("a").read("a", "x");
+    b.begin("t").read("t", "x");
+    b.begin("b").read("b", "x"); // x's chain: a, t, b
+    b.end("t");                  // no incoming edge: skipped
+    b.begin("u").write("u", "q");
+    b.begin("t").read("t", "q"); // t's second transaction follows u
+    if (close_cycle)
+        b.read("b", "q"); // u -> b
+    b.write("u", "x");    // flushes a and b: a -> u, b -> u
+    b.end("u").end("t").end("b").end("a");
+    return b.take();
+}
+
+TEST(StaleReaderPool, GcSkippedEndUnlinksOnlyItsOwnNode)
+{
+    expect_lazy_case_agrees(gc_skipped_end_in_mid_chain(false), false);
+    expect_lazy_case_agrees(gc_skipped_end_in_mid_chain(true), true);
+
+    Trace t = gc_skipped_end_in_mid_chain(false);
+    AeroDromeOpt opt(t.num_threads(), t.num_vars(), t.num_locks());
+    EXPECT_FALSE(run_checker(opt, t).violation);
+    EXPECT_GE(opt.opt_stats().gc_skipped_ends, 1u);
+}
+
+/** (d) The gc path: a joined thread's slot is retired while other
+ *  threads still hold stale reads of x on both sides of where its own
+ *  read sat in the chain, and the slot is reissued to a fresh thread
+ *  that reads x again. c1's end has already unlinked its own node, which
+ *  `retire_slot` asserts (debug builds); the other readers' nodes must
+ *  stay in place and the reissued slot must start with no stale read. */
+Trace
+retired_slot_in_stale_chain(bool close_cycle)
+{
+    TraceBuilder b;
+    b.begin("w").write("w", "z");
+    b.fork("m", "c1");
+    b.begin("a").read("a", "x");
+    b.begin("c1").read("c1", "x");
+    b.begin("b").read("b", "x"); // x's chain: a, c1, b
+    b.end("c1");
+    b.join("m", "c1"); // c1's slot retires
+    b.fork("m", "c2"); // and is reissued to c2
+    b.begin("c2").read("c2", "x");
+    if (close_cycle)
+        b.read("b", "z"); // w -> b
+    b.write("w", "x");    // flushes a, b and c2: readers -> w
+    b.end("c2").end("b").end("a").end("w");
+    b.join("m", "c2");
+    return b.take();
+}
+
+TEST(StaleReaderPool, RetiredSlotHoldsNoStaleReadAndReissuesClean)
+{
+    expect_lazy_case_agrees(retired_slot_in_stale_chain(false), false);
+    expect_lazy_case_agrees(retired_slot_in_stale_chain(true), true);
+
+    Trace t = retired_slot_in_stale_chain(false);
+    AeroDromeOpt opt(t.num_threads(), t.num_vars(), t.num_locks());
+    EXPECT_FALSE(run_checker(opt, t).violation);
+    EXPECT_GE(opt.thread_slots().retired(), 1u);
+    EXPECT_GE(opt.thread_slots().recycled(), 1u);
+}
+
 } // namespace
 } // namespace aero

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 #include <utility>
 
 #include <unistd.h>
@@ -245,14 +246,29 @@ TEST(ClockBank, RowsStartAtBottom)
     }
 }
 
-TEST(ClockBank, StrideIsCacheLinePadded)
+TEST(ClockBank, StrideFollowsTheDimension)
 {
-    // 16 ClockValues = one 64-byte line; stride must round up to it.
-    EXPECT_EQ(ClockBank(1, 1).stride(), 16u);
+    // Half a line (32 B) up to dim 8, then whole 64-byte lines.
+    EXPECT_EQ(ClockBank(1, 1).stride(), 8u);
+    EXPECT_EQ(ClockBank(1, 8).stride(), 8u);
+    EXPECT_EQ(ClockBank(1, 9).stride(), 16u);
     EXPECT_EQ(ClockBank(1, 16).stride(), 16u);
     EXPECT_EQ(ClockBank(1, 17).stride(), 32u);
     ClockBank b(2, 5);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(b.data()) % 64, 0u);
+}
+
+TEST(ClockBank, HalfLineRowsNeverStraddleALine)
+{
+    ClockBank bank(1000, 7);
+    ASSERT_EQ(bank.stride(), 8u);
+    size_t straddles = 0;
+    for (size_t i = 0; i < bank.rows(); ++i) {
+        const auto first = reinterpret_cast<uintptr_t>(bank[i].data());
+        const uintptr_t last = first + bank.stride() * sizeof(ClockValue) - 1;
+        straddles += first / 64 != last / 64;
+    }
+    EXPECT_EQ(straddles, 0u);
 }
 
 TEST(ClockBank, SetGetTick)
@@ -281,13 +297,30 @@ TEST(ClockBank, GrowRowsPreservesContentAndZeroesNewRows)
 
 TEST(ClockBank, GrowDimWithinStrideIsZeroFilled)
 {
-    ClockBank bank(2, 3);
-    bank[0].set(2, 5);
-    bank.ensure_dim(10); // still within the 16-component stride
-    EXPECT_EQ(bank.stride(), 16u);
-    EXPECT_EQ(bank[0].get(2), 5u);
-    for (size_t d = 3; d < 10; ++d)
-        EXPECT_EQ(bank[0].get(d), 0u);
+    // One case per stride tier; neither crosses its stride, so the
+    // padding is exposed in place, with no new mapping.
+    const struct {
+        size_t dim;
+        size_t wider;
+        size_t stride;
+    } kCases[] = {{3, 8, 8}, {9, 14, 16}};
+    for (const auto& c : kCases) {
+        SCOPED_TRACE("dim " + std::to_string(c.dim));
+        ClockBank bank(2, c.dim);
+        ASSERT_EQ(bank.stride(), c.stride);
+        bank[0].set(2, 5);
+        const ClockValue* base = bank.data();
+        bank.ensure_dim(c.wider);
+        EXPECT_EQ(bank.stride(), c.stride);
+        EXPECT_EQ(bank.data(), base);
+        EXPECT_EQ(bank[0].get(2), 5u);
+        for (size_t d = c.dim; d < c.wider; ++d)
+            EXPECT_EQ(bank[0].get(d), 0u);
+        size_t nonzero = 0; // everything but the one set component
+        for (size_t k = 0; k < bank.rows() * bank.stride(); ++k)
+            nonzero += k != 2 && base[k] != 0;
+        EXPECT_EQ(nonzero, 0u);
+    }
 }
 
 TEST(ClockBank, GrowDimBeyondStrideRelayouts)
@@ -475,6 +508,48 @@ TEST(ClockBank, RowByRowGrowthPastHugePagesKeepsRowsAndPadding)
     EXPECT_GE(bank.memory_bytes(),
               bank.rows() * bank.stride() * sizeof(ClockValue));
     expect_grown_layout(bank, written, dim);
+}
+
+/** Widen a bank of patterned rows by one component across each stride
+ *  boundary: the live components move, the padding stays zero (read
+ *  through the raw base), and ASan still fences off the rows past
+ *  rows(). */
+TEST(ClockBank, StrideCrossingsKeepRowsPaddingAndPoison)
+{
+    const struct {
+        size_t dim;
+        size_t stride;
+        size_t wider;
+    } kCrossings[] = {{8, 8, 16}, {16, 16, 32}};
+    for (const auto& c : kCrossings) {
+        SCOPED_TRACE("dim " + std::to_string(c.dim));
+        const size_t rows = 300; // more than one page at every stride
+        ClockBank bank(rows, c.dim);
+        ASSERT_EQ(bank.stride(), c.stride);
+        for (size_t i = 0; i < rows; ++i) {
+            for (size_t d = 0; d < c.dim; ++d)
+                bank[i].set(d, grow_pattern(i, d));
+        }
+        expect_grown_layout(bank, rows, c.dim);
+
+        bank.ensure_dim(c.dim + 1);
+        EXPECT_EQ(bank.stride(), c.wider);
+        EXPECT_EQ(bank.dim(), c.dim + 1);
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(bank.data()) % 64, 0u);
+        expect_grown_layout(bank, rows, c.dim);
+        bank[rows - 1].set(c.dim, 1); // the new component is writable
+        EXPECT_EQ(bank[rows - 1].get(c.dim), 1u);
+        bank[rows - 1].set(c.dim, 0);
+#ifdef AERO_TEST_ASAN
+        const ClockValue* last = bank[rows - 1].data() + bank.dim() - 1;
+        const ClockValue* past = bank.data() + rows * bank.stride();
+        EXPECT_FALSE(__asan_address_is_poisoned(last));
+        EXPECT_TRUE(__asan_address_is_poisoned(past));
+        bank.ensure_rows(rows + 1);
+        EXPECT_FALSE(__asan_address_is_poisoned(past));
+        EXPECT_TRUE(__asan_address_is_poisoned(past + bank.stride()));
+#endif
+    }
 }
 
 TEST(ClockBank, MoveCarriesTheMapping)
