@@ -147,22 +147,23 @@ print_gc_block(const StatList& counters)
             }
         return false;
     };
-    uint64_t sweeps = 0, reclaimed = 0, rows = 0, live = 0, retired = 0,
-             recycled = 0;
+    uint64_t sweeps = 0, reclaimed = 0, rows = 0, shared = 0, live = 0,
+             retired = 0, recycled = 0;
     if (!get("gc_sweeps", sweeps))
         return;
     get("gc_reclaimed", reclaimed);
     get("gc_rows_freed", rows);
+    get("rows_shared", shared);
     get("gc_live_entries", live);
     get("slots_retired", retired);
     get("slots_recycled", recycled);
     std::printf("  reclamation: %s sweeps, %s entries reclaimed, %s "
-                "rows freed, %s live entries after the last sweep, "
-                "%s thread slots retired (%s reissued)\n",
+                "rows freed, %s rows shared, %s live entries after the "
+                "last sweep, %s thread slots retired (%s reissued)\n",
                 with_commas(sweeps).c_str(),
                 with_commas(reclaimed).c_str(), with_commas(rows).c_str(),
-                with_commas(live).c_str(), with_commas(retired).c_str(),
-                with_commas(recycled).c_str());
+                with_commas(shared).c_str(), with_commas(live).c_str(),
+                with_commas(retired).c_str(), with_commas(recycled).c_str());
 }
 
 void

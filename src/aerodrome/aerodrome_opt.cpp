@@ -237,6 +237,9 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
     // (enrolled when made) plus every entry whose gate an eager mutation
     // could have made fireable; the rest of the table provably cannot
     // fire. Entries are independent, so the visit order is immaterial.
+    // Flushes of C_t (C_t[0/t]) into bottom entries all store the same
+    // vector: the 2nd and later share the first one's arena row.
+    AdaptiveClockTable::RowShare share_ct, share_ct_except;
     for_each_window_entry(t, [&](size_t i) {
         ++stats_.end_swept_entries;
         const VarId x = static_cast<VarId>(i / 3);
@@ -249,7 +252,7 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
                 // the thread loop above).
                 if (last_w_thr_[x] == t) {
                     ++stats_.joins;
-                    tbl_.join(i, ct, t, ct_pure);
+                    tbl_.join_shared(i, ct, t, ct_pure, share_ct);
                     stale_write_[x] = 0;
                 } else {
                     ++stats_.end_gate_skipped;
@@ -274,8 +277,9 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
             }
             if (fire) {
                 stats_.joins += 2;
-                tbl_.join(i, ct, t, ct_pure);
-                tbl_.join_except(i + 1, ct, t, ct_pure);
+                tbl_.join_shared(i, ct, t, ct_pure, share_ct);
+                tbl_.join_except_shared(i + 1, ct, t, ct_pure,
+                                        share_ct_except);
             } else {
                 ++stats_.end_gate_skipped;
             }
@@ -515,6 +519,7 @@ AeroDromeOpt::epoch_stats() const
     sum.upd_enrolled = v.upd_enrolled + l.upd_enrolled;
     sum.gc_reclaimed = v.gc_reclaimed + l.gc_reclaimed;
     sum.gc_rows_freed = v.gc_rows_freed + l.gc_rows_freed;
+    sum.rows_shared = v.rows_shared + l.rows_shared;
     return sum;
 }
 
@@ -537,6 +542,7 @@ AeroDromeOpt::counters() const
         {"end_gate_skipped", stats_.end_gate_skipped},
         {"gc_reclaimed", es.gc_reclaimed},
         {"gc_rows_freed", es.gc_rows_freed},
+        {"rows_shared", es.rows_shared},
         {"gc_sweeps", gc_sweeps_},
         {"gc_live_entries", gc_live_entries_},
         {"slots_retired", slots_.retired()},

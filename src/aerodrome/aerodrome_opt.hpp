@@ -122,6 +122,13 @@ public:
     void set_gc_sweep_every(uint32_t n) { gc_sweep_every_ = n; }
 
     uint64_t gc_sweeps() const { return gc_sweeps_; }
+    /** Arena rows ever allocated by the variable and lock tables (the
+     *  high-water mark; shared rows count once). */
+    size_t
+    arena_rows() const
+    {
+        return tbl_.arena_rows() + locks_.arena_rows();
+    }
     const ThreadSlotMap& thread_slots() const { return slots_; }
 
     StatList counters() const override;

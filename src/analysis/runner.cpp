@@ -1,5 +1,8 @@
 #include "analysis/runner.hpp"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "support/assert.hpp"
 #include "support/fault.hpp"
 #include "support/stopwatch.hpp"
@@ -34,6 +37,56 @@ memory_breached(AtomicityChecker& checker, const RunBudget& budget,
     }
     return false;
 }
+
+/**
+ * Where the next wall-clock poll of a limited budget falls. Each poll
+ * measures the cost per event since the previous one and schedules the
+ * next about one slice of work later: a quarter of the overshoot the
+ * budget allows, max(5% of it, 50 ms). The interval at most doubles
+ * per poll, so a run that turns slow is caught within a few polls, and
+ * never exceeds check_interval. Polls land on multiples of the
+ * interval, so a steady fast run polls on check_interval boundaries.
+ * A measurement that spans a block's decode only re-baselines.
+ */
+class PollPace {
+public:
+    PollPace(double max_seconds, uint64_t check_interval)
+        : slice_(std::max(0.05 * max_seconds, 0.05) / 4),
+          cap_(std::max<uint64_t>(check_interval, 1))
+    {
+    }
+
+    /** Index of the next poll after one at event i, `now` seconds in. */
+    uint64_t
+    next(uint64_t i, double now)
+    {
+        if (i > last_i_ && !new_block_) {
+            // Events that fit in one slice at the cost just measured.
+            const double fit = slice_ * static_cast<double>(i - last_i_) /
+                               std::max(now - last_t_, 1e-9);
+            const uint64_t grown = std::min(cap_, 2 * interval_);
+            interval_ = fit < 1 ? 1
+                        : fit < static_cast<double>(grown)
+                            ? static_cast<uint64_t>(fit)
+                            : grown;
+        }
+        new_block_ = false;
+        last_i_ = i;
+        last_t_ = now;
+        return (i / interval_ + 1) * interval_;
+    }
+
+    /** A block was decoded since the last poll. */
+    void start_block() { new_block_ = true; }
+
+private:
+    double slice_;
+    uint64_t cap_;
+    uint64_t interval_ = 1;
+    uint64_t last_i_ = 0;
+    double last_t_ = 0;
+    bool new_block_ = false;
+};
 
 } // namespace
 
@@ -93,10 +146,14 @@ run_checker_stream(AtomicityChecker& checker, EventSource& source,
     PanicContextScope panic_scope;
     try {
         std::vector<Event> buf(block);
-        // Budget polls can no longer ride `i % interval == 0` (the loop
-        // steps by blocks): poll on the first boundary at-or-after each
-        // interval, including inside a block, so a block larger than the
-        // interval cannot blow past max_seconds.
+        // Memory polls fire on the first event at-or-after every
+        // check_interval, inside blocks too. A time budget also reads
+        // the clock at PollPace's intervals, and at a block's start when
+        // none falls inside it, so a slow engine cannot run far past
+        // max_seconds. Unlimited runs never read the clock here.
+        PollPace pace(budget.max_seconds, budget.check_interval);
+        uint64_t next_mem = 0;
+        uint64_t next_time = limited ? 0 : UINT64_MAX;
         uint64_t next_poll = 0;
         bool stop = false;
         size_t i = 0;
@@ -104,19 +161,30 @@ run_checker_stream(AtomicityChecker& checker, EventSource& source,
             const size_t got = source.next_n(buf.data(), block);
             if (got == 0)
                 break;
+            if (limited) {
+                pace.start_block();
+                if (next_time >= i + got)
+                    next_time = next_poll = i;
+            }
             for (size_t j = 0; j < got; ++j, ++i) {
                 if (i >= next_poll) {
-                    next_poll = i + budget.check_interval;
-                    if (limited &&
-                        watch.elapsed_seconds() > budget.max_seconds) {
-                        result.timed_out = true;
-                        stop = true;
-                        break;
+                    if (i >= next_time) {
+                        const double now = watch.elapsed_seconds();
+                        if (now > budget.max_seconds) {
+                            result.timed_out = true;
+                            stop = true;
+                            break;
+                        }
+                        next_time = pace.next(i, now);
                     }
-                    if (memory_breached(checker, budget, result)) {
-                        stop = true;
-                        break;
+                    if (i >= next_mem) {
+                        next_mem = i + budget.check_interval;
+                        if (memory_breached(checker, budget, result)) {
+                            stop = true;
+                            break;
+                        }
                     }
+                    next_poll = std::min(next_time, next_mem);
                 }
                 panic_scope.set_index(i);
                 ++result.events_processed;

@@ -2,19 +2,24 @@
 
 namespace aero {
 
+size_t
+AdaptiveClockTable::alloc_row()
+{
+    if (!free_rows_.empty()) {
+        // Reclaimed rows are bottom already (gc_reclaim clears them).
+        size_t r = free_rows_.back();
+        free_rows_.pop_back();
+        return r;
+    }
+    arena_.ensure_rows(arena_rows_ + 1);
+    return arena_rows_++;
+}
+
 ClockRef
 AdaptiveClockTable::inflate(size_t i, bool copy_contents)
 {
     Epoch e = Epoch::from_bits(entries_[i]);
-    size_t r;
-    if (!free_rows_.empty()) {
-        // Reclaimed rows are bottom already (gc_reclaim clears them).
-        r = free_rows_.back();
-        free_rows_.pop_back();
-    } else {
-        r = arena_rows_++;
-        arena_.ensure_rows(arena_rows_);
-    }
+    size_t r = alloc_row();
     entries_[i] = kInflatedTag | static_cast<uint64_t>(r);
     ClockRef row = arena_[r];
     // Fresh arena rows are bottom (the bank zero-fills growth), so only
@@ -25,11 +30,54 @@ AdaptiveClockTable::inflate(size_t i, bool copy_contents)
     return row;
 }
 
+ClockRef
+AdaptiveClockTable::unshare(size_t i, bool copy_contents)
+{
+    const size_t shared = entries_[i] & kRowMask;
+    if (drop_ref(entries_[i])) {
+        // The last referent takes the row over in place.
+        entries_[i] = kInflatedTag | static_cast<uint64_t>(shared);
+        return arena_[shared];
+    }
+    const size_t r = alloc_row(); // may remap the arena: refs after this
+    entries_[i] = kInflatedTag | static_cast<uint64_t>(r);
+    ClockRef row = arena_[r];
+    if (copy_contents)
+        row.assign(arena_[shared]);
+    return row;
+}
+
+bool
+AdaptiveClockTable::share_row(size_t i, RowShare& s)
+{
+    if (s.row == RowShare::kNoRow)
+        return false;
+    const uint64_t word = kInflatedTag | static_cast<uint64_t>(s.row);
+    if (s.refs == nullptr) {
+        // First reuse: the owner still holds the row privately, so it
+        // becomes the row's first counted referent.
+        if (entries_[s.owner] != word) {
+            s.row = RowShare::kNoRow;
+            return false;
+        }
+        auto [it, fresh] = shared_refs_.emplace(s.row, 1);
+        assert(fresh);
+        (void)fresh;
+        s.refs = &it->second;
+        entries_[s.owner] = word | kSharedTag;
+    }
+    ++*s.refs;
+    entries_[i] = word | kSharedTag;
+    ++stats_.inflations;
+    ++stats_.rows_shared;
+    return true;
+}
+
 void
 AdaptiveClockTable::assign_slow(size_t i, ConstClockRef c, ThreadId t,
                                 bool c_pure)
 {
-    ClockRef row = is_inflated(i) ? mut_row(entries_[i])
+    ClockRef row = is_inflated(i) ? own_row(i, /*copy_contents=*/false)
                                   : inflate(i, /*copy_contents=*/false);
     if (c_pure) {
         // Inflated entries never demote: write bot[c[t]/t] as a full row.
@@ -45,21 +93,18 @@ void
 AdaptiveClockTable::join_slow(size_t i, ConstClockRef c, ThreadId t,
                               bool c_pure)
 {
+    ClockRef row = is_inflated(i) ? own_row(i, /*copy_contents=*/true)
+                                  : inflate(i, /*copy_contents=*/true);
     if (c_pure) {
         // Reached only when the entry is a foreign-thread epoch (or the
         // table runs with epochs off): the result has two components, so
         // inflate and fold in the one new component.
-        ClockRef row = is_inflated(i) ? mut_row(entries_[i])
-                                      : inflate(i, /*copy_contents=*/true);
         ClockValue v = c.get(t);
         if (v > row.get(t))
             row.set(t, v);
-        ++stats_.vector_ops;
-        return;
+    } else {
+        row.join(c);
     }
-    ClockRef row = is_inflated(i) ? mut_row(entries_[i])
-                                  : inflate(i, /*copy_contents=*/true);
-    row.join(c);
     ++stats_.vector_ops;
 }
 
@@ -67,7 +112,7 @@ void
 AdaptiveClockTable::join_except_slow(size_t i, ConstClockRef c, ThreadId t)
 {
     if (is_inflated(i)) {
-        mut_row(entries_[i]).join_except(c, t);
+        own_row(i, /*copy_contents=*/true).join_except(c, t);
         ++stats_.vector_ops;
         return;
     }
@@ -93,6 +138,34 @@ AdaptiveClockTable::join_except_slow(size_t i, ConstClockRef c, ThreadId t)
         if (v > row.get(e.thread()))
             row.set(e.thread(), v);
     }
+}
+
+bool
+AdaptiveClockTable::rows_consistent() const
+{
+    std::unordered_map<size_t, uint32_t> tagged;
+    std::vector<uint8_t> seen(arena_rows_, 0);
+    for (uint64_t bits : entries_) {
+        if (!(bits & kInflatedTag))
+            continue;
+        const size_t r = bits & kRowMask;
+        if (r >= arena_rows_)
+            return false;
+        if (bits & kSharedTag) {
+            ++tagged[r];
+        } else if (seen[r]++ != 0 || shared_refs_.count(r) != 0) {
+            return false; // a private row with two referents, or counted
+        }
+        if (seen[r] != 0 && tagged.count(r) != 0)
+            return false; // one row both private and shared
+    }
+    if (tagged != shared_refs_)
+        return false;
+    for (size_t r : free_rows_) {
+        if (r >= arena_rows_ || seen[r] != 0 || tagged.count(r) != 0)
+            return false;
+    }
+    return true;
 }
 
 } // namespace aero

@@ -10,11 +10,12 @@
  *
  *   bit 63 = 0:  the entry IS the vector bot[v/t], packed as an Epoch
  *                (value v in bits 0..31, thread t in bits 32..62);
- *   bit 63 = 1:  bits 0..62 index a row of the shared inflation arena
- *                (a ClockBank) holding the full vector.
+ *   bit 63 = 1:  bits 0..61 index a row of the shared inflation arena
+ *                (a ClockBank) holding the full vector; bit 62 set
+ *                marks the row as *shared* with other entries.
  *
  * Promotion is one-way: the first operation whose result is not
- * epoch-shaped inflates the entry into a fresh arena row, and the entry
+ * epoch-shaped inflates the entry into an arena row, and the entry
  * stays inflated for the rest of the run ("promote on first contention,
  * never demote"). Because only contended entries ever inflate, the arena
  * is a *combined bank region* holding exactly the slow-path rows of every
@@ -30,6 +31,16 @@
  * *purity* bit for source clocks — "this clock equals bot[c[t]/t]" — that
  * must be sound (may be conservatively false, never wrongly true).
  *
+ * Shared rows. A flush of one source clock into many bottom entries
+ * (join_shared / join_except_shared: opt's end-event stale flushes)
+ * points the 2nd and later entries at the first one's row instead of
+ * copying it. Only shared rows carry a reference count, in a side
+ * table. A shared row is immutable: every in-place mutation first
+ * copies it (copy-on-write, own_row), and the last referent takes the
+ * row over instead. Reclamation frees a row at its last referent.
+ * Promotion stays one-way per entry: a sharer is inflated, and a copy
+ * only moves it to a private row.
+ *
  * Toggle: entries behave as always-inflated when epochs are disabled
  * (set_epochs_enabled(false); on by default), which is the plain
  * ClockBank representation plus one indirection — the full-vector
@@ -38,6 +49,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "support/counter.hpp"
@@ -68,6 +80,9 @@ struct AdaptiveClockStats {
     RelaxedCounter gc_reclaimed;
     /** Arena rows returned to the row free-list by gc_reclaim. */
     RelaxedCounter gc_rows_freed;
+    /** Inflations that took an existing (shared) row instead of a fresh
+     *  one; also counted in `inflations`. */
+    RelaxedCounter rows_shared;
 };
 
 /**
@@ -251,6 +266,15 @@ public:
         return (entries_[i] & kInflatedTag) != 0;
     }
 
+    /** True iff entry i points at a shared (counted, copy-on-write)
+     *  arena row. */
+    bool
+    is_shared(size_t i) const
+    {
+        return (entries_[i] & (kInflatedTag | kSharedTag)) ==
+               (kInflatedTag | kSharedTag);
+    }
+
     /** The entry as an epoch; valid iff !is_inflated(i). */
     Epoch
     epoch_at(size_t i) const
@@ -265,7 +289,7 @@ public:
     row_at(size_t i) const
     {
         assert(is_inflated(i));
-        return arena_[entries_[i] & ~kInflatedTag];
+        return arena_[entries_[i] & kRowMask];
     }
 
     /** Component t of entry i. O(1) for both representations. */
@@ -274,7 +298,7 @@ public:
     {
         uint64_t bits = entries_[i];
         if (bits & kInflatedTag)
-            return arena_[bits & ~kInflatedTag].get(t);
+            return arena_[bits & kRowMask].get(t);
         return Epoch::from_bits(bits).get(t);
     }
 
@@ -283,7 +307,7 @@ public:
     {
         uint64_t bits = entries_[i];
         if (bits & kInflatedTag)
-            return arena_[bits & ~kInflatedTag].is_bottom();
+            return arena_[bits & kRowMask].is_bottom();
         return Epoch::from_bits(bits).is_bottom();
     }
 
@@ -312,9 +336,8 @@ public:
             ClockValue v = c.get(t);
             if (bits & kInflatedTag) {
                 // One-component join into the existing row.
-                ClockRef row = mut_row(bits);
-                if (v > row.get(t))
-                    row.set(t, v);
+                if (v > arena_[bits & kRowMask].get(t))
+                    own_row(i, /*copy_contents=*/true).set(t, v);
                 ++stats_.epoch_fast;
                 return;
             }
@@ -347,6 +370,40 @@ public:
         join_except_slow(i, c, t);
     }
 
+    /**
+     * One source clock's flushes into bottom entries, as a batch. The
+     * first join_shared (join_except_shared) of an impure c into a bottom
+     * entry inflates a fresh row holding c (c[0/t]); the 2nd and later
+     * ones point their entry at that row. Use one RowShare per source
+     * and per operation; it is valid while c and t stay the same and no
+     * entry it has served is mutated or reclaimed (one end's window
+     * walk, where each entry is touched once).
+     */
+    class RowShare {
+        friend class AdaptiveClockTable;
+        static constexpr size_t kNoRow = SIZE_MAX;
+        size_t row = kNoRow;
+        size_t owner = 0;          ///< the entry that inflated `row`
+        uint32_t* refs = nullptr;  ///< row's count, once shared
+    };
+
+    /** join(i, c, t, c_pure), sharing the row of `s`'s first copy. */
+    void
+    join_shared(size_t i, ConstClockRef c, ThreadId t, bool c_pure,
+                RowShare& s)
+    {
+        flush_shared(i, c, t, c_pure, s, /*zero_t=*/false);
+    }
+
+    /** join_except(i, c, t, c_pure), sharing the row of `s`'s first
+     *  copy. */
+    void
+    join_except_shared(size_t i, ConstClockRef c, ThreadId t, bool c_pure,
+                       RowShare& s)
+    {
+        flush_shared(i, c, t, c_pure, s, /*zero_t=*/true);
+    }
+
     /** dst := dst |_| entry_i, maintaining dst's purity flag (dst is the
      *  clock of dst_thread). The engines' C_t |_|= W_x / R_x step. */
     void
@@ -365,7 +422,7 @@ public:
             ++stats_.epoch_fast;
             return;
         }
-        ConstClockRef row = arena_[bits & ~kInflatedTag];
+        ConstClockRef row = arena_[bits & kRowMask];
         ++stats_.vector_ops;
         if (dst_pure && row.is_bottom())
             return;
@@ -384,7 +441,7 @@ public:
     {
         uint64_t bits = entries_[i];
         if (bits & kInflatedTag)
-            return a.leq(arena_[bits & ~kInflatedTag]);
+            return a.leq(arena_[bits & kRowMask]);
         Epoch e = Epoch::from_bits(bits);
         if (a_pure) {
             // bot[a_t/a_thread] sqsubseteq bot[v/u]: one component test.
@@ -416,8 +473,10 @@ public:
     // it (its future joins are no-ops), so resetting it to bottom is
     // invisible to verdicts — see src/vc/README.md, "Reclamation". This
     // is the one sanctioned exception to one-way promotion: a reclaimed
-    // inflated entry demotes to the bottom *epoch* word and its arena row
-    // joins a free-list that inflate() drains before growing the arena.
+    // inflated entry demotes to the bottom *epoch* word, and its arena
+    // row joins a free-list that inflate() drains before growing the
+    // arena. A row is freed at its last referent: reclaiming one sharer
+    // of a shared row only drops its count.
 
     /** True iff entry i can never fire a gate again under frontier f.
      *  Bottom epoch entries report false (nothing to reclaim); bottom
@@ -427,7 +486,7 @@ public:
     {
         uint64_t bits = entries_[i];
         if (bits & kInflatedTag)
-            return f.dead_row(arena_[bits & ~kInflatedTag]);
+            return f.dead_row(arena_[bits & kRowMask]);
         Epoch e = Epoch::from_bits(bits);
         return !e.is_bottom() && f.dead_component(e.thread(), e.value());
     }
@@ -439,8 +498,8 @@ public:
     gc_reclaim(size_t i)
     {
         uint64_t bits = entries_[i];
-        if (bits & kInflatedTag) {
-            size_t r = bits & ~kInflatedTag;
+        if ((bits & kInflatedTag) && drop_ref(bits)) {
+            size_t r = bits & kRowMask;
             arena_[r].clear();
             free_rows_.push_back(r);
             ++stats_.gc_rows_freed;
@@ -483,6 +542,11 @@ public:
     /** Entry indices waiting for reuse via add_entry_reusable. */
     size_t free_entry_count() const { return free_entries_.size(); }
 
+    /** Debug invariant (O(entries), tests): every shared row's count
+     *  equals its tagged referents, every untagged row has exactly one
+     *  referent and no count, and no free-list row is referenced. */
+    bool rows_consistent() const;
+
     const AdaptiveClockStats& stats() const { return stats_; }
 
     /** The inflation arena (tests, benchmarks). */
@@ -499,7 +563,10 @@ public:
                    upd_gate_.capacity() * sizeof(ClockValue) +
                    open_windows_.capacity() * sizeof(uint32_t) +
                    free_rows_.capacity() * sizeof(size_t) +
-                   free_entries_.capacity() * sizeof(uint32_t);
+                   free_entries_.capacity() * sizeof(uint32_t) +
+                   shared_refs_.bucket_count() * sizeof(void*) +
+                   shared_refs_.size() *
+                       (sizeof(size_t) + sizeof(uint32_t) + 2 * sizeof(void*));
         for (const UpdWindow& w : upd_) {
             n += sizeof(UpdWindow) + w.list.capacity() * sizeof(uint32_t) +
                  w.member.capacity() * sizeof(uint64_t);
@@ -509,6 +576,10 @@ public:
 
 private:
     static constexpr uint64_t kInflatedTag = uint64_t{1} << 63;
+    /** On inflated entries only: the row is shared (counted in
+     *  shared_refs_). On epochs bit 62 is part of the thread field. */
+    static constexpr uint64_t kSharedTag = uint64_t{1} << 62;
+    static constexpr uint64_t kRowMask = kSharedTag - 1;
 
     /** One thread's update window: enrolled entries as a list plus a
      *  membership bitset (bit i of word i / 64, lazily sized by entry
@@ -560,11 +631,66 @@ private:
         }
     }
 
+    /** Inflated entry i's row, ready for an in-place write: a shared
+     *  row is first made private (copy-on-write; its old contents are
+     *  copied iff copy_contents). */
     ClockRef
-    mut_row(uint64_t bits)
+    own_row(size_t i, bool copy_contents)
     {
-        return arena_[bits & ~kInflatedTag];
+        const uint64_t bits = entries_[i];
+        if (bits & kSharedTag)
+            return unshare(i, copy_contents);
+        return arena_[bits & kRowMask];
     }
+
+    ClockRef unshare(size_t i, bool copy_contents);
+
+    /** Drop one referent of inflated word `bits`'s row; true iff that
+     *  was the last one (the row may be freed). */
+    bool
+    drop_ref(uint64_t bits)
+    {
+        if (!(bits & kSharedTag))
+            return true;
+        auto it = shared_refs_.find(bits & kRowMask);
+        assert(it != shared_refs_.end() && it->second > 0);
+        if (--it->second != 0)
+            return false;
+        shared_refs_.erase(it);
+        return true;
+    }
+
+    /** join (zero_t: join_except) of c into entry i. A bottom entry and
+     *  an impure c make the result a copy of c (c[0/t]): it takes s's
+     *  row if s has one, else it becomes s's row. */
+    void
+    flush_shared(size_t i, ConstClockRef c, ThreadId t, bool c_pure,
+                 RowShare& s, bool zero_t)
+    {
+        const bool copy = !c_pure && entries_[i] == 0;
+        if (copy && share_row(i, s)) {
+            if (!open_windows_.empty())
+                enroll(i, c, t, /*c_pure=*/false, zero_t);
+            ++stats_.vector_ops;
+            return;
+        }
+        if (zero_t)
+            join_except(i, c, t, c_pure);
+        else
+            join(i, c, t, c_pure);
+        if (copy && is_inflated(i)) {
+            s.row = entries_[i] & kRowMask;
+            s.owner = i;
+            s.refs = nullptr;
+        }
+    }
+
+    /** Point bottom entry i at s's row; false when s has none (or its
+     *  first owner has since moved off it). */
+    bool share_row(size_t i, RowShare& s);
+
+    /** A bottom row: off the free-list, else a fresh arena row. */
+    size_t alloc_row();
 
     /** Promote entry i into a fresh (bottom) arena row; copies the old
      *  epoch's contents iff copy_contents. */
@@ -583,6 +709,9 @@ private:
     /** Entry indices freed by gc_recycle_index, drained by
      *  add_entry_reusable; entries on the list are bottom. */
     std::vector<uint32_t> free_entries_;
+    /** Reference counts of shared rows only (row -> tagged referents).
+     *  Node-based, so a RowShare may hold a pointer to its count. */
+    std::unordered_map<size_t, uint32_t> shared_refs_;
     bool epochs_ = true;
     bool upd_sets_ = true;
     /** Window per thread; upd_gate_[t] != 0 iff t's window is open (still

@@ -21,6 +21,7 @@
 #include "vc/adaptive_clock.hpp"
 #include "vc/clock_bank.hpp"
 #include "vc/epoch.hpp"
+#include "vc/gc.hpp"
 #include "vc/vector_clock.hpp"
 
 namespace aero {
@@ -345,6 +346,209 @@ TEST(AdaptiveClockFuzz, MatchesVectorClockModelEpochsOff)
 {
     for (uint64_t seed = 1; seed <= 20; ++seed)
         fuzz_against_model(seed, /*epochs_on=*/false);
+}
+
+// --- Shared-row twin fuzz ---------------------------------------------------
+
+/** What the twin fuzz reached, summed over seeds: copy-on-write through
+ *  each in-place mutator, reclamation of a sharer that was not the last
+ *  one, and an inflation that reused a freed row. */
+struct ShareCoverage {
+    size_t cow_assign = 0;
+    size_t cow_join = 0;
+    size_t cow_join_except = 0;
+    size_t cow_join_one = 0;
+    size_t reclaim_sharer = 0;
+    size_t freed_row_reused = 0;
+    size_t shared = 0;
+};
+
+/**
+ * Feed identical op streams to two tables: `shr` takes every flush batch
+ * through join_shared / join_except_shared, `ref` through plain join /
+ * join_except. Every entry must denote the same vector after every op,
+ * the work counters must agree, and shr's shared-row bookkeeping must
+ * stay consistent (rows_consistent).
+ */
+void
+twin_fuzz(uint64_t seed, bool epochs_on, ShareCoverage& cov)
+{
+    constexpr size_t kEntries = 16;
+    constexpr size_t kThreads = 5;
+    constexpr int kOps = 2000;
+
+    Rng rng(seed);
+    AdaptiveClockTable shr, ref;
+    for (AdaptiveClockTable* tbl : {&shr, &ref}) {
+        tbl->set_epochs_enabled(epochs_on);
+        tbl->ensure_dim(kThreads);
+        tbl->add_entries(kEntries);
+    }
+    ClockBank clocks(kThreads, kThreads);
+    GcFrontier frontier;
+
+    auto random_source = [&](ThreadId t, bool pure) {
+        ClockRef src = clocks[t];
+        src.clear();
+        if (pure) {
+            src.set(t, static_cast<ClockValue>(rng.next_range(0, 40)));
+            return;
+        }
+        for (size_t j = 0; j < kThreads; ++j) {
+            if (rng.next_bool(0.6))
+                src.set(j, static_cast<ClockValue>(rng.next_range(0, 40)));
+        }
+    };
+
+    for (int op = 0; op < kOps; ++op) {
+        const ThreadId t = static_cast<ThreadId>(rng.next_below(kThreads));
+        const size_t i = rng.next_below(kEntries);
+        const size_t rows_before = shr.arena_rows();
+        const size_t free_before = shr.arena_rows() - shr.arena_rows_live();
+        const bool was_shared = shr.is_shared(i);
+        const uint64_t op_kind = rng.next_below(8);
+        switch (op_kind) {
+          case 0:
+          case 1: { // one source flushed into a batch of entries
+            const bool pure = rng.next_bool(0.1);
+            random_source(t, pure);
+            AdaptiveClockTable::RowShare full, except;
+            const size_t n = 1 + rng.next_below(6);
+            for (size_t k = 0; k < n; ++k) {
+                // Each entry at most once per batch, as in an end walk.
+                const size_t e = (i + k) % kEntries;
+                if (rng.next_bool(0.5)) {
+                    shr.join_shared(e, clocks[t], t, pure, full);
+                    ref.join(e, clocks[t], t, pure);
+                } else {
+                    shr.join_except_shared(e, clocks[t], t, pure, except);
+                    ref.join_except(e, clocks[t], t, pure);
+                }
+            }
+            break;
+          }
+          case 2: {
+            const bool pure = rng.next_bool(0.3);
+            random_source(t, pure);
+            shr.assign(i, clocks[t], t, pure);
+            ref.assign(i, clocks[t], t, pure);
+            cov.cow_assign += was_shared && !shr.is_shared(i);
+            break;
+          }
+          case 3: {
+            random_source(t, /*pure=*/false);
+            shr.join(i, clocks[t], t, false);
+            ref.join(i, clocks[t], t, false);
+            cov.cow_join += was_shared && !shr.is_shared(i);
+            break;
+          }
+          case 4: {
+            random_source(t, /*pure=*/false);
+            shr.join_except(i, clocks[t], t, false);
+            ref.join_except(i, clocks[t], t, false);
+            cov.cow_join_except += was_shared && !shr.is_shared(i);
+            break;
+          }
+          case 5: { // pure join: the one-component branch when inflated
+            random_source(t, /*pure=*/true);
+            shr.join(i, clocks[t], t, true);
+            ref.join(i, clocks[t], t, true);
+            cov.cow_join_one += was_shared && !shr.is_shared(i);
+            break;
+          }
+          case 6: { // reclaim one entry outright
+            const uint64_t freed = shr.stats().gc_rows_freed;
+            shr.gc_reclaim(i);
+            ref.gc_reclaim(i);
+            cov.reclaim_sharer +=
+                was_shared && shr.stats().gc_rows_freed == freed;
+            break;
+          }
+          default: { // a frontier sweep over both tables
+            frontier.reset(kThreads);
+            random_source(t, /*pure=*/false);
+            frontier.accumulate(clocks[t]);
+            EXPECT_EQ(shr.gc_sweep(frontier), ref.gc_sweep(frontier));
+            break;
+          }
+        }
+        if (free_before > 0 && shr.arena_rows() == rows_before &&
+            shr.arena_rows() - shr.arena_rows_live() < free_before)
+            ++cov.freed_row_reused;
+
+        for (size_t e = 0; e < kEntries; ++e) {
+            ASSERT_EQ(shr.to_vector_clock(e), ref.to_vector_clock(e))
+                << "entry " << e << " diverged at op " << op << " (seed "
+                << seed << ", epochs=" << epochs_on << ")";
+        }
+        ASSERT_TRUE(shr.rows_consistent()) << "op " << op;
+        ASSERT_EQ(shr.stats().inflations, ref.stats().inflations);
+        ASSERT_EQ(shr.stats().vector_ops, ref.stats().vector_ops);
+        ASSERT_EQ(shr.stats().epoch_fast, ref.stats().epoch_fast);
+        ASSERT_EQ(shr.stats().gc_reclaimed, ref.stats().gc_reclaimed);
+        ASSERT_LE(shr.arena_rows_live(), ref.arena_rows_live());
+    }
+    cov.shared += shr.stats().rows_shared;
+}
+
+TEST(AdaptiveClockShare, TwinTablesAgreeEntryForEntry)
+{
+    ShareCoverage cov;
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+        twin_fuzz(seed, /*epochs_on=*/true, cov);
+        twin_fuzz(seed, /*epochs_on=*/false, cov);
+    }
+    EXPECT_GT(cov.shared, 0u);
+    EXPECT_GT(cov.cow_assign, 0u);
+    EXPECT_GT(cov.cow_join, 0u);
+    EXPECT_GT(cov.cow_join_except, 0u);
+    EXPECT_GT(cov.cow_join_one, 0u);
+    EXPECT_GT(cov.reclaim_sharer, 0u);
+    EXPECT_GT(cov.freed_row_reused, 0u);
+}
+
+TEST_F(AdaptiveTableTest, SharedFlushWritesOneRowAndCopiesOnWrite)
+{
+    tbl_.add_entries(4);
+    const ConstClockRef c = ref(VectorClock{3, 1, 0, 2});
+    AdaptiveClockTable::RowShare full;
+    for (size_t i = 0; i < 3; ++i)
+        tbl_.join_shared(i, c, 0, /*c_pure=*/false, full);
+    EXPECT_EQ(tbl_.arena_rows(), 1u);
+    EXPECT_EQ(tbl_.stats().inflations, 3u);
+    EXPECT_EQ(tbl_.stats().rows_shared, 2u);
+    for (size_t i = 0; i < 3; ++i) {
+        EXPECT_TRUE(tbl_.is_shared(i));
+        EXPECT_EQ(tbl_.to_vector_clock(i), (VectorClock{3, 1, 0, 2}));
+    }
+
+    // A write to one sharer copies; the others keep the old vector.
+    tbl_.join(1, ref(VectorClock{0, 0, 0, 0, 7}), 4, /*c_pure=*/true);
+    EXPECT_FALSE(tbl_.is_shared(1));
+    EXPECT_EQ(tbl_.arena_rows(), 2u);
+    EXPECT_EQ(tbl_.to_vector_clock(1), (VectorClock{3, 1, 0, 2, 7}));
+    EXPECT_EQ(tbl_.to_vector_clock(0), (VectorClock{3, 1, 0, 2}));
+    EXPECT_TRUE(tbl_.rows_consistent());
+
+    // Reclaiming a sharer frees nothing; the last referent owns the row
+    // and writes it in place; reclaiming that frees it.
+    tbl_.gc_reclaim(0);
+    EXPECT_EQ(tbl_.stats().gc_rows_freed, 0u);
+    tbl_.assign(2, ref(VectorClock{1, 1}), 1, /*c_pure=*/false);
+    EXPECT_FALSE(tbl_.is_shared(2));
+    EXPECT_EQ(tbl_.arena_rows(), 2u);
+    tbl_.gc_reclaim(2);
+    EXPECT_EQ(tbl_.stats().gc_rows_freed, 1u);
+    EXPECT_TRUE(tbl_.rows_consistent());
+
+    // A new flush batch reuses the freed row first.
+    AdaptiveClockTable::RowShare except;
+    const ConstClockRef c2 = ref(VectorClock{3, 1, 0, 2});
+    tbl_.join_except_shared(2, c2, 0, false, except);
+    tbl_.join_except_shared(3, c2, 0, false, except);
+    EXPECT_EQ(tbl_.arena_rows(), 2u);
+    EXPECT_EQ(tbl_.to_vector_clock(3), (VectorClock{0, 1, 0, 2}));
+    EXPECT_TRUE(tbl_.rows_consistent());
 }
 
 } // namespace

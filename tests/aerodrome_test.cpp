@@ -448,15 +448,43 @@ TEST(AeroDromeOptimized, StarFootprintPerVariableFitsTheLayout)
     }
     const double per_var = static_cast<double>(bytes[1] - bytes[0]) /
                            static_cast<double>(vars[1] - vars[0]);
-    // The layout: three 32-byte rows (stride 8 at dim 7), three 8-byte
+    // The layout: one 32-byte row for W_x (stride 8 at dim 7; R_x and
+    // hR_x point at the two rows the hub's end shares), three 8-byte
     // entry words, a 4-byte stale-reader head, a 4-byte last writer, a
     // 1-byte stale flag, the hub's pooled 8-byte stale-reader node and
     // 4-byte window-list slot, and one window bit per entry per thread.
     // Arena rows and vectors grow by doubling, so allow twice that.
-    // Measured: 233 B.
-    const double layout =
-        3 * 32 + 3 * 8 + 4 + 4 + 1 + 8 + 4 + 7 * 3 / 8.0;
+    // Measured: 102 B (233 B with a private row per R_x and hR_x).
+    const double layout = 32 + 3 * 8 + 4 + 4 + 1 + 8 + 4 + 7 * 3 / 8.0;
     EXPECT_LE(per_var, 2 * layout);
+}
+
+TEST(AeroDromeOptimized, StaleFlushesOfOneEndShareTwoRows)
+{
+    // One long transaction reads N fresh variables written by two other
+    // threads, then ends. Its end flushes C_t into every R_x and
+    // C_t[0/t] into every hR_x; all of them were bottom, so the end
+    // writes two arena rows, not 2N.
+    constexpr int kVars = 200;
+    TraceBuilder b;
+    b.begin("hub");
+    for (int k = 0; k < kVars; ++k) {
+        const std::string x = "x" + std::to_string(k);
+        b.write(k % 2 ? "w1" : "w2", x);
+        b.read("hub", x);
+    }
+    b.end("hub");
+    Trace t = b.take();
+
+    AeroDromeOpt e(t.num_threads(), t.num_vars(), t.num_locks());
+    const std::vector<Event>& ev = t.events();
+    for (size_t i = 0; i + 1 < ev.size(); ++i)
+        ASSERT_FALSE(e.process(ev[i], i));
+    const size_t before = e.arena_rows();
+    ASSERT_FALSE(e.process(ev.back(), ev.size() - 1));
+    EXPECT_LE(e.arena_rows() - before, 2u);
+    EXPECT_EQ(e.epoch_stats().rows_shared, 2u * (kVars - 1));
+    EXPECT_EQ(e.opt_stats().propagated_ends, 1u);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 
 #include "aerodrome/aerodrome_opt.hpp"
@@ -118,6 +119,57 @@ TEST(Runner, TimesOut)
     EXPECT_FALSE(r.violation);
     EXPECT_LT(r.events_processed, t.size());
     EXPECT_STREQ(r.verdict(), "TO");
+}
+
+namespace {
+
+/** Checker whose i-th event spins for base + i * ramp nanoseconds. */
+class SpinChecker : public CheckerBase {
+public:
+    SpinChecker(uint64_t base_ns, uint64_t ramp_ns)
+        : base_ns_(base_ns), ramp_ns_(ramp_ns)
+    {
+    }
+
+    std::string_view name() const override { return "spin"; }
+
+    bool
+    process(const Event&, size_t index) override
+    {
+        const auto until =
+            std::chrono::steady_clock::now() +
+            std::chrono::nanoseconds(base_ns_ + index * ramp_ns_);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        return false;
+    }
+
+private:
+    uint64_t base_ns_;
+    uint64_t ramp_ns_;
+};
+
+} // namespace
+
+TEST(Runner, SlowEngineStopsWithinFivePercentOr50ms)
+{
+    // Default check_interval (65,536 events): a fixed-interval poll would
+    // let these engines run seconds past the budget. A steady 200 us per
+    // event, and a cost that grows by 100 ns per event (Velodrome-like),
+    // must both stop within max(5%, 50 ms) of a 0.3 s budget.
+    Trace t = gen::make_pipeline(4, 4000);
+    ASSERT_GT(t.size(), 20000u);
+    const uint64_t kCosts[][2] = {{200000, 0}, {0, 100}};
+    for (const auto& cost : kCosts) {
+        SpinChecker checker(cost[0], cost[1]);
+        RunBudget budget;
+        budget.max_seconds = 0.3;
+        RunResult r = run_checker(checker, t, budget);
+        EXPECT_TRUE(r.timed_out);
+        EXPECT_LT(r.events_processed, t.size());
+        EXPECT_LE(r.seconds, budget.max_seconds + 0.05)
+            << "base " << cost[0] << " ns, ramp " << cost[1] << " ns";
+    }
 }
 
 // --- Report helpers -----------------------------------------------------------
