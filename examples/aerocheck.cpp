@@ -27,7 +27,10 @@
  *   --stats: print engine-specific statistics after the run
  *   --witness: on a violation, reconstruct and print a witness cycle
  *              (one offending SCC of the transaction graph over the
- *              prefix up to the violating event; loads the trace)
+ *              prefix up to the violating event; loads that prefix)
+ *
+ * Both loads read the trace through the run's own reader and --resync
+ * setting, so they accept and reject exactly what the run does.
  *
  * Exit code: 0 = serializable, 1 = violation, 2 = usage/input error,
  * 3 = budget exceeded, 4 = corrupt input stream (strict mode),
@@ -54,9 +57,7 @@
 #include "support/assert.hpp"
 #include "support/fault.hpp"
 #include "support/str.hpp"
-#include "trace/binary_io.hpp"
 #include "trace/stream.hpp"
-#include "trace/text_io.hpp"
 #include "trace/validator.hpp"
 #include "velodrome/velodrome.hpp"
 
@@ -74,13 +75,22 @@ struct Args {
     bool witness = false;
 };
 
-/** Reconstruct and print one witness cycle over the violating prefix. */
-void
-print_witness(const Trace& trace, size_t violation_index)
+/** Drain up to `max_events` events of the trace through the run's
+ *  reader (open_event_source) and --resync setting. */
+Trace
+load_trace(const Args& args, uint64_t max_events = UINT64_MAX)
 {
-    Trace prefix;
-    for (size_t i = 0; i <= violation_index && i < trace.size(); ++i)
-        prefix.push(trace[i]);
+    std::unique_ptr<std::istream> storage;
+    auto source = open_event_source(args.path, storage);
+    source->set_resync(args.resync);
+    return drain_trace(*source, max_events);
+}
+
+/** Reconstruct and print one witness cycle over `prefix`, the events up
+ *  to and including the violating one. */
+void
+print_witness(const Trace& prefix)
+{
     OracleOptions oopts;
     oopts.collect_txn_info = true;
     OracleResult oracle = check_serializability(prefix, oopts);
@@ -99,7 +109,7 @@ print_witness(const Trace& trace, size_t violation_index)
         const TxnInfo& info = oracle.txn_info[node];
         std::printf("    %s txn of thread %s: events [%zu..%zu]%s\n",
                     info.unary ? "unary" : "block",
-                    trace.threads().name_of(info.thread, "t").c_str(),
+                    prefix.threads().name_of(info.thread, "t").c_str(),
                     info.first_event, info.last_event,
                     info.completed ? "" : " (still open)");
     }
@@ -228,9 +238,7 @@ main(int argc, char** argv)
 
     try {
         if (args.validate_first) {
-            Trace t = trace_is_binary(args.path)
-                          ? read_binary_file(args.path)
-                          : read_text_file(args.path);
+            Trace t = load_trace(args);
             auto v = validate(t);
             if (!v.ok) {
                 std::fprintf(stderr,
@@ -301,12 +309,8 @@ main(int argc, char** argv)
             std::printf("  at event index %zu, thread id %u: %s\n",
                         r.details->event_index, r.details->thread,
                         r.details->reason.c_str());
-            if (args.witness) {
-                Trace t = trace_is_binary(args.path)
-                              ? read_binary_file(args.path)
-                              : read_text_file(args.path);
-                print_witness(t, r.details->event_index);
-            }
+            if (args.witness)
+                print_witness(load_trace(args, r.details->event_index + 1));
         }
         if (args.stats) {
             std::printf("  ingest: %s source, block %s\n",

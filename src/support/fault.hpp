@@ -103,8 +103,12 @@ public:
 
     // --- site hooks -------------------------------------------------------
 
-    /** kTraceByte (binary): filter one decoded byte. May flip/garble
-     *  `byte`; @return false to truncate the stream here (sticky). */
+    /** kTraceByte (binary): filter one post-header byte as a reader
+     *  reads it, once per byte in stream order at its absolute `offset`
+     *  (MappedBinaryEventSource::refill over each new buffered window;
+     *  the reference BinaryEventSource per lookahead byte). May
+     *  flip/garble `byte`; @return false to truncate the stream here
+     *  (sticky). */
     bool filter_byte(uint64_t offset, int& byte);
 
     /** kTraceByte (text): filter one input line. May corrupt `line` in

@@ -1,11 +1,9 @@
 #include "trace/binary_io.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <vector>
 
 #include "support/assert.hpp"
 #include "trace/mapped_reader.hpp"
@@ -68,48 +66,18 @@ write_binary_file(const std::string& path, const Trace& trace)
         fatal("error while writing: " + path);
 }
 
-namespace {
-
-/** Drain a block reader into a Trace. Decoding goes through the hardened
- *  reader: header plausibility caps, id bounds against the
- *  header-declared spaces, and structured StreamCorruption (an
- *  aero::FatalError) on any malformation. */
-Trace
-drain(MappedBinaryEventSource& source)
-{
-    Trace trace;
-    // The header count is untrusted input — reserve at most a modest
-    // slab and let push() grow for genuinely huge traces.
-    trace.reserve(static_cast<size_t>(
-        std::min<uint64_t>(source.expected_events(), 1ull << 22)));
-    uint32_t threads = 0, vars = 0, locks = 0;
-    source.dimensions(threads, vars, locks);
-    trace.threads().ensure(threads);
-    trace.vars().ensure(vars);
-    trace.locks().ensure(locks);
-
-    std::vector<Event> block(kDefaultIngestBlock);
-    while (size_t n = source.next_n(block.data(), block.size())) {
-        for (size_t i = 0; i < n; ++i)
-            trace.push(block[i]);
-    }
-    return trace;
-}
-
-} // namespace
-
 Trace
 read_binary(std::istream& is)
 {
     MappedBinaryEventSource source(is);
-    return drain(source);
+    return drain_trace(source);
 }
 
 Trace
 read_binary_file(const std::string& path)
 {
     MappedBinaryEventSource source(path);
-    return drain(source);
+    return drain_trace(source);
 }
 
 } // namespace aero

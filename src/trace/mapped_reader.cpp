@@ -1,5 +1,6 @@
 #include "trace/mapped_reader.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include <fcntl.h>
@@ -59,35 +60,16 @@ clean_scan_avx2(const uint8_t* d, size_t i, size_t end)
 }
 #endif
 
-bool
-ingest_fault_armed()
-{
-    return fault_points_compiled() &&
-           FaultInjector::instance().armed_for(FaultSite::kTraceByte);
-}
-
 } // namespace
 
 MappedBinaryEventSource::MappedBinaryEventSource(const std::string& path)
 {
-    if (ingest_fault_armed()) {
-        own_stream_ =
-            std::make_unique<std::ifstream>(path, std::ios::binary);
-        if (!*own_stream_)
-            fatal("cannot open file for reading: " + path);
-        inner_ = std::make_unique<BinaryEventSource>(*own_stream_);
-        return;
-    }
     open_mapped_or_buffered(path);
     parse_header();
 }
 
 MappedBinaryEventSource::MappedBinaryEventSource(std::istream& is)
 {
-    if (ingest_fault_armed()) {
-        inner_ = std::make_unique<BinaryEventSource>(is);
-        return;
-    }
     in_ = &is;
     buf_.resize(kReadChunk);
     data_ = buf_.data();
@@ -103,7 +85,13 @@ MappedBinaryEventSource::~MappedBinaryEventSource()
 void
 MappedBinaryEventSource::open_mapped_or_buffered(const std::string& path)
 {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    // An armed trace-byte fault plan needs every byte to pass through
+    // refill(), where its hooks run: arming precedes a run (the injector
+    // contract), so the window is chosen once, here.
+    const bool faults_armed =
+        FaultInjector::instance().armed_for(FaultSite::kTraceByte);
+    const int fd =
+        faults_armed ? -1 : ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd >= 0) {
         struct stat st;
         if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
@@ -125,8 +113,8 @@ MappedBinaryEventSource::open_mapped_or_buffered(const std::string& path)
         }
         ::close(fd);
     }
-    // Not a regular file, or open/map failed: the buffered fallback
-    // below keeps pipes and special files working.
+    // Not a regular file, open/map failed, or a fault drill: the
+    // buffered fallback keeps pipes and special files working.
     own_stream_ = std::make_unique<std::ifstream>(path, std::ios::binary);
     if (!*own_stream_)
         fatal("cannot open file for reading: " + path);
@@ -136,7 +124,7 @@ MappedBinaryEventSource::open_mapped_or_buffered(const std::string& path)
 }
 
 void
-MappedBinaryEventSource::refill()
+MappedBinaryEventSource::refill(size_t upto)
 {
     AERO_ASSERT(!mapped_ && in_ != nullptr, "refill on a mapped source");
     // Compact the undecoded tail to the front; base_ stays the absolute
@@ -148,13 +136,29 @@ MappedBinaryEventSource::refill()
         pos_ = 0;
         avail_ = tail;
     }
-    const size_t want = buf_.size() - avail_;
+    const size_t want = std::min(buf_.size(), upto) - avail_;
     in_->read(reinterpret_cast<char*>(buf_.data() + avail_),
               static_cast<std::streamsize>(want));
-    const size_t got = static_cast<size_t>(in_->gcount());
-    avail_ += got;
-    if (got < want)
+    size_t end = avail_ + static_cast<size_t>(in_->gcount());
+    if (end < avail_ + want)
         src_eof_ = true;
+#if defined(AERO_FAULTS)
+    // The trace-byte hooks see each post-header byte once, in stream
+    // order, at its absolute offset: the hit sequence of the per-byte
+    // reference reader. A truncate cuts the window at that byte.
+    for (size_t i = avail_; i < end; ++i) {
+        if (base_ + i < kHeaderBytes)
+            continue;
+        int c = buf_[i];
+        if (!FaultInjector::instance().filter_byte(base_ + i, c)) {
+            end = i;
+            src_eof_ = true;
+            break;
+        }
+        buf_[i] = static_cast<uint8_t>(c);
+    }
+#endif
+    avail_ = end;
     data_ = buf_.data();
     clean_end_ = pos_; // window moved: re-scan lazily
 }
@@ -170,9 +174,11 @@ MappedBinaryEventSource::parse_header()
         e.message = std::move(msg);
         throw StreamCorruption(std::move(e));
     };
+    // The buffered window reads the header alone: construction leaves
+    // every event byte to decode-time refills.
     auto need = [&](size_t n) {
         while (!mapped_ && !src_eof_ && avail_ < n)
-            refill();
+            refill(kHeaderBytes);
         return avail_ >= n;
     };
 
@@ -183,7 +189,7 @@ MappedBinaryEventSource::parse_header()
     if (!need(16))
         bad_header(8, "binary trace truncated in header");
     std::memcpy(&expected_, data_ + 8, sizeof(expected_));
-    if (!need(28))
+    if (!need(kHeaderBytes))
         bad_header(16, "binary trace truncated in header");
     std::memcpy(&num_threads_, data_ + 16, sizeof(num_threads_));
     std::memcpy(&num_vars_, data_ + 20, sizeof(num_vars_));
@@ -194,7 +200,7 @@ MappedBinaryEventSource::parse_header()
                            std::to_string(num_threads_) + " threads, " +
                            std::to_string(num_vars_) + " vars, " +
                            std::to_string(num_locks_) + " locks)");
-    pos_ = 28; // sizeof header; corruption offsets are absolute
+    pos_ = kHeaderBytes; // corruption offsets are absolute
 
     for (uint32_t o = 0; o < kNumOps; ++o) {
         const Op op = static_cast<Op>(o);
@@ -475,16 +481,12 @@ MappedBinaryEventSource::decode_block(Event* out, size_t n)
 bool
 MappedBinaryEventSource::next(Event& out)
 {
-    if (inner_)
-        return inner_->next(out);
     return decode_block(&out, 1) == 1;
 }
 
 size_t
 MappedBinaryEventSource::next_n(Event* out, size_t n)
 {
-    if (inner_)
-        return inner_->next_n(out, n);
     if (n == 0)
         return 0;
     return decode_block(out, n);
@@ -493,47 +495,17 @@ MappedBinaryEventSource::next_n(Event* out, size_t n)
 const char*
 MappedBinaryEventSource::source_kind() const
 {
-    if (inner_)
-        return inner_->source_kind();
     return mapped_ ? "binary-mmap" : "binary-buffered";
-}
-
-void
-MappedBinaryEventSource::set_resync(bool on)
-{
-    if (inner_)
-        inner_->set_resync(on);
-    resync_ = on;
-}
-
-const std::vector<StreamError>&
-MappedBinaryEventSource::recovered_errors() const
-{
-    return inner_ ? inner_->recovered_errors() : errors_;
-}
-
-uint64_t
-MappedBinaryEventSource::recovered_error_count() const
-{
-    return inner_ ? inner_->recovered_error_count() : errors_total_;
 }
 
 bool
 MappedBinaryEventSource::dimensions(uint32_t& threads, uint32_t& vars,
                                     uint32_t& locks) const
 {
-    if (inner_)
-        return inner_->dimensions(threads, vars, locks);
     threads = num_threads_;
     vars = num_vars_;
     locks = num_locks_;
     return true;
-}
-
-uint64_t
-MappedBinaryEventSource::expected_events() const
-{
-    return inner_ ? inner_->expected_events() : expected_;
 }
 
 } // namespace aero

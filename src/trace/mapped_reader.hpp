@@ -21,11 +21,11 @@
  *  - pipes/stdin, special files, or mmap failure switch to a read()-into-
  *    buffer window over the same batched kernel (absolute offsets are
  *    preserved across refills);
- *  - an armed AERO_FAULTS ingest plan (FaultSite::kTraceByte) delegates
- *    wholesale to an inner BinaryEventSource, whose per-byte hooks the
- *    fault plans target — arming happens before a run starts (the
- *    documented injector contract), so the choice is made once at
- *    construction.
+ *  - a trace-byte fault plan (FaultSite::kTraceByte) armed at
+ *    construction also picks the buffered window: under -DAERO_FAULTS
+ *    refill() runs FaultInjector::filter_byte once over each post-header
+ *    byte it reads, so fault drills run this reader, with the fault
+ *    positions, causes, messages and offsets of the per-byte reference.
  *
  * Error contract: identical to BinaryEventSource (src/trace/README.md)
  * — same StreamError causes, messages, event indices, and absolute byte
@@ -67,43 +67,44 @@ public:
     bool next(Event& out) override;
     size_t next_n(Event* out, size_t n) override;
 
-    /** "binary-mmap", "binary-buffered", or the inner per-item reader's
-     *  kind when an ingest fault plan forced delegation. */
+    /** "binary-mmap" or "binary-buffered". */
     const char* source_kind() const override;
 
-    void set_resync(bool on) override;
-    const std::vector<StreamError>& recovered_errors() const override;
-    uint64_t recovered_error_count() const override;
+    void set_resync(bool on) override { resync_ = on; }
+    const std::vector<StreamError>& recovered_errors() const override
+    {
+        return errors_;
+    }
+    uint64_t recovered_error_count() const override { return errors_total_; }
 
     bool dimensions(uint32_t& threads, uint32_t& vars,
                     uint32_t& locks) const override;
 
-    /** Event count promised by the header. */
-    uint64_t expected_events() const;
-
     /** True when the trace is served from an mmap (diagnostics). */
     bool is_mapped() const { return mapped_; }
+
+    /** Buffered-mode read granularity. The header is read alone, so
+     *  the first refill covers byte offsets [28, 28 + kReadChunk). */
+    static constexpr size_t kReadChunk = 256 * 1024;
 
 private:
     /** Longest record: 1 opcode + two 5-byte varints. */
     static constexpr size_t kMaxRecordBytes = 11;
-    /** Buffered-mode read granularity. */
-    static constexpr size_t kReadChunk = 256 * 1024;
+    static constexpr size_t kHeaderBytes = 28;
 
     enum class Rec : uint8_t { kOk, kShort, kBad };
 
     void open_mapped_or_buffered(const std::string& path);
     void parse_header();
-    void refill();
+    /** Read more input, until the window holds `upto` bytes or the
+     *  buffer is full. */
+    void refill(size_t upto = SIZE_MAX);
     size_t decode_block(Event* out, size_t n);
     Rec decode_one(Event& out, size_t& len, StreamError& err);
     void extend_clean_span();
     void record_gap(StreamError err);
 
-    // Fault fallback: everything delegates to the per-item decoder whose
-    // per-byte hooks the armed ingest plan targets.
-    std::unique_ptr<std::ifstream> own_stream_;
-    std::unique_ptr<BinaryEventSource> inner_;
+    std::unique_ptr<std::ifstream> own_stream_; ///< buffered path source
 
     // Byte window. Mapped: data_ spans the whole file and never moves.
     // Buffered: data_ == buf_.data(); refill() compacts and reads.

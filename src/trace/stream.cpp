@@ -193,35 +193,6 @@ TextEventSource::next(Event& out)
     return false;
 }
 
-size_t
-TextEventSource::next_n(Event* out, size_t n)
-{
-    // Same stash discipline as the base default, with the virtual next()
-    // devirtualized for the hot loop.
-    if (pending_error_) {
-        std::exception_ptr e = std::move(pending_error_);
-        pending_error_ = nullptr;
-        std::rethrow_exception(e);
-    }
-    if (exhausted_)
-        return 0;
-    size_t k = 0;
-    try {
-        while (k < n) {
-            if (!TextEventSource::next(out[k])) {
-                exhausted_ = true;
-                break;
-            }
-            ++k;
-        }
-    } catch (const StreamCorruption&) {
-        if (k == 0)
-            throw;
-        pending_error_ = std::current_exception();
-    }
-    return k;
-}
-
 BinaryEventSource::BinaryEventSource(std::istream& is) : is_(is)
 {
     auto bad_header = [](uint64_t off, std::string msg) -> void {
@@ -430,31 +401,6 @@ BinaryEventSource::next(Event& out)
     }
 }
 
-size_t
-BinaryEventSource::next_n(Event* out, size_t n)
-{
-    if (exhausted_)
-        return 0;
-    size_t k = 0;
-    try {
-        while (k < n) {
-            if (!next(out[k])) {
-                exhausted_ = true;
-                break;
-            }
-            ++k;
-        }
-    } catch (const StreamCorruption&) {
-        // Strict-mode errors are raised before any byte of the corrupt
-        // record is consumed, so the decoder is idempotent here: deliver
-        // the decoded prefix and let the next call re-derive the
-        // identical error (no stash needed).
-        if (k == 0)
-            throw;
-    }
-    return k;
-}
-
 bool
 trace_is_binary(const std::string& path)
 {
@@ -497,6 +443,34 @@ open_event_source(const std::string& path,
     std::istream& ref = *file;
     storage = std::move(file);
     return std::make_unique<TextEventSource>(ref);
+}
+
+Trace
+drain_trace(EventSource& src, uint64_t max_events)
+{
+    Trace trace;
+    uint32_t threads = 0, vars = 0, locks = 0;
+    if (src.dimensions(threads, vars, locks)) {
+        trace.threads().ensure(threads);
+        trace.vars().ensure(vars);
+        trace.locks().ensure(locks);
+    }
+    std::vector<Event> block(kDefaultIngestBlock);
+    while (trace.size() < max_events) {
+        const size_t want = static_cast<size_t>(std::min<uint64_t>(
+            block.size(), max_events - trace.size()));
+        const size_t n = src.next_n(block.data(), want);
+        if (n == 0)
+            break;
+        for (size_t i = 0; i < n; ++i)
+            trace.push(block[i]);
+    }
+    if (const auto* text = dynamic_cast<const TextEventSource*>(&src)) {
+        trace.threads() = text->threads();
+        trace.vars() = text->vars();
+        trace.locks() = text->locks();
+    }
+    return trace;
 }
 
 } // namespace aero

@@ -174,7 +174,6 @@ public:
     explicit TextEventSource(std::istream& is) : is_(is) {}
 
     bool next(Event& out) override;
-    size_t next_n(Event* out, size_t n) override;
     const char* source_kind() const override { return "text"; }
 
     void set_resync(bool on) override { resync_ = on; }
@@ -213,10 +212,11 @@ private:
  * the header-declared id spaces — a tid or target at or beyond them is
  * corruption, never an instruction to allocate.
  *
- * Production reads (open_event_source, read_binary) go through the block
- * reader, MappedBinaryEventSource. This per-event reader is the parity
- * reference that reader is tested against, and the delegate it hands
- * input to when a per-byte fault plan is armed.
+ * Reference only: nothing in the library constructs it. Every
+ * production read (open_event_source, read_binary, fault drills) goes
+ * through the block reader, MappedBinaryEventSource; this one-byte-at-a-
+ * time decoder, with its own per-byte fault hook, is the parity
+ * reference that reader is tested against (tests/ingest_test.cpp).
  */
 class BinaryEventSource : public EventSource {
 public:
@@ -225,7 +225,6 @@ public:
     explicit BinaryEventSource(std::istream& is);
 
     bool next(Event& out) override;
-    size_t next_n(Event* out, size_t n) override;
     const char* source_kind() const override { return "binary"; }
 
     void set_resync(bool on) override { resync_ = on; }
@@ -294,5 +293,15 @@ bool trace_is_binary(const std::string& path);
  */
 std::unique_ptr<EventSource> open_event_source(const std::string& path,
                                                std::unique_ptr<std::istream>& storage);
+
+/**
+ * Drain up to `max_events` events of `src` into an in-memory Trace: the
+ * one in-memory loader over the streaming readers (read_text,
+ * read_binary, aerocheck's --validate and --witness loads). Id spaces
+ * come from dimensions() when the source knows them; a TextEventSource's
+ * name tables are copied. Strict-mode corruption propagates as
+ * StreamCorruption; in resync mode skipped records are simply absent.
+ */
+Trace drain_trace(EventSource& src, uint64_t max_events = UINT64_MAX);
 
 } // namespace aero

@@ -2,10 +2,9 @@
 
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "support/assert.hpp"
-#include "support/str.hpp"
+#include "trace/stream.hpp"
 
 namespace aero {
 
@@ -30,87 +29,11 @@ write_text_file(const std::string& path, const Trace& trace)
         fatal("error while writing: " + path);
 }
 
-namespace {
-
-Op
-parse_op(std::string_view tok, size_t line_no)
-{
-    if (tok == "r")
-        return Op::kRead;
-    if (tok == "w")
-        return Op::kWrite;
-    if (tok == "acq")
-        return Op::kAcquire;
-    if (tok == "rel")
-        return Op::kRelease;
-    if (tok == "fork")
-        return Op::kFork;
-    if (tok == "join")
-        return Op::kJoin;
-    if (tok == "begin")
-        return Op::kBegin;
-    if (tok == "end")
-        return Op::kEnd;
-    fatal("line " + std::to_string(line_no) + ": unknown operation '" +
-          std::string(tok) + "'");
-}
-
-} // namespace
-
 Trace
 read_text(std::istream& is)
 {
-    Trace trace;
-    std::string line;
-    size_t line_no = 0;
-    while (std::getline(is, line)) {
-        ++line_no;
-        std::string_view sv = trim(line);
-        if (sv.empty() || sv[0] == '#')
-            continue;
-
-        // Tokenize on runs of whitespace.
-        std::vector<std::string_view> toks;
-        size_t pos = 0;
-        while (pos < sv.size()) {
-            while (pos < sv.size() &&
-                   std::isspace(static_cast<unsigned char>(sv[pos])))
-                ++pos;
-            size_t start = pos;
-            while (pos < sv.size() &&
-                   !std::isspace(static_cast<unsigned char>(sv[pos])))
-                ++pos;
-            if (pos > start)
-                toks.push_back(sv.substr(start, pos - start));
-        }
-        if (toks.size() < 2) {
-            fatal("line " + std::to_string(line_no) +
-                  ": expected '<thread> <op> [target]'");
-        }
-
-        ThreadId t = trace.threads().intern(toks[0]);
-        Op op = parse_op(toks[1], line_no);
-        uint32_t target = 0;
-        bool needs_target = !(op == Op::kBegin || op == Op::kEnd);
-        if (needs_target) {
-            if (toks.size() < 3) {
-                fatal("line " + std::to_string(line_no) +
-                      ": operation requires a target");
-            }
-            if (op_targets_var(op)) {
-                target = trace.vars().intern(toks[2]);
-            } else if (op_targets_lock(op)) {
-                target = trace.locks().intern(toks[2]);
-            } else {
-                target = trace.threads().intern(toks[2]);
-            }
-        } else if (toks.size() > 2) {
-            fatal("line " + std::to_string(line_no) +
-                  ": begin/end take no target");
-        }
-        trace.push({t, target, op});
-    }
-    return trace;
+    TextEventSource source(is);
+    return drain_trace(source);
 }
 
 Trace

@@ -30,10 +30,14 @@ void write_text(std::ostream& os, const Trace& trace);
 /** Write `trace` to a file; throws FatalError on I/O failure. */
 void write_text_file(const std::string& path, const Trace& trace);
 
-/** Parse a trace from the text format; throws FatalError on syntax errors. */
+/** Parse a trace from the text format by draining a TextEventSource
+ *  (stream.hpp, the one text parser); a malformed line throws
+ *  StreamCorruption (an aero::FatalError; cause kParse, message
+ *  "line N: ..."). */
 Trace read_text(std::istream& is);
 
-/** Read a trace from a file; throws FatalError on I/O or syntax errors. */
+/** Read a trace from a file; FatalError when it cannot be opened,
+ *  StreamCorruption on a malformed line. */
 Trace read_text_file(const std::string& path);
 
 } // namespace aero

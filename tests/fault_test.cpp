@@ -142,7 +142,7 @@ TEST_F(Fault, InjectedBinaryTruncationIsAStructuredStreamError)
     FaultInjector::instance().arm(plan);
 
     std::istringstream in(blob.str(), std::ios::binary);
-    BinaryEventSource src(in);
+    MappedBinaryEventSource src(in);
     AeroDromeOpt engine(0, 0, 0);
     RunResult r = run_checker_stream(engine, src);
     EXPECT_EQ(FaultInjector::instance().fires(), 1u);
@@ -234,11 +234,12 @@ stream_mapped(const std::string& path)
 
 // What the per-byte hooks cost, as counts. Disarmed, the shipped reader
 // keeps its block path and the injector counts nothing. Armed but idle
-// (a trigger that never comes), the run is unchanged; with the hooks
-// compiled in, each post-header byte is exactly one counted hit, and
-// without them nothing on the path consults the injector. A plan
-// disarmed after the reader chose its per-byte delegate leaves the hooks
-// in the byte loop, where each must be one load that counts nothing.
+// (a trigger that never comes), the reader takes its buffered window and
+// the run is unchanged; with the hooks compiled in, each post-header
+// byte is exactly one counted hit, and without them nothing on the path
+// consults the injector. A plan disarmed after the reader chose its
+// buffered window leaves the hooks in refill(), where each must be one
+// load that counts nothing.
 TEST_F(Fault, IdleTraceByteHooksCountBytesNotTime)
 {
     Trace t = gen::make_pipeline(8, 500);
@@ -270,6 +271,7 @@ TEST_F(Fault, IdleTraceByteHooksCountBytesNotTime)
     idle.trigger = UINT64_MAX;
     inj.arm(idle);
     const MappedPass armed = stream_mapped(path);
+    EXPECT_EQ(armed.kind, "binary-buffered");
     EXPECT_EQ(inj.fires(), 0u);
     EXPECT_EQ(armed.events, disarmed.events);
     EXPECT_EQ(armed.result.status(), disarmed.result.status());

@@ -9,9 +9,11 @@
  * this suite pins them to the reference byte-for-byte: every trace in a
  * fuzz corpus — clean, bit-flipped, truncated, garbled — must produce
  * the same events, the same terminal error, and the same recovered-error
- * list through BinaryEventSource::next_n and MappedBinaryEventSource
- * (mmap and buffered windows) at block sizes {1, 7, 256, 4096} as
- * through BinaryEventSource::next() one event at a time.
+ * list through BinaryEventSource::next_n (the EventSource base default)
+ * and MappedBinaryEventSource (mmap and buffered windows) at block sizes
+ * {1, 7, 256, 4096} as through BinaryEventSource::next() one event at a
+ * time. With -DAERO_FAULTS=ON, armed trace-byte fault drills must also
+ * land identically on the block reader and the reference (FaultParity).
  *
  * Also here: the magic-sniffing format decision (extension only breaks
  * ties), the buffered fallback for paths that cannot be mapped, and the
@@ -62,10 +64,10 @@ corpus_trace(uint64_t seed)
  *  kernel's clean-span boundaries (LEB128 continuation bits) are
  *  exercised, not just the all-1-byte fast path. */
 Trace
-wide_id_trace()
+wide_id_trace(uint32_t rounds = 120)
 {
     Trace t;
-    for (uint32_t i = 0; i < 120; ++i) {
+    for (uint32_t i = 0; i < rounds; ++i) {
         const ThreadId tid = (i * 37) % 200;       // 2-byte tids past 127
         const uint32_t var = (i * 991) % 20000;    // up to 3-byte vars
         t.begin(tid);
@@ -356,6 +358,118 @@ TEST(BatchedDecodeParity, CheckerVerdictMatchesMaterialized)
         RunResult got = run_checker_stream(b, src);
         EXPECT_EQ(want.violation, got.violation) << seed;
         EXPECT_EQ(want.events_processed, got.events_processed) << seed;
+    }
+}
+
+// --- Fault drills run the shipped reader -------------------------------------
+
+/** Drain `open()`'s source with `plan` armed first (the reader picks its
+ *  window at construction); `fires` gets the injector's fire count. */
+template <typename Open>
+DrainResult
+armed_drain(const FaultPlan& plan, Open open, uint64_t& fires)
+{
+    FaultInjector::instance().arm(plan);
+    DrainResult out = open();
+    fires = FaultInjector::instance().fires();
+    FaultInjector::instance().disarm();
+    return out;
+}
+
+/** Post-header byte count of record `r`'s byte `k` in an image whose ids
+ *  are all one byte. */
+uint64_t
+trigger_in_record(const std::string& image, size_t r, size_t k)
+{
+    size_t pos = 28;
+    for (size_t i = 0; i < r; ++i) {
+        const Op op = static_cast<Op>(image[pos]);
+        pos += (op == Op::kBegin || op == Op::kEnd) ? 2 : 3;
+    }
+    return pos + k - 28;
+}
+
+TEST(FaultParity, ArmedDrillsLandOnTheBlockReaderAsOnTheReference)
+{
+    if (!fault_points_compiled())
+        GTEST_SKIP() << "per-byte hooks not compiled (-DAERO_FAULTS=ON)";
+    constexpr uint64_t kChunk = MappedBinaryEventSource::kReadChunk;
+
+    const std::string narrow = serialize(corpus_trace(8650));
+    const std::string wide = serialize(wide_id_trace());
+    const std::string big = serialize(wide_id_trace(24000));
+    ASSERT_GT(big.size(), 28 + kChunk + 64);
+    const TempImage narrow_file(narrow, "fault_narrow");
+    const TempImage wide_file(wide, "fault_wide");
+    const TempImage big_file(big, "fault_big");
+
+    struct Case {
+        const char* what;
+        const std::string& image;
+        const std::string& path;
+        uint64_t trigger; // post-header byte count
+    };
+    // First byte of the first multi-byte varint (continuation bit set).
+    size_t cont = 28;
+    while (!(static_cast<uint8_t>(wide[cont]) & 0x80))
+        ++cont;
+    std::vector<Case> cases = {
+        {"first-record opcode", narrow, narrow_file.path,
+         trigger_in_record(narrow, 0, 0)},
+        {"first-record tid", narrow, narrow_file.path,
+         trigger_in_record(narrow, 0, 1)},
+        {"mid-record", narrow, narrow_file.path,
+         trigger_in_record(narrow, 9, 1)},
+        {"varint byte 1", wide, wide_file.path, cont - 28},
+        {"varint byte 2", wide, wide_file.path, cont - 27},
+    };
+    // Refill boundaries: the header is read alone, so the first event
+    // read ends at offset 28 + kChunk; kChunk - 28 sits a header's width
+    // before it.
+    for (uint64_t at : {kChunk - 28, kChunk})
+        for (uint64_t t : {at - 1, at, at + 1})
+            cases.push_back({"refill", big, big_file.path, t});
+
+    for (const Case& c : cases) {
+        for (FaultKind kind :
+             {FaultKind::kBitFlip, FaultKind::kGarbage, FaultKind::kTruncate}) {
+            FaultPlan plan;
+            plan.site = FaultSite::kTraceByte;
+            plan.kind = kind;
+            plan.trigger = c.trigger;
+            plan.seed = 3 + c.trigger;
+            for (bool resync : {false, true}) {
+                const std::string what =
+                    std::string(c.what) + " @" + std::to_string(c.trigger) +
+                    " " + fault_kind_name(kind) +
+                    (resync ? " resync" : " strict");
+                uint64_t fires = 0;
+                const DrainResult ref = armed_drain(
+                    plan, [&] { return drain_reference(c.image, resync); },
+                    fires);
+                EXPECT_EQ(fires, 1u) << what << " [reference]";
+                const DrainResult by_stream = armed_drain(
+                    plan,
+                    [&] {
+                        std::istringstream in(c.image, std::ios::binary);
+                        MappedBinaryEventSource src(in);
+                        return drain_batched(src, resync, kDefaultIngestBlock);
+                    },
+                    fires);
+                EXPECT_EQ(fires, 1u) << what << " [istream]";
+                expect_same_drain(ref, by_stream, what + " [istream]");
+                const DrainResult by_path = armed_drain(
+                    plan,
+                    [&] {
+                        MappedBinaryEventSource src(c.path);
+                        EXPECT_STREQ(src.source_kind(), "binary-buffered");
+                        return drain_batched(src, resync, kDefaultIngestBlock);
+                    },
+                    fires);
+                EXPECT_EQ(fires, 1u) << what << " [path]";
+                expect_same_drain(ref, by_path, what + " [path]");
+            }
+        }
     }
 }
 
