@@ -16,8 +16,7 @@
  * sniff); a ".bin" file without the magic is rejected as corrupt rather
  * than mis-parsed as text.
  *
- *   --engine: aerodrome (default) | aerodrome-readopt | aerodrome-basic |
- *             velodrome
+ *   --engine: aerodrome (default) | aerodrome-basic | velodrome
  *   --budget: wall-clock limit in seconds (finite, >= 0; 0 = unlimited)
  *   --resync: skip corrupt records and keep checking (the verdict
  *             degrades to "no violation found", exit 5, when records
@@ -51,7 +50,6 @@
 
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
-#include "aerodrome/aerodrome_readopt.hpp"
 #include "analysis/runner.hpp"
 #include "oracle/serializability_oracle.hpp"
 #include "support/assert.hpp"
@@ -121,8 +119,7 @@ usage(const char* argv0)
     std::fprintf(stderr,
                  "usage: %s <trace[.bin]> [--engine NAME] [--budget S] "
                  "[--resync] [--validate] [--stats] [--witness]\n"
-                 "engines: aerodrome aerodrome-readopt aerodrome-basic "
-                 "velodrome\n",
+                 "engines: aerodrome aerodrome-basic velodrome\n",
                  argv0);
     return 2;
 }
@@ -134,8 +131,6 @@ make_engine(const std::string& name)
     // grows its state on demand.
     if (name == "aerodrome")
         return std::make_unique<AeroDromeOpt>(0, 0, 0);
-    if (name == "aerodrome-readopt")
-        return std::make_unique<AeroDromeReadOpt>(0, 0, 0);
     if (name == "aerodrome-basic")
         return std::make_unique<AeroDromeBasic>(0, 0, 0);
     if (name == "velodrome")

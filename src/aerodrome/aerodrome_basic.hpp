@@ -20,8 +20,8 @@
  * transaction (Theorem 2's condition), and otherwise advances C_t.
  *
  * This variant keeps O(|Thr| * Vars) read clocks — exactly the state
- * layout of Algorithm 1. See aerodrome_readopt.hpp and aerodrome_opt.hpp
- * for the paper's optimized versions (Algorithms 2 and 3). End events,
+ * layout of Algorithm 1. See aerodrome_opt.hpp for the paper's optimized
+ * version (Algorithm 3, which contains Algorithm 2). End events,
  * however, no longer scan that whole state: Algorithm 3's per-thread
  * update sets are ported back onto the fused table (the table's update
  * windows, vc/adaptive_clock.hpp), so a sweep visits only the entries

@@ -190,6 +190,11 @@ TextEventSource::next(Event& out)
         if (errors_.size() < kMaxRecordedErrors)
             errors_.push_back(std::move(e));
     }
+    // getline stops on a read error just as it does at EOF; only badbit
+    // tells them apart (a directory opens fine and fails its first read).
+    if (is_.bad())
+        fatal("cannot read trace input after line " +
+              std::to_string(line_no_));
     return false;
 }
 

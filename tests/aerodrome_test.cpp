@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for AeroDrome behaviors shared by all three variants, plus
+ * Unit tests for AeroDrome behaviors shared by both engines, plus
  * variant-specific checks (Section 4.1.4 nested/unary handling, lock and
  * fork/join conflicts, Theorem 3's open-transaction caveat, and the
  * optimized engine's lazy/GC statistics).
@@ -10,7 +10,6 @@
 
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
-#include "aerodrome/aerodrome_readopt.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
 #include "trace/builder.hpp"
@@ -30,8 +29,7 @@ run(const Trace& trace)
 template <typename T>
 class AeroDromeVariants : public ::testing::Test {};
 
-using Variants =
-    ::testing::Types<AeroDromeBasic, AeroDromeReadOpt, AeroDromeOpt>;
+using Variants = ::testing::Types<AeroDromeBasic, AeroDromeOpt>;
 TYPED_TEST_SUITE(AeroDromeVariants, Variants);
 
 // --- Lock-mediated cycles ---------------------------------------------------
@@ -140,16 +138,14 @@ TYPED_TEST(AeroDromeVariants, NestedBlocksUseOutermostOnly)
 TEST(AeroDromeExactVariants, InnerEndDoesNotCompleteTransaction)
 {
     // A cycle between two still-open outer transactions must not be
-    // reported just because an *inner* block closed: Algorithm 1 (and its
-    // exact reformulation, Algorithm 2) only report witnesses with at
-    // most one open transaction (Theorem 3).
+    // reported just because an *inner* block closed: Algorithm 1 only
+    // reports witnesses with at most one open transaction (Theorem 3).
     TraceBuilder b;
     b.begin("t1").begin("t2");
     b.write("t1", "x").write("t2", "y");
     b.begin("t1").read("t1", "y").end("t1"); // inner block of T1
     b.read("t2", "x");
     EXPECT_FALSE(run<AeroDromeBasic>(b.trace()).violation);
-    EXPECT_FALSE(run<AeroDromeReadOpt>(b.trace()).violation);
 }
 
 TYPED_TEST(AeroDromeVariants, UnaryEventsNeverReportThemselves)
@@ -194,7 +190,6 @@ TEST(AeroDromeExactVariants, TwoOpenTransactionsNotReported)
     b.write("t1", "x").write("t2", "y");
     b.read("t1", "y").read("t2", "x");
     EXPECT_FALSE(run<AeroDromeBasic>(b.trace()).violation);
-    EXPECT_FALSE(run<AeroDromeReadOpt>(b.trace()).violation);
 }
 
 TEST(AeroDromeOptimized, LiveClockProxyMayReportOpenCyclesEarly)

@@ -25,7 +25,6 @@
 
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
-#include "aerodrome/aerodrome_readopt.hpp"
 #include "analysis/runner.hpp"
 #include "gen/random_program.hpp"
 #include "gen/rolling_stream.hpp"
@@ -270,7 +269,6 @@ expect_no_alias()
 TEST(EngineGc, RecycledSlotDoesNotAliasStaleEpochs)
 {
     expect_no_alias<AeroDromeBasic>();
-    expect_no_alias<AeroDromeReadOpt>();
     expect_no_alias<AeroDromeOpt>();
 }
 
@@ -361,10 +359,6 @@ TEST_P(GcParityFuzz, ReclamationIsInvisible)
                 run_aero<AeroDromeBasic>(tr, false, epochs, upd),
                 run_aero<AeroDromeBasic>(tr, true, epochs, upd));
             expect_same_outcome(
-                "readopt",
-                run_aero<AeroDromeReadOpt>(tr, false, epochs, upd),
-                run_aero<AeroDromeReadOpt>(tr, true, epochs, upd));
-            expect_same_outcome(
                 "opt",
                 run_aero<AeroDromeOpt>(tr, false, epochs, upd),
                 run_aero<AeroDromeOpt>(tr, true, epochs, upd));
@@ -424,7 +418,6 @@ expect_clean_stream()
 TEST(RollingStream, AllEnginesCleanUnderChurnWithGc)
 {
     expect_clean_stream<AeroDromeBasic>();
-    expect_clean_stream<AeroDromeReadOpt>();
     expect_clean_stream<AeroDromeOpt>();
 }
 

@@ -3,8 +3,9 @@
  * Golden-verdict regression corpus.
  *
  * Locks the exact verdict (serializable / violation, violating index and
- * thread) of every engine — the three AeroDrome variants with the
- * epoch-adaptive storage on and off, plus the Velodrome baseline —
+ * thread) of every engine — both AeroDrome engines (Algorithm 1 and
+ * Algorithm 3) with the epoch-adaptive storage on and off, plus the
+ * Velodrome baseline —
  * over a deterministic corpus: the fuzz-program seeds the differential
  * suites use, directed cycles, and the open-transaction carrier chains
  * (gen/adversarial.hpp). Any future engine
@@ -31,7 +32,6 @@
 
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
-#include "aerodrome/aerodrome_readopt.hpp"
 #include "analysis/runner.hpp"
 #include "gen/adversarial.hpp"
 #include "gen/random_program.hpp"
@@ -255,8 +255,6 @@ generate_golden(bool gc)
         for (bool epochs : {true, false}) {
             run_engine<AeroDromeBasic>(golden, w, "aerodrome-basic",
                                        epochs, gc);
-            run_engine<AeroDromeReadOpt>(golden, w, "aerodrome-readopt",
-                                         epochs, gc);
             run_engine<AeroDromeOpt>(golden, w, "aerodrome", epochs, gc);
         }
         {

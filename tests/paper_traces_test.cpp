@@ -18,7 +18,6 @@
 
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
-#include "aerodrome/aerodrome_readopt.hpp"
 #include "analysis/runner.hpp"
 #include "oracle/serializability_oracle.hpp"
 #include "trace/builder.hpp"
@@ -107,8 +106,7 @@ run(const Trace& trace)
 template <typename T>
 class PaperTraceAllEngines : public ::testing::Test {};
 
-using Engines = ::testing::Types<AeroDromeBasic, AeroDromeReadOpt,
-                                 AeroDromeOpt, Velodrome>;
+using Engines = ::testing::Types<AeroDromeBasic, AeroDromeOpt, Velodrome>;
 TYPED_TEST_SUITE(PaperTraceAllEngines, Engines);
 
 TYPED_TEST(PaperTraceAllEngines, Rho1Serializable)

@@ -15,7 +15,6 @@
 
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
-#include "aerodrome/aerodrome_readopt.hpp"
 #include "analysis/runner.hpp"
 #include "gen/random_program.hpp"
 #include "oracle/serializability_oracle.hpp"
@@ -40,8 +39,6 @@ exercise_all(const Trace& t)
         run_checker(checker, t);
     };
     run_one(AeroDromeBasic(t.num_threads(), t.num_vars(), t.num_locks()));
-    run_one(AeroDromeReadOpt(t.num_threads(), t.num_vars(),
-                             t.num_locks()));
     run_one(AeroDromeOpt(t.num_threads(), t.num_vars(), t.num_locks()));
     run_one(Velodrome(t.num_threads(), t.num_vars(), t.num_locks()));
     check_serializability(t);

@@ -29,7 +29,6 @@
 
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
-#include "aerodrome/aerodrome_readopt.hpp"
 #include "analysis/runner.hpp"
 #include "gen/rolling_stream.hpp"
 
@@ -106,10 +105,6 @@ expect_plateau()
 }
 
 TEST(SoakMemory, OptPlateausWithGc) { expect_plateau<AeroDromeOpt>(); }
-TEST(SoakMemory, ReadOptPlateausWithGc)
-{
-    expect_plateau<AeroDromeReadOpt>();
-}
 TEST(SoakMemory, BasicPlateausWithGc) { expect_plateau<AeroDromeBasic>(); }
 
 TEST(SoakMemory, WithoutGcTheSameStreamGrows)

@@ -107,6 +107,20 @@ TEST(Velodrome, GcOnOffSameVerdicts)
     no_gc.garbage_collect = false;
     EXPECT_FALSE(run(pipe).violation);
     EXPECT_FALSE(run(pipe, no_gc).violation);
+
+    // Table 2's regime: whole-thread transactions whose cycle closes in
+    // the trace's tail. The live graph stays at one node per thread, far
+    // under the few dozen nodes the paper reports for its GC-friendly
+    // rows.
+    gen::NaiveSpecOptions naive;
+    naive.threads = 6;
+    naive.events_per_thread = 10000;
+    naive.conflict_position = 0.9;
+    Trace spec = gen::make_naive_spec(naive);
+    Velodrome v(spec.num_threads(), spec.num_vars(), spec.num_locks());
+    EXPECT_TRUE(run(spec, v).violation);
+    EXPECT_LE(v.stats().max_live_nodes, 64u);
+    EXPECT_TRUE(run(spec, no_gc).violation);
 }
 
 TEST(Velodrome, PipelineFullyCollected)
