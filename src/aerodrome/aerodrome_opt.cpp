@@ -16,6 +16,7 @@ AeroDromeOpt::AeroDromeOpt(uint32_t num_threads, uint32_t num_vars,
         c_[t].set(t, 1);
     parent_thread_.assign(num_threads, kNoThread);
     parent_txn_seq_.assign(num_threads, 0);
+    acted_.assign(num_threads, 0);
     if (num_vars > 0)
         ensure_var(num_vars - 1);
     if (num_locks > 0)
@@ -55,6 +56,7 @@ AeroDromeOpt::ensure_thread(ThreadId t)
         c_pure_.resize(n, 1);
         parent_thread_.resize(n, kNoThread);
         parent_txn_seq_.resize(n, 0);
+        acted_.resize(n, 0);
         for (size_t u = old; u < n; ++u)
             c_[u].set(u, 1);
         txns_.ensure(static_cast<uint32_t>(n));
@@ -308,6 +310,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
     } else {
         ensure_thread(t);
     }
+    acted_[t] = 1;
 
     switch (e.op) {
       case Op::kBegin:
@@ -353,8 +356,12 @@ AeroDromeOpt::process(const Event& e, size_t index)
 
       case Op::kJoin: {
         ensure_thread(target);
-        if (check_and_get_clock(c_[target], target, pure_of(target), t,
-                                index, "join saw child's events")) {
+        if (eventless_child(target, t)) {
+            ++stats_.joins;
+            join_qualified(c_[t], t, c_pure_[t], c_[target], target,
+                           pure_of(target));
+        } else if (check_and_get_clock(c_[target], target, pure_of(target),
+                                       t, index, "join saw child's events")) {
             return true;
         }
         if (gc_ && target != t)
@@ -467,6 +474,7 @@ AeroDromeOpt::retire_slot(uint32_t s)
     tbl_.close_update_window(s);
     parent_thread_[s] = kNoThread;
     parent_txn_seq_[s] = 0;
+    acted_[s] = 0;
     const ClockValue v = c_[s].get(s);
     c_[s].clear();
     c_[s].set(s, v + 1);
@@ -559,7 +567,7 @@ AeroDromeOpt::memory_bytes() const
     n += (last_rel_thr_.capacity() + last_w_thr_.capacity() +
           parent_thread_.capacity()) *
          sizeof(ThreadId);
-    n += parent_txn_seq_.capacity() * sizeof(uint64_t);
+    n += parent_txn_seq_.capacity() * sizeof(uint64_t) + acted_.capacity();
     n += stale_readers_.memory_bytes();
     n += slots_.memory_bytes() + gcf_.memory_bytes() + txns_.memory_bytes();
     return n;

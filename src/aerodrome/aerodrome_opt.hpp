@@ -32,12 +32,12 @@
  *    live-clock proxy would be unsound for them.
  *
  * 2. Per-thread update sets, as the table's update windows
- *    (vc/adaptive_clock.hpp, shared with Algorithm 1). Each
- *    outermost begin opens a window; every eager mutation of a W_x, R_x
- *    or hR_x entry enrolls it into the window of each thread whose end
- *    gate it could make fireable, and a lazy access enrolls its entry
- *    into the accessing thread's own window (enroll_pending) when the
- *    thread newly becomes a stale reader or the stale writer. An end
+ *    (vc/adaptive_clock.hpp). Each outermost begin opens a window;
+ *    every eager mutation of a W_x, R_x or hR_x entry enrolls it into
+ *    the window of each thread whose end gate it could make fireable,
+ *    and a lazy access enrolls its entry into the accessing thread's own
+ *    window (enroll_pending) when the thread newly becomes a stale
+ *    reader or the stale writer. An end
  *    event visits only its window's entries, never the variable table:
  *    no access scans the thread rows. A thread ordered before a lazy
  *    access needs no entry of its own for it: if its window is still
@@ -74,16 +74,31 @@
 #include <cstdint>
 #include <vector>
 
-#include "aerodrome/aerodrome_basic.hpp" // for AeroDromeStats
 #include "analysis/checker.hpp"
 #include "analysis/thread_slots.hpp"
 #include "analysis/txn_tracker.hpp"
+#include "support/counter.hpp"
 #include "trace/trace.hpp"
 #include "vc/adaptive_clock.hpp"
 #include "vc/clock_bank.hpp"
 #include "vc/gc.hpp"
 
 namespace aero {
+
+/** Statistics for the evaluation harness. */
+struct AeroDromeStats {
+    /** Number of vector-clock join operations performed. */
+    RelaxedCounter joins;
+    /** Number of vector-clock ordering comparisons performed. */
+    RelaxedCounter comparisons;
+    /** Table entries visited by end-event sweeps: the update-window size
+     *  when tracked, the whole table when not — the complexity-guard
+     *  suite asserts this scales with the former. */
+    RelaxedCounter end_swept_entries;
+    /** Visited entries whose propagation gate was false (enrollment is an
+     *  over-approximation; a full sweep skips most of the table). */
+    RelaxedCounter end_gate_skipped;
+};
 
 /** Extra statistics for the optimized engine. */
 struct AeroDromeOptStats {
@@ -208,6 +223,17 @@ private:
     begin_before(ThreadId t, ClockValue comp) const
     {
         return cb_[t].get(t) <= comp;
+    }
+
+    /** True iff joining u into t adds no transaction to any cycle: u has
+     *  performed no event and t forked it inside its current
+     *  transaction, so the fork and join edges both stay inside it. */
+    bool
+    eventless_child(ThreadId u, ThreadId t) const
+    {
+        return !acted_[u] && parent_thread_[u] == t &&
+               parent_txn_seq_[u] != 0 && txns_.active(t) &&
+               txns_.seq(t) == parent_txn_seq_[u];
     }
 
     /** Algorithm 3's hasIncomingEdge(t), evaluated at t's end event. */
@@ -360,9 +386,13 @@ private:
      *  8 per outstanding stale read). */
     StaleReaderPool stale_readers_;
 
-    /** Fork bookkeeping for hasIncomingEdge's "parentTr is alive". */
+    /** Fork bookkeeping for hasIncomingEdge's "parentTr is alive" and
+     *  for eventless_child(). */
     std::vector<ThreadId> parent_thread_;
     std::vector<uint64_t> parent_txn_seq_; // 0 = fork outside a transaction
+    /** acted_[s] != 0 once slot s's thread performed an event; cleared
+     *  when the slot retires. */
+    std::vector<uint8_t> acted_;
 
     /** Dead-state reclamation (src/vc/README.md, "Reclamation"). */
     bool gc_ = true;

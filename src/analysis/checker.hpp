@@ -85,10 +85,11 @@ public:
     /**
      * Toggle dead-state reclamation (clock-entry GC + thread-slot
      * recycling; src/vc/README.md "Reclamation") before the first event.
-     * Every engine reclaims by default; set_gc(false) keeps all state
-     * and is the reference the tests compare against. Verdicts are
-     * bit-identical either way. Engines without a reclamation path
-     * ignore the call.
+     * AeroDrome (Algorithm 3) and Velodrome reclaim by default;
+     * set_gc(false) keeps all state and is the reference the tests
+     * compare against. Verdicts are bit-identical either way. Engines
+     * without a reclamation path ignore the call: AeroDrome-basic
+     * (Algorithm 1, the plain-vector reference) always keeps all state.
      */
     virtual void set_gc(bool /*on*/) {}
 

@@ -19,9 +19,10 @@
  * stays inflated for the rest of the run ("promote on first contention,
  * never demote"). Because only contended entries ever inflate, the arena
  * is a *combined bank region* holding exactly the slow-path rows of every
- * clock family an engine hands to one table (locks, W_x, R_x, hR_x,
- * R_{t,x}), which is what makes the end-event propagation sweep a single
- * streaming pass (see the engines' handle_end).
+ * clock family an engine hands to one table (W_x, R_x and hR_x in the
+ * optimized engine's variable table, L_l in its lock table), which is
+ * what makes the end-event propagation sweep a single streaming pass
+ * (see AeroDromeOpt::handle_end).
  *
  * Exactness. The table is a representation change, not an approximation:
  * after every operation, the abstract vector an entry denotes equals the
@@ -124,9 +125,7 @@ public:
     size_t size() const { return entries_.size(); }
     size_t dim() const { return arena_.dim(); }
 
-    /** Append one bottom entry; returns its index. Callers relying on
-     *  consecutive indices (the engines' per-variable W/R/hR triples)
-     *  must use this, never add_entry_reusable. */
+    /** Append one bottom entry; returns its index. */
     uint32_t
     add_entry()
     {
@@ -137,21 +136,6 @@ public:
     /** Append n bottom entries with consecutive indices (one resize for
      *  a whole id range). */
     void add_entries(size_t n) { entries_.resize(entries_.size() + n, 0); }
-
-    /** Like add_entry, but prefers indices returned by gc_recycle_index
-     *  (the retired per-thread reader entries of the basic engine), so a
-     *  churning thread population reuses entry words instead of growing
-     *  the table forever. */
-    uint32_t
-    add_entry_reusable()
-    {
-        if (!free_entries_.empty()) {
-            uint32_t i = free_entries_.back();
-            free_entries_.pop_back();
-            return i;
-        }
-        return add_entry();
-    }
 
     /** Grow the arena clock dimension (threads seen; engines keep all
      *  their banks and tables at one shared dimension). */
@@ -430,32 +414,6 @@ public:
         dst_pure = 0;
     }
 
-    /**
-     * a sqsubseteq entry_i, where a is the clock of a_thread (pure iff
-     * a_pure). The full-vector comparison form used by the basic engine;
-     * O(1) when either side is epoch-shaped.
-     */
-    bool
-    vector_leq_entry(ConstClockRef a, size_t i, ThreadId a_thread,
-                     bool a_pure) const
-    {
-        uint64_t bits = entries_[i];
-        if (bits & kInflatedTag)
-            return a.leq(arena_[bits & kRowMask]);
-        Epoch e = Epoch::from_bits(bits);
-        if (a_pure) {
-            // bot[a_t/a_thread] sqsubseteq bot[v/u]: one component test.
-            return a.get(a_thread) <= e.get(a_thread);
-        }
-        if (a.get(e.thread()) > e.value())
-            return false;
-        for (size_t j = 0; j < a.dim(); ++j) {
-            if (j != e.thread() && a.get(j) != 0)
-                return false;
-        }
-        return true;
-    }
-
     /** Materialise entry i as a scalar VectorClock (tests, reports). */
     VectorClock
     to_vector_clock(size_t i) const
@@ -508,16 +466,6 @@ public:
         ++stats_.gc_reclaimed;
     }
 
-    /** Return (already-bottom) entry i's index to the entry free-list
-     *  for a future add_entry_reusable. The caller must drop every
-     *  reference to i first — the index will be handed out again. */
-    void
-    gc_recycle_index(uint32_t i)
-    {
-        assert(is_bottom(i));
-        free_entries_.push_back(i);
-    }
-
     /** Sweep the whole table against f, reclaiming every dead entry in
      *  place. Returns the number of live (non-bottom) entries left. */
     size_t
@@ -539,8 +487,6 @@ public:
     /** Arena rows currently backing inflated entries (total rows ever
      *  allocated minus the free-list) — the gc pressure signal. */
     size_t arena_rows_live() const { return arena_rows_ - free_rows_.size(); }
-    /** Entry indices waiting for reuse via add_entry_reusable. */
-    size_t free_entry_count() const { return free_entries_.size(); }
 
     /** Debug invariant (O(entries), tests): every shared row's count
      *  equals its tagged referents, every untagged row has exactly one
@@ -563,7 +509,6 @@ public:
                    upd_gate_.capacity() * sizeof(ClockValue) +
                    open_windows_.capacity() * sizeof(uint32_t) +
                    free_rows_.capacity() * sizeof(size_t) +
-                   free_entries_.capacity() * sizeof(uint32_t) +
                    shared_refs_.bucket_count() * sizeof(void*) +
                    shared_refs_.size() *
                        (sizeof(size_t) + sizeof(uint32_t) + 2 * sizeof(void*));
@@ -706,9 +651,6 @@ private:
     /** Arena rows freed by gc_reclaim, drained by inflate() before the
      *  arena grows; rows on the list are bottom. */
     std::vector<size_t> free_rows_;
-    /** Entry indices freed by gc_recycle_index, drained by
-     *  add_entry_reusable; entries on the list are bottom. */
-    std::vector<uint32_t> free_entries_;
     /** Reference counts of shared rows only (row -> tagged referents).
      *  Node-based, so a RowShare may hold a pointer to its count. */
     std::unordered_map<size_t, uint32_t> shared_refs_;

@@ -195,29 +195,6 @@ TEST_F(AdaptiveTableTest, JoinIntoMaintainsDestinationPurity)
     EXPECT_EQ(dst.get(1), 4u);
 }
 
-TEST_F(AdaptiveTableTest, VectorLeqEntryBothRepresentations)
-{
-    uint32_t i = tbl_.add_entry();
-    tbl_.assign(i, ref(VectorClock{0, 6}), 1, true); // epoch 6@1
-
-    // Pure comparand of thread 1.
-    EXPECT_TRUE(tbl_.vector_leq_entry(ref(VectorClock{0, 6}), i, 1, true));
-    EXPECT_FALSE(tbl_.vector_leq_entry(ref(VectorClock{0, 7}), i, 1, true));
-    // Pure comparand of another thread: only bottom fits under an epoch.
-    EXPECT_FALSE(tbl_.vector_leq_entry(ref(VectorClock{3}), i, 0, true));
-    // Impure comparand against the epoch.
-    EXPECT_TRUE(tbl_.vector_leq_entry(ref(VectorClock{0, 2}), i, 0, false));
-    EXPECT_FALSE(
-        tbl_.vector_leq_entry(ref(VectorClock{1, 2}), i, 0, false));
-
-    // Inflate and re-check against the row form.
-    tbl_.join(i, ref(VectorClock{2, 6, 1}), 0, false);
-    ASSERT_TRUE(tbl_.is_inflated(i));
-    EXPECT_TRUE(tbl_.vector_leq_entry(ref(VectorClock{2, 6}), i, 0, false));
-    EXPECT_FALSE(
-        tbl_.vector_leq_entry(ref(VectorClock{3, 0}), i, 0, false));
-}
-
 /** Window membership is one bit per entry: entries on both sides of a
  *  64-bit word boundary dedup independently, and closing the window
  *  clears exactly their bits, so a reopened window counts them again. */
@@ -328,11 +305,9 @@ fuzz_against_model(uint64_t seed, bool epochs_on)
         ASSERT_EQ(tbl.to_vector_clock(i), model[i])
             << "entry " << i << " diverged at op " << op
             << " (epochs=" << epochs_on << ")";
-        // Spot-check component reads and orderings.
+        // Spot-check component reads.
         ThreadId probe = static_cast<ThreadId>(rng.next_below(kThreads));
         ASSERT_EQ(tbl.get(i, probe), model[i].get(probe));
-        ASSERT_EQ(tbl.vector_leq_entry(src, i, t, false),
-                  ConstClockRef(src).to_vector_clock().leq(model[i]));
     }
 }
 

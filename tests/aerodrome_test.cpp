@@ -12,6 +12,7 @@
 #include "aerodrome/aerodrome_opt.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
+#include "oracle/serializability_oracle.hpp"
 #include "trace/builder.hpp"
 
 namespace aero {
@@ -106,6 +107,28 @@ TYPED_TEST(AeroDromeVariants, JoinInsideTransactionCycleViolation)
     b.begin("t1").read("t1", "x").end("t1");
     b.join("t0", "t1");
     b.end("t0");
+    EXPECT_TRUE(run<TypeParam>(b.trace()).violation);
+}
+
+TYPED_TEST(AeroDromeVariants, EventlessChildJoinedInForkingTxnIsFine)
+{
+    // The child performs no event, so the fork and join edges both start
+    // and end in t0's one transaction: no cycle between two transactions.
+    TraceBuilder b;
+    b.begin("t0").fork("t0", "t1").join("t0", "t1").end("t0");
+    EXPECT_TRUE(check_serializability(b.trace()).serializable);
+    EXPECT_FALSE(run<TypeParam>(b.trace()).violation);
+}
+
+TYPED_TEST(AeroDromeVariants, GrandchildJoinedByGrandparentIsViolation)
+{
+    // t2 performs no event, but t1's fork of it is an event outside t0's
+    // transaction: t0 -> t1's fork (fork edge) -> t2 -> t0 (join edge).
+    TraceBuilder b;
+    b.begin("t0").fork("t0", "t1");
+    b.fork("t1", "t2");
+    b.join("t0", "t2").end("t0");
+    EXPECT_FALSE(check_serializability(b.trace()).serializable);
     EXPECT_TRUE(run<TypeParam>(b.trace()).violation);
 }
 

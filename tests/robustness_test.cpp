@@ -133,6 +133,18 @@ TEST(Robustness, LargeSparseIds)
     exercise_all(t);
 }
 
+TEST(Robustness, SparseThreadIdStaysCheapInTheLiteralEngine)
+{
+    // A thread's state is created at its first event: one fork of a far
+    // thread id costs O(id), not a bot[1/u] clock for every u below it.
+    Trace t;
+    t.fork(0, 5000);
+    t.write(5000, 0);
+    AeroDromeBasic basic(0, 0, 0);
+    EXPECT_FALSE(run_checker(basic, t).violation);
+    EXPECT_LT(basic.memory_bytes(), size_t{1} << 20);
+}
+
 /** Mutation fuzz: random edits of well-formed traces. */
 class MutationFuzz : public ::testing::TestWithParam<uint64_t> {};
 

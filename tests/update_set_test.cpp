@@ -1,18 +1,20 @@
 /**
  * @file
- * End-event update sets (the table's update windows; see
- * vc/adaptive_clock.hpp and src/vc/README.md "End-event complexity").
+ * End-event update sets of the shipped engine (the table's update
+ * windows; see vc/adaptive_clock.hpp and src/vc/README.md "End-event
+ * complexity"). Algorithm 1 (aerodrome-basic) has no update sets; it is
+ * the verdict reference here.
  *
- * Two properties:
+ * Three properties:
  *  1. Complexity guard — an end event's sweep visits O(|update set|)
  *     entries, not O(|table|): a cold transaction ending against a table
  *     of 10k+ touched variables must sweep a handful of entries (the
  *     counters expose the visit count), while the set_update_sets(false)
  *     full sweep visits everything.
- *  2. Fuzz parity — for every engine, verdicts (and spot-checked clock
- *     state) are bit-for-bit identical with update sets on and off, over
- *     the random-program corpus. The sets only *skip* entries whose gate
- *     provably cannot fire.
+ *  2. Fuzz parity — verdicts are bit-for-bit identical with update sets
+ *     on and off, over the random-program corpus, and agree with
+ *     Algorithm 1. The sets only *skip* entries whose gate provably
+ *     cannot fire.
  *  3. Lazy enrollment — the optimized engine's stale reads and writes
  *     enter only the accessing thread's window (enroll_pending); directed
  *     traces pin the cases where another thread's ordering must still
@@ -57,12 +59,11 @@ cold_end_trace(uint32_t touched_vars)
     return t;
 }
 
-template <typename Engine>
 void
 expect_cold_end_sweep_is_small(bool update_sets, uint64_t touched_vars)
 {
     Trace t = cold_end_trace(static_cast<uint32_t>(touched_vars));
-    Engine engine(t.num_threads(), t.num_vars(), t.num_locks());
+    AeroDromeOpt engine(t.num_threads(), t.num_vars(), t.num_locks());
     engine.set_update_sets(update_sets);
 
     // Feed everything but the final end (thread 1's), then isolate the
@@ -84,24 +85,14 @@ expect_cold_end_sweep_is_small(bool update_sets, uint64_t touched_vars)
     }
 }
 
-TEST(UpdateSetComplexity, BasicColdEndSweepsSetNotTable)
-{
-    expect_cold_end_sweep_is_small<AeroDromeBasic>(true, 10000);
-}
-
 TEST(UpdateSetComplexity, OptColdEndSweepsSetNotTable)
 {
-    expect_cold_end_sweep_is_small<AeroDromeOpt>(true, 10000);
-}
-
-TEST(UpdateSetComplexity, BasicFullSweepWithoutSets)
-{
-    expect_cold_end_sweep_is_small<AeroDromeBasic>(false, 10000);
+    expect_cold_end_sweep_is_small(true, 10000);
 }
 
 TEST(UpdateSetComplexity, OptFullSweepWithoutSets)
 {
-    expect_cold_end_sweep_is_small<AeroDromeOpt>(false, 10000);
+    expect_cold_end_sweep_is_small(false, 10000);
 }
 
 /** A warm end — the transaction that touched every variable — must still
@@ -128,7 +119,7 @@ TEST(UpdateSetComplexity, WarmEndStillSweepsItsOwnAccesses)
     EXPECT_GE(engine.stats().end_swept_entries.load(), uint64_t{vars});
 }
 
-// --- Fuzz parity: update sets on vs off, both AeroDrome engines -----------
+// --- Fuzz parity: update sets on vs off, against Algorithm 1 ---------------
 
 Trace
 fuzz_trace(uint64_t seed)
@@ -148,12 +139,18 @@ fuzz_trace(uint64_t seed)
     return std::move(sim.trace);
 }
 
-template <typename Engine>
 RunResult
 run_with_sets(const Trace& t, bool on)
 {
-    Engine engine(t.num_threads(), t.num_vars(), t.num_locks());
+    AeroDromeOpt engine(t.num_threads(), t.num_vars(), t.num_locks());
     engine.set_update_sets(on);
+    return run_checker(engine, t);
+}
+
+RunResult
+run_basic(const Trace& t)
+{
+    AeroDromeBasic engine(t.num_threads(), t.num_vars(), t.num_locks());
     return run_checker(engine, t);
 }
 
@@ -173,42 +170,15 @@ TEST(UpdateSetParity, FuzzOnOffAllEngines)
     for (uint64_t seed = 1; seed <= 60; ++seed) {
         Trace t = fuzz_trace(seed);
 
-        RunResult basic_on = run_with_sets<AeroDromeBasic>(t, true);
-        RunResult basic_off = run_with_sets<AeroDromeBasic>(t, false);
-        expect_same_verdict(basic_on, basic_off, "basic on/off");
-
-        RunResult opt_on = run_with_sets<AeroDromeOpt>(t, true);
-        RunResult opt_off = run_with_sets<AeroDromeOpt>(t, false);
+        RunResult opt_on = run_with_sets(t, true);
+        RunResult opt_off = run_with_sets(t, false);
         expect_same_verdict(opt_on, opt_off, "opt on/off");
 
         // opt may fire earlier than Algorithm 1 (lazy writes check
         // against the live clock), but its verdict presence must match
         // (Theorem 3 — the fuzz corpus closes every transaction it opens).
-        EXPECT_EQ(basic_on.violation, opt_on.violation) << "seed " << seed;
-    }
-}
-
-/** Clock state, not just verdicts: the final W_x clocks of the basic
- *  engine must be identical on serializable traces. */
-TEST(UpdateSetParity, FuzzFinalWriteClocksMatch)
-{
-    for (uint64_t seed = 100; seed < 120; ++seed) {
-        Trace t = fuzz_trace(seed);
-        AeroDromeBasic on(t.num_threads(), t.num_vars(), t.num_locks());
-        on.set_update_sets(true);
-        AeroDromeBasic off(t.num_threads(), t.num_vars(), t.num_locks());
-        off.set_update_sets(false);
-        RunResult r_on = run_checker(on, t);
-        RunResult r_off = run_checker(off, t);
-        expect_same_verdict(r_on, r_off, "basic on/off");
-        if (r_on.violation)
-            continue; // engines stop at the violation; state diverges
-        for (uint32_t x = 0; x < t.num_vars(); ++x)
-            EXPECT_EQ(on.write_clock_of(x), off.write_clock_of(x))
-                << "seed " << seed << " var " << x;
-        for (uint32_t u = 0; u < t.num_threads(); ++u)
-            EXPECT_EQ(on.clock_of(u), off.clock_of(u))
-                << "seed " << seed << " thread " << u;
+        EXPECT_EQ(run_basic(t).violation, opt_on.violation)
+            << "seed " << seed;
     }
 }
 
@@ -221,12 +191,9 @@ void
 expect_lazy_case_agrees(const Trace& t, bool violating)
 {
     ASSERT_EQ(!check_serializability(t).serializable, violating);
-    RunResult basic_on = run_with_sets<AeroDromeBasic>(t, true);
-    RunResult basic_off = run_with_sets<AeroDromeBasic>(t, false);
-    RunResult opt_on = run_with_sets<AeroDromeOpt>(t, true);
-    RunResult opt_off = run_with_sets<AeroDromeOpt>(t, false);
-    EXPECT_EQ(basic_on.violation, violating);
-    expect_same_verdict(basic_on, basic_off, "basic on/off");
+    RunResult opt_on = run_with_sets(t, true);
+    RunResult opt_off = run_with_sets(t, false);
+    EXPECT_EQ(run_basic(t).violation, violating);
     EXPECT_EQ(opt_on.violation, violating);
     expect_same_verdict(opt_on, opt_off, "opt on/off");
 }
