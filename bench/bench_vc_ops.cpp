@@ -478,7 +478,6 @@ BM_AdaptiveAssignEpoch(benchmark::State& state)
 {
     size_t dim = static_cast<size_t>(state.range(0));
     AdaptiveClockTable tbl;
-    tbl.set_epochs_enabled(true);
     tbl.ensure_dim(dim);
     uint32_t i = tbl.add_entry();
     ClockBank clock(1, dim);
@@ -496,13 +495,17 @@ BM_AdaptiveAssignInflated(benchmark::State& state)
 {
     size_t dim = static_cast<size_t>(state.range(0));
     AdaptiveClockTable tbl;
-    tbl.set_epochs_enabled(false); // force the full-vector representation
     tbl.ensure_dim(dim);
     uint32_t i = tbl.add_entry();
     ClockBank clock(1, dim);
     VectorClock v = make_clock(dim, 3);
     for (size_t d = 0; d < dim; ++d)
         clock[0].set(d, v.get(d));
+    tbl.assign(i, clock[0], 0, /*c_pure=*/false); // impure: inflates
+    if (!tbl.is_inflated(i)) {
+        state.SkipWithError("impure assign did not inflate the entry");
+        return;
+    }
     for (auto _ : state) {
         tbl.assign(i, clock[0], 0, /*c_pure=*/false);
         benchmark::DoNotOptimize(tbl);
@@ -518,12 +521,17 @@ BM_AdaptiveJoinInto(benchmark::State& state)
     size_t dim = static_cast<size_t>(state.range(0));
     bool epoch = state.range(1) != 0;
     AdaptiveClockTable tbl;
-    tbl.set_epochs_enabled(epoch);
     tbl.ensure_dim(dim);
     uint32_t i = tbl.add_entry();
     ClockBank clock(2, dim);
     clock[0].set(1, 7);
-    tbl.assign(i, clock[0], 1, epoch); // epoch 7@1 or inflated row
+    // A pure source keeps epoch 7@1; the same clock passed as impure
+    // inflates it into a row.
+    tbl.assign(i, clock[0], 1, epoch);
+    if (tbl.is_inflated(i) == epoch) {
+        state.SkipWithError("entry representation does not match the arg");
+        return;
+    }
     ClockRef dst = clock[1];
     for (size_t d = 0; d < dim; ++d)
         dst.set(d, 3);

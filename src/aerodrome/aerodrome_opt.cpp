@@ -165,20 +165,6 @@ AeroDromeOpt::flush_stale_readers(VarId x)
     });
 }
 
-template <typename F>
-void
-AeroDromeOpt::for_each_window_entry(ThreadId t, F f)
-{
-    if (tbl_.update_window_tracked(t)) {
-        for (uint32_t i : tbl_.update_entries(t))
-            f(i);
-    } else {
-        const size_t n = tbl_.size();
-        for (size_t i = 0; i < n; ++i)
-            f(i);
-    }
-}
-
 bool
 AeroDromeOpt::handle_end(ThreadId t, size_t index)
 {
@@ -191,7 +177,7 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
         // lazy bookkeeping (Algorithm 3, lines 75-86). Its stale reads
         // and write were enrolled into its window when they were made.
         ++opt_stats_.gc_skipped_ends;
-        for_each_window_entry(t, [&](size_t i) {
+        for (uint32_t i : tbl_.update_entries(t)) {
             ++stats_.end_swept_entries;
             const VarId x = static_cast<VarId>(i / 3);
             if (i % 3 == 0) {
@@ -202,7 +188,7 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
             } else if (i % 3 == 1) {
                 stale_readers_.erase(x, t);
             }
-        });
+        }
         tbl_.close_update_window(t);
         for (LockId l = 0; l < last_rel_thr_.size(); ++l) {
             if (last_rel_thr_[l] == t)
@@ -242,7 +228,7 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
     // Flushes of C_t (C_t[0/t]) into bottom entries all store the same
     // vector: the 2nd and later share the first one's arena row.
     AdaptiveClockTable::RowShare share_ct, share_ct_except;
-    for_each_window_entry(t, [&](size_t i) {
+    for (uint32_t i : tbl_.update_entries(t)) {
         ++stats_.end_swept_entries;
         const VarId x = static_cast<VarId>(i / 3);
         switch (i % 3) {
@@ -291,7 +277,7 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
             ++stats_.end_gate_skipped;
             break;
         }
-    });
+    }
     tbl_.close_update_window(t);
     return false;
 }
@@ -463,8 +449,8 @@ AeroDromeOpt::retire_slot(uint32_t s)
             last_w_thr_[x] = kNoThread;
         }
         // No stale read names s: s is not active, so its last end was
-        // outermost and unlinked its own (window walk or full sweep; a
-        // violation there ends the run).
+        // outermost and its window walk unlinked its own (a violation
+        // there ends the run).
         assert(!stale_readers_.contains(x, s));
     }
     for (ThreadId& r : last_rel_thr_) {

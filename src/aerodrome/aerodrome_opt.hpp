@@ -91,12 +91,12 @@ struct AeroDromeStats {
     RelaxedCounter joins;
     /** Number of vector-clock ordering comparisons performed. */
     RelaxedCounter comparisons;
-    /** Table entries visited by end-event sweeps: the update-window size
-     *  when tracked, the whole table when not — the complexity-guard
-     *  suite asserts this scales with the former. */
+    /** Variable-table entries visited by end-event window walks (the sum
+     *  of the update-window sizes) — the complexity-guard suite asserts
+     *  this stays small against a large table. */
     RelaxedCounter end_swept_entries;
     /** Visited entries whose propagation gate was false (enrollment is an
-     *  over-approximation; a full sweep skips most of the table). */
+     *  over-approximation). */
     RelaxedCounter end_gate_skipped;
 };
 
@@ -131,21 +131,6 @@ public:
      *  the variable and lock tables. */
     AdaptiveClockStats epoch_stats() const;
 
-    /** Toggle the epoch representation and its purity fast paths; call
-     *  before the first event. Off reproduces the full-vector baseline. */
-    void
-    set_epochs(bool on)
-    {
-        epochs_ = on;
-        tbl_.set_epochs_enabled(on);
-        locks_.set_epochs_enabled(on);
-    }
-
-    /** Toggle end-event update windows; call before the first event. Off
-     *  sweeps the whole variable table at every end — the reference the
-     *  update-set tests compare against. */
-    void set_update_sets(bool on) { tbl_.set_update_sets_enabled(on); }
-
     /** Toggle dead-state reclamation (clock-entry GC + thread-slot
      *  recycling); call before the first event. */
     void set_gc(bool on) override { gc_ = on; }
@@ -169,12 +154,8 @@ public:
     size_t memory_bytes() const override;
 
 private:
-    /** Purity of C_u as consumed by fast paths (gated by the toggle). */
-    bool
-    pure_of(ThreadId u) const
-    {
-        return epochs_ && c_pure_[u] != 0;
-    }
+    /** Purity of C_u as consumed by fast paths. */
+    bool pure_of(ThreadId u) const { return c_pure_[u] != 0; }
 
     /** External tid a violation at row t is charged to. */
     ThreadId
@@ -242,10 +223,6 @@ private:
     /** Flush staleReaders_x into R_x / hR_x (before a write's checks). */
     void flush_stale_readers(VarId x);
 
-    /** Call f(i) for every entry of t's sealed window, or for every
-     *  variable-table entry when the window is untracked. */
-    template <typename F> void for_each_window_entry(ThreadId t, F f);
-
     /** Variable x's W_x entry; R_x and hR_x follow it. */
     static size_t w_entry(VarId x) { return 3 * size_t{x}; }
 
@@ -269,7 +246,6 @@ private:
 
     /** c_pure_[t] != 0 iff C_t == bot[v/t]; sound but conservative. */
     std::vector<uint8_t> c_pure_;
-    bool epochs_ = true;
 
     std::vector<ThreadId> last_rel_thr_;
     std::vector<ThreadId> last_w_thr_;

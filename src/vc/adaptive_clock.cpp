@@ -96,9 +96,9 @@ AdaptiveClockTable::join_slow(size_t i, ConstClockRef c, ThreadId t,
     ClockRef row = is_inflated(i) ? own_row(i, /*copy_contents=*/true)
                                   : inflate(i, /*copy_contents=*/true);
     if (c_pure) {
-        // Reached only when the entry is a foreign-thread epoch (or the
-        // table runs with epochs off): the result has two components, so
-        // inflate and fold in the one new component.
+        // Reached only when the entry is a foreign-thread epoch: the
+        // result has two components, so inflate and fold in the one new
+        // component.
         ClockValue v = c.get(t);
         if (v > row.get(t))
             row.set(t, v);

@@ -26,11 +26,11 @@
  *
  * Exactness. The table is a representation change, not an approximation:
  * after every operation, the abstract vector an entry denotes equals the
- * one the full-vector code path would have computed, so engine verdicts
- * are bit-for-bit independent of the epochs on/off toggle (enforced by
- * the differential suite). The O(1) fast paths rely on callers passing a
- * *purity* bit for source clocks — "this clock equals bot[c[t]/t]" — that
- * must be sound (may be conservatively false, never wrongly true).
+ * one a plain VectorClock would hold (enforced by the model fuzz in
+ * tests/adaptive_clock_test.cpp). The O(1) fast paths rely on callers
+ * passing a *purity* bit for source clocks — "this clock equals
+ * bot[c[t]/t]" — that must be sound (may be conservatively false, never
+ * wrongly true).
  *
  * Shared rows. A flush of one source clock into many bottom entries
  * (join_shared / join_except_shared: opt's end-event stale flushes)
@@ -42,10 +42,9 @@
  * Promotion stays one-way per entry: a sharer is inflated, and a copy
  * only moves it to a private row.
  *
- * Toggle: entries behave as always-inflated when epochs are disabled
- * (set_epochs_enabled(false); on by default), which is the plain
- * ClockBank representation plus one indirection — the full-vector
- * reference the differential tests compare against.
+ * There is one configuration: epochs and update windows are always on.
+ * The independent references are Algorithm 1 on plain VectorClocks
+ * (aerodrome-basic), the offline oracle and the table-level model fuzz.
  */
 
 #include <cassert>
@@ -117,11 +116,6 @@ join_qualified(ClockRef dst, ThreadId dst_thread, uint8_t& dst_pure,
 /** A family of epoch-adaptive clocks sharing one inflation arena. */
 class AdaptiveClockTable {
 public:
-    /** Toggle the epoch representation (call before feeding events; with
-     *  epochs off every entry inflates on first mutation). */
-    void set_epochs_enabled(bool on) { epochs_ = on; }
-    bool epochs_enabled() const { return epochs_; }
-
     size_t size() const { return entries_.size(); }
     size_t dim() const { return arena_.dim(); }
 
@@ -156,30 +150,19 @@ public:
     // (assign can lower a component again), so sweeps still apply the
     // real gate. Gate values are frozen for the life of a transaction.
 
-    /** Toggle update-set tracking (on by default; call before feeding
-     *  events). Off = every window untracked = full-table end sweeps, the
-     *  reference the update-set parity tests compare against. */
-    void set_update_sets_enabled(bool on) { upd_sets_ = on; }
-    bool update_sets_enabled() const { return upd_sets_; }
-
     /**
      * Open thread t's window with gate `gate` (= cb_t(t) right after the
-     * outermost begin), clearing any previous enrollment. A zero gate —
-     * impossible on well-formed state — leaves the window untracked.
+     * outermost begin, so at least 1), clearing any previous enrollment.
      */
     void
     open_update_window(ThreadId t, ClockValue gate)
     {
-        if (!upd_sets_)
-            return;
+        assert(gate != 0);
         if (t >= upd_.size()) {
             upd_.resize(t + 1);
             upd_gate_.resize(t + 1, 0);
         }
         close_update_window(t);
-        if (gate == 0)
-            return;
-        upd_[t].tracked = 1;
         upd_gate_[t] = gate;
         open_windows_.push_back(t);
     }
@@ -213,7 +196,6 @@ public:
         for (uint32_t i : w.list)
             w.member[i >> 6] &= ~(uint64_t{1} << (i & 63));
         w.list.clear();
-        w.tracked = 0;
     }
 
     /** Enroll entry i into t's open window without touching the entry:
@@ -226,21 +208,13 @@ public:
             enroll_into(t, static_cast<uint32_t>(i));
     }
 
-    /** True iff t's end sweep may visit only update_entries(t); false
-     *  demands the full-table sweep (tracking off, untracked window). */
-    bool
-    update_window_tracked(ThreadId t) const
-    {
-        return upd_sets_ && t < upd_.size() && upd_[t].tracked != 0;
-    }
-
     /** The entries enrolled in t's window (valid while sealed, until
-     *  close_update_window). Unordered; duplicates never occur. Callers
-     *  must check update_window_tracked(t) first. */
+     *  close_update_window). Unordered; duplicates never occur. t's
+     *  window must have been opened. */
     const std::vector<uint32_t>&
     update_entries(ThreadId t) const
     {
-        assert(update_window_tracked(t));
+        assert(t < upd_.size());
         return upd_[t].list;
     }
 
@@ -301,7 +275,7 @@ public:
     {
         if (!open_windows_.empty())
             enroll(i, c, t, c_pure, /*zero_t=*/false);
-        if (epochs_ && c_pure && !is_inflated(i)) {
+        if (c_pure && !is_inflated(i)) {
             entries_[i] = Epoch(c.get(t), t).bits();
             ++stats_.epoch_fast;
             return;
@@ -326,7 +300,7 @@ public:
                 return;
             }
             Epoch e = Epoch::from_bits(bits);
-            if (epochs_ && (e.is_bottom() || e.thread() == t)) {
+            if (e.is_bottom() || e.thread() == t) {
                 ClockValue cur = e.thread() == t ? e.value() : 0;
                 entries_[i] = Epoch(v > cur ? v : cur, t).bits();
                 ++stats_.epoch_fast;
@@ -532,7 +506,6 @@ private:
     struct UpdWindow {
         std::vector<uint32_t> list;
         std::vector<uint64_t> member;
-        uint8_t tracked = 0;
     };
 
     /**
@@ -654,8 +627,6 @@ private:
     /** Reference counts of shared rows only (row -> tagged referents).
      *  Node-based, so a RowShare may hold a pointer to its count. */
     std::unordered_map<size_t, uint32_t> shared_refs_;
-    bool epochs_ = true;
-    bool upd_sets_ = true;
     /** Window per thread; upd_gate_[t] != 0 iff t's window is open (still
      *  enrolling); open_windows_ lists exactly those threads. */
     std::vector<UpdWindow> upd_;

@@ -34,9 +34,9 @@
  *
  * The pointwise kernels (vck::join / leq / ...) are tight loops over
  * __restrict pointers written so the compiler auto-vectorizes them at
- * -O2; an explicit AVX2 path is used when the build enables it (e.g.
- * -march=native via the AERO_NATIVE cmake option). Define AERO_VC_NO_SIMD
- * to force the scalar loops.
+ * -O2. On x86-64 GCC/Clang builds an AVX2 path, compiled with
+ * target("avx2"), is dispatched at runtime when the CPU has AVX2, with
+ * any build flags (no -march=native needed).
  *
  * See src/vc/README.md for the layout diagram and invariants.
  */
@@ -48,7 +48,7 @@
 
 #include "vc/vector_clock.hpp"
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(AERO_VC_NO_SIMD)
+#if defined(__x86_64__) && defined(__GNUC__)
 #define AERO_VC_X86_DISPATCH 1
 #endif
 

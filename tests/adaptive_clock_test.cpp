@@ -9,7 +9,9 @@
  * representation, not an approximation. The fuzz drives a table and a
  * VectorClock model through identical random operation sequences (with
  * sound purity flags, sometimes conservatively false) and compares after
- * every step, with epochs both on and off.
+ * every step. The same fuzz opens update windows on random threads and
+ * checks the window invariant the shipped engine's end walks rely on:
+ * every entry whose gate can fire is enrolled.
  */
 
 #include <gtest/gtest.h>
@@ -162,15 +164,6 @@ TEST_F(AdaptiveTableTest, JoinExceptImpureZeroesTheRightComponent)
     EXPECT_EQ(tbl_.to_vector_clock(i), (VectorClock{3, 5, 2}));
 }
 
-TEST_F(AdaptiveTableTest, EpochsOffAlwaysInflates)
-{
-    tbl_.set_epochs_enabled(false);
-    uint32_t i = tbl_.add_entry();
-    tbl_.assign(i, ref(VectorClock{0, 0, 9}), 2, true);
-    EXPECT_TRUE(tbl_.is_inflated(i));
-    EXPECT_EQ(tbl_.to_vector_clock(i), (VectorClock{0, 0, 9}));
-}
-
 TEST_F(AdaptiveTableTest, JoinIntoMaintainsDestinationPurity)
 {
     uint32_t i = tbl_.add_entry();
@@ -212,13 +205,12 @@ TEST_F(AdaptiveTableTest, WindowBitsDedupAcrossWordsAndClearOnClose)
     // bits: still no duplicate.
     tbl_.assign(64, ref(VectorClock{0, 5}), t, true);
     EXPECT_EQ(tbl_.stats().upd_enrolled, 3u);
-    ASSERT_TRUE(tbl_.update_window_tracked(t));
     std::vector<uint32_t> got = tbl_.update_entries(t);
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, (std::vector<uint32_t>{63, 64, 65}));
 
     tbl_.close_update_window(t);
-    EXPECT_FALSE(tbl_.update_window_tracked(t));
+    EXPECT_TRUE(tbl_.update_entries(t).empty());
     tbl_.open_update_window(t, 6);
     tbl_.enroll_pending(65, t);
     tbl_.enroll_pending(64, t);
@@ -233,9 +225,17 @@ TEST_F(AdaptiveTableTest, WindowBitsDedupAcrossWordsAndClearOnClose)
 
 // --- Model-based fuzz ------------------------------------------------------
 
-/** Drive a table and a VectorClock model through the same random ops. */
+/**
+ * Drive a table and a VectorClock model through the same random ops, with
+ * update windows opening and closing on random threads. A window's gate
+ * is minted above every entry's component, as the begin tick mints
+ * cb_u(u) in the engine; after every mutation, each entry whose
+ * component u reaches an open window's gate must be enrolled in it.
+ * Adds to `gated` how many (entry, window) pairs met a gate, so the
+ * caller can assert the invariant was exercised.
+ */
 void
-fuzz_against_model(uint64_t seed, bool epochs_on)
+fuzz_against_model(uint64_t seed, size_t& gated)
 {
     constexpr size_t kEntries = 12;
     constexpr size_t kThreads = 5;
@@ -243,14 +243,39 @@ fuzz_against_model(uint64_t seed, bool epochs_on)
 
     Rng rng(seed);
     AdaptiveClockTable tbl;
-    tbl.set_epochs_enabled(epochs_on);
     tbl.ensure_dim(kThreads);
+    tbl.add_entries(kEntries);
     std::vector<VectorClock> model(kEntries);
-    for (size_t i = 0; i < kEntries; ++i)
-        tbl.add_entry();
+    // gate[u] != 0 iff u's window is open.
+    std::vector<ClockValue> gate(kThreads, 0);
 
-    // "Thread clocks" as sources: a pure set (bot[v/t]) and a free set.
+    // "Thread clocks" as sources. Component values grow like thread
+    // clocks and stay near the front, so a fresh gate is soon reached.
     ClockBank clocks(kThreads, kThreads);
+    std::vector<int64_t> now(kThreads, 0);
+    auto value = [&](size_t j) {
+        now[j] += static_cast<int64_t>(rng.next_below(3));
+        return static_cast<ClockValue>(
+            rng.next_range(std::max<int64_t>(0, now[j] - 30), now[j]));
+    };
+
+    auto check_windows = [&](int op) {
+        for (size_t u = 0; u < kThreads; ++u) {
+            if (gate[u] == 0)
+                continue;
+            const std::vector<uint32_t>& in = tbl.update_entries(
+                static_cast<ThreadId>(u));
+            for (uint32_t e = 0; e < kEntries; ++e) {
+                if (tbl.get(e, u) < gate[u])
+                    continue;
+                ++gated;
+                ASSERT_NE(std::find(in.begin(), in.end(), e), in.end())
+                    << "entry " << e << " reached thread " << u
+                    << "'s gate " << gate[u] << " unenrolled at op " << op
+                    << " (seed " << seed << ")";
+            }
+        }
+    };
 
     for (int op = 0; op < kOps; ++op) {
         size_t i = rng.next_below(kEntries);
@@ -263,17 +288,16 @@ fuzz_against_model(uint64_t seed, bool epochs_on)
         ClockRef src = clocks[t];
         src.clear();
         if (pure || rng.next_bool(0.3)) {
-            src.set(t, static_cast<ClockValue>(rng.next_range(0, 50)));
+            src.set(t, value(t));
         } else {
             for (size_t j = 0; j < kThreads; ++j) {
                 if (rng.next_bool(0.5))
-                    src.set(j,
-                            static_cast<ClockValue>(rng.next_range(0, 50)));
+                    src.set(j, value(j));
             }
         }
         VectorClock vsrc = ConstClockRef(src).to_vector_clock();
 
-        switch (rng.next_below(4)) {
+        switch (rng.next_below(7)) {
           case 0:
             tbl.assign(i, src, t, pure);
             model[i] = vsrc;
@@ -300,27 +324,62 @@ fuzz_against_model(uint64_t seed, bool epochs_on)
                 << "join_into diverged at op " << op;
             break;
           }
+          case 4: { // one source flushed into distinct entries, as an end
+            AdaptiveClockTable::RowShare full, except;
+            const size_t n = 1 + rng.next_below(4);
+            for (size_t k = 0; k < n; ++k) {
+                const size_t e = (i + k) % kEntries;
+                if (rng.next_bool(0.5)) {
+                    tbl.join_shared(e, src, t, pure, full);
+                    model[e].join(vsrc);
+                } else {
+                    tbl.join_except_shared(e, src, t, pure, except);
+                    model[e].join_except(vsrc, t);
+                }
+            }
+            break;
+          }
+          case 5:
+            tbl.enroll_pending(i, t);
+            break;
+          default: { // close t's window, or open it with a fresh gate
+            if (gate[t] != 0) {
+                tbl.close_update_window(t);
+                gate[t] = 0;
+                break;
+            }
+            ClockValue top = 0;
+            for (const VectorClock& m : model)
+                top = std::max(top, m.get(t));
+            gate[t] = top + 1 + static_cast<ClockValue>(rng.next_below(3));
+            tbl.open_update_window(t, gate[t]);
+            break;
+          }
         }
 
-        ASSERT_EQ(tbl.to_vector_clock(i), model[i])
-            << "entry " << i << " diverged at op " << op
-            << " (epochs=" << epochs_on << ")";
+        for (size_t e = 0; e < kEntries; ++e) {
+            ASSERT_EQ(tbl.to_vector_clock(e), model[e])
+                << "entry " << e << " diverged at op " << op << " (seed "
+                << seed << ")";
+        }
         // Spot-check component reads.
         ThreadId probe = static_cast<ThreadId>(rng.next_below(kThreads));
-        ASSERT_EQ(tbl.get(i, probe), model[i].get(probe));
+        EXPECT_EQ(tbl.get(i, probe), model[i].get(probe));
+        check_windows(op);
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
 }
 
-TEST(AdaptiveClockFuzz, MatchesVectorClockModelEpochsOn)
+TEST(AdaptiveClockFuzz, MatchesVectorClockModelAndEnrollsEveryGatedEntry)
 {
-    for (uint64_t seed = 1; seed <= 20; ++seed)
-        fuzz_against_model(seed, /*epochs_on=*/true);
-}
-
-TEST(AdaptiveClockFuzz, MatchesVectorClockModelEpochsOff)
-{
-    for (uint64_t seed = 1; seed <= 20; ++seed)
-        fuzz_against_model(seed, /*epochs_on=*/false);
+    size_t gated = 0;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        fuzz_against_model(seed, gated);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(gated, 1000u);
 }
 
 // --- Shared-row twin fuzz ---------------------------------------------------
@@ -346,7 +405,7 @@ struct ShareCoverage {
  * stay consistent (rows_consistent).
  */
 void
-twin_fuzz(uint64_t seed, bool epochs_on, ShareCoverage& cov)
+twin_fuzz(uint64_t seed, ShareCoverage& cov)
 {
     constexpr size_t kEntries = 16;
     constexpr size_t kThreads = 5;
@@ -355,7 +414,6 @@ twin_fuzz(uint64_t seed, bool epochs_on, ShareCoverage& cov)
     Rng rng(seed);
     AdaptiveClockTable shr, ref;
     for (AdaptiveClockTable* tbl : {&shr, &ref}) {
-        tbl->set_epochs_enabled(epochs_on);
         tbl->ensure_dim(kThreads);
         tbl->add_entries(kEntries);
     }
@@ -454,7 +512,7 @@ twin_fuzz(uint64_t seed, bool epochs_on, ShareCoverage& cov)
         for (size_t e = 0; e < kEntries; ++e) {
             ASSERT_EQ(shr.to_vector_clock(e), ref.to_vector_clock(e))
                 << "entry " << e << " diverged at op " << op << " (seed "
-                << seed << ", epochs=" << epochs_on << ")";
+                << seed << ")";
         }
         ASSERT_TRUE(shr.rows_consistent()) << "op " << op;
         ASSERT_EQ(shr.stats().inflations, ref.stats().inflations);
@@ -469,10 +527,8 @@ twin_fuzz(uint64_t seed, bool epochs_on, ShareCoverage& cov)
 TEST(AdaptiveClockShare, TwinTablesAgreeEntryForEntry)
 {
     ShareCoverage cov;
-    for (uint64_t seed = 1; seed <= 12; ++seed) {
-        twin_fuzz(seed, /*epochs_on=*/true, cov);
-        twin_fuzz(seed, /*epochs_on=*/false, cov);
-    }
+    for (uint64_t seed = 1; seed <= 24; ++seed)
+        twin_fuzz(seed, cov);
     EXPECT_GT(cov.shared, 0u);
     EXPECT_GT(cov.cow_assign, 0u);
     EXPECT_GT(cov.cow_join, 0u);

@@ -100,7 +100,6 @@ protected:
         scratch_.ensure_dim(kDim);
         scratch_.ensure_rows(1);
         tbl_.ensure_dim(kDim);
-        tbl_.set_epochs_enabled(true);
     }
 
     ConstClockRef
@@ -204,11 +203,11 @@ TEST_F(TableGcTest, InflatedRowAtActiveGateSurvives)
     EXPECT_EQ(tbl_.to_vector_clock(i), (VectorClock{3, 2}));
 }
 
-TEST_F(TableGcTest, SweepWorksWithEpochsDisabled)
+TEST_F(TableGcTest, SweepReclaimsAnInflatedEntry)
 {
-    tbl_.set_epochs_enabled(false);
     uint32_t i = tbl_.add_entry();
-    tbl_.assign(i, ref(VectorClock{0, 4}), 1, false); // inflated form
+    tbl_.assign(i, ref(VectorClock{0, 4}), 1, false); // impure: inflates
+    ASSERT_TRUE(tbl_.is_inflated(i));
     size_t live = tbl_.gc_sweep(frontier(VectorClock{9, 5, 9, 9}));
     EXPECT_EQ(live, 0u);
     EXPECT_TRUE(tbl_.is_bottom(i));
@@ -313,14 +312,12 @@ expect_same_outcome(const char* tag, const RunResult& off,
 }
 
 RunResult
-run_opt(const Trace& tr, bool gc, bool epochs, bool upd_sets)
+run_opt(const Trace& tr, bool gc)
 {
     AeroDromeOpt e(tr.num_threads(), tr.num_vars(), tr.num_locks());
-    e.set_epochs(epochs);
     e.set_gc(gc);
     if (gc)
         e.set_gc_sweep_every(1); // most hostile sweep schedule
-    e.set_update_sets(upd_sets);
     return run_checker(e, tr);
 }
 
@@ -329,12 +326,7 @@ class GcParityFuzz : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(GcParityFuzz, ReclamationIsInvisible)
 {
     Trace tr = fuzz_trace(GetParam());
-    for (bool epochs : {true, false}) {
-        for (bool upd : {true, false}) {
-            expect_same_outcome("opt", run_opt(tr, false, epochs, upd),
-                                run_opt(tr, true, epochs, upd));
-        }
-    }
+    expect_same_outcome("opt", run_opt(tr, false), run_opt(tr, true));
 
     // The graph engines map set_gc onto their node GC; the reclamation
     // rule (no incoming edges => never on a cycle) is verdict-preserving.

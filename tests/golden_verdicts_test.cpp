@@ -3,12 +3,12 @@
  * Golden-verdict regression corpus.
  *
  * Locks the exact verdict (serializable / violation, violating index and
- * thread) of every engine — Algorithm 3 (the shipped engine) with the
- * epoch-adaptive storage on and off, Algorithm 1 (the plain-vector
- * reference, recorded as an epochs=0 row), plus the Velodrome baseline —
- * over a deterministic corpus: the fuzz-program seeds the differential
- * suites use, directed cycles, and the open-transaction carrier chains
- * (gen/adversarial.hpp). Any future engine
+ * thread) of every engine — Algorithm 3 (the shipped engine, on its
+ * epoch-adaptive storage: an epochs=1 row), Algorithm 1 (the
+ * plain-vector reference, an epochs=0 row), plus the Velodrome baseline
+ * (epochs=0) — over a deterministic corpus: the fuzz-program seeds the
+ * differential suites use, directed cycles, and the open-transaction
+ * carrier chains (gen/adversarial.hpp). Any future engine
  * change that silently shifts a verdict (a check reordered, a gate
  * loosened, a generator drifting) fails this test loudly with the exact
  * corpus line that moved.
@@ -228,19 +228,6 @@ append_line(std::string& golden, const std::string& workload,
     golden += line;
 }
 
-void
-run_opt(std::string& golden, const Workload& w, bool epochs, bool gc)
-{
-    AeroDromeOpt engine(w.trace.num_threads(), w.trace.num_vars(),
-                        w.trace.num_locks());
-    engine.set_epochs(epochs);
-    engine.set_gc(gc);
-    if (gc)
-        engine.set_gc_sweep_every(1);
-    RunResult r = run_checker(engine, w.trace);
-    append_line(golden, w.name, "aerodrome", epochs ? 1 : 0, r);
-}
-
 /** The full corpus fixture; with gc on, reclamation sweeps run at every
  *  transaction end and the output must still be byte-identical. */
 std::string
@@ -250,7 +237,15 @@ generate_golden(bool gc)
     golden += "# engine x corpus verdict fixture; regenerate with "
               "AERO_REGEN_GOLDEN=1 ./golden_verdicts_test\n";
     for (const Workload& w : make_corpus()) {
-        run_opt(golden, w, true, gc);
+        {
+            AeroDromeOpt opt(w.trace.num_threads(), w.trace.num_vars(),
+                             w.trace.num_locks());
+            opt.set_gc(gc);
+            if (gc)
+                opt.set_gc_sweep_every(1);
+            append_line(golden, w.name, "aerodrome", 1,
+                        run_checker(opt, w.trace));
+        }
         {
             // Algorithm 1 has no epochs and no reclamation: its row is
             // the same whichever pass runs.
@@ -259,7 +254,6 @@ generate_golden(bool gc)
             append_line(golden, w.name, "aerodrome-basic", 0,
                         run_checker(basic, w.trace));
         }
-        run_opt(golden, w, false, gc);
         {
             Velodrome velo(w.trace.num_threads(), w.trace.num_vars(),
                            w.trace.num_locks());

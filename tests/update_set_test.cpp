@@ -9,12 +9,12 @@
  *  1. Complexity guard — an end event's sweep visits O(|update set|)
  *     entries, not O(|table|): a cold transaction ending against a table
  *     of 10k+ touched variables must sweep a handful of entries (the
- *     counters expose the visit count), while the set_update_sets(false)
- *     full sweep visits everything.
- *  2. Fuzz parity — verdicts are bit-for-bit identical with update sets
- *     on and off, over the random-program corpus, and agree with
- *     Algorithm 1. The sets only *skip* entries whose gate provably
- *     cannot fire.
+ *     counters expose the visit count).
+ *  2. Fuzz agreement — over the random-program corpus the shipped
+ *     engine's verdicts agree with Algorithm 1, which sweeps every
+ *     clock at every end. The windows only *skip* entries whose gate
+ *     provably cannot fire (the table-level invariant is fuzzed in
+ *     tests/adaptive_clock_test.cpp).
  *  3. Lazy enrollment — the optimized engine's stale reads and writes
  *     enter only the accessing thread's window (enroll_pending); directed
  *     traces pin the cases where another thread's ordering must still
@@ -59,12 +59,11 @@ cold_end_trace(uint32_t touched_vars)
     return t;
 }
 
-void
-expect_cold_end_sweep_is_small(bool update_sets, uint64_t touched_vars)
+TEST(UpdateSetComplexity, OptColdEndSweepsSetNotTable)
 {
-    Trace t = cold_end_trace(static_cast<uint32_t>(touched_vars));
+    const uint32_t touched_vars = 10000;
+    Trace t = cold_end_trace(touched_vars);
     AeroDromeOpt engine(t.num_threads(), t.num_vars(), t.num_locks());
-    engine.set_update_sets(update_sets);
 
     // Feed everything but the final end (thread 1's), then isolate the
     // entries swept by that one cold end event.
@@ -74,25 +73,10 @@ expect_cold_end_sweep_is_small(bool update_sets, uint64_t touched_vars)
     ASSERT_FALSE(engine.process(t[t.size() - 1], t.size() - 1));
     const uint64_t swept = engine.stats().end_swept_entries - swept_before;
 
-    if (update_sets) {
-        // Thread 1's transaction wrote one variable; only entries its own
-        // accesses (or clocks ordered after its begin — none here) fed
-        // can be enrolled. The table itself holds >= touched_vars entries.
-        EXPECT_LE(swept, 8u);
-    } else {
-        // The escape hatch restores the full-table sweep.
-        EXPECT_GE(swept, touched_vars);
-    }
-}
-
-TEST(UpdateSetComplexity, OptColdEndSweepsSetNotTable)
-{
-    expect_cold_end_sweep_is_small(true, 10000);
-}
-
-TEST(UpdateSetComplexity, OptFullSweepWithoutSets)
-{
-    expect_cold_end_sweep_is_small(false, 10000);
+    // Thread 1's transaction wrote one variable; only entries its own
+    // accesses (or clocks ordered after its begin — none here) fed can be
+    // enrolled. The table itself holds >= touched_vars entries.
+    EXPECT_LE(swept, 8u);
 }
 
 /** A warm end — the transaction that touched every variable — must still
@@ -112,14 +96,13 @@ TEST(UpdateSetComplexity, WarmEndStillSweepsItsOwnAccesses)
     t.end(0);
 
     AeroDromeOpt engine(t.num_threads(), t.num_vars(), t.num_locks());
-    engine.set_update_sets(true);
     for (size_t i = 0; i < t.size(); ++i)
         ASSERT_FALSE(engine.process(t[i], i));
     EXPECT_EQ(engine.opt_stats().propagated_ends.load(), 1u);
     EXPECT_GE(engine.stats().end_swept_entries.load(), uint64_t{vars});
 }
 
-// --- Fuzz parity: update sets on vs off, against Algorithm 1 ---------------
+// --- Fuzz agreement with Algorithm 1 ----------------------------------------
 
 Trace
 fuzz_trace(uint64_t seed)
@@ -139,63 +122,36 @@ fuzz_trace(uint64_t seed)
     return std::move(sim.trace);
 }
 
+template <typename Checker>
 RunResult
-run_with_sets(const Trace& t, bool on)
+run(const Trace& t)
 {
-    AeroDromeOpt engine(t.num_threads(), t.num_vars(), t.num_locks());
-    engine.set_update_sets(on);
+    Checker engine(t.num_threads(), t.num_vars(), t.num_locks());
     return run_checker(engine, t);
 }
 
-RunResult
-run_basic(const Trace& t)
-{
-    AeroDromeBasic engine(t.num_threads(), t.num_vars(), t.num_locks());
-    return run_checker(engine, t);
-}
-
-void
-expect_same_verdict(const RunResult& a, const RunResult& b,
-                    const char* what)
-{
-    ASSERT_EQ(a.violation, b.violation) << what;
-    if (a.violation) {
-        EXPECT_EQ(a.details->event_index, b.details->event_index) << what;
-        EXPECT_EQ(a.details->thread, b.details->thread) << what;
-    }
-}
-
-TEST(UpdateSetParity, FuzzOnOffAllEngines)
+TEST(UpdateSetParity, FuzzAgreesWithAlgorithm1)
 {
     for (uint64_t seed = 1; seed <= 60; ++seed) {
         Trace t = fuzz_trace(seed);
-
-        RunResult opt_on = run_with_sets(t, true);
-        RunResult opt_off = run_with_sets(t, false);
-        expect_same_verdict(opt_on, opt_off, "opt on/off");
-
         // opt may fire earlier than Algorithm 1 (lazy writes check
         // against the live clock), but its verdict presence must match
         // (Theorem 3 — the fuzz corpus closes every transaction it opens).
-        EXPECT_EQ(run_basic(t).violation, opt_on.violation)
+        EXPECT_EQ(run<AeroDromeBasic>(t).violation,
+                  run<AeroDromeOpt>(t).violation)
             << "seed " << seed;
     }
 }
 
 // --- Lazy enrollment (optimized engine) ------------------------------------
 
-/** The directed trace's verdict must match the oracle and Algorithm 1,
- *  and the optimized engine must be bit-identical with update sets on
- *  and off. */
+/** The directed trace's verdict must match the oracle and Algorithm 1. */
 void
 expect_lazy_case_agrees(const Trace& t, bool violating)
 {
     ASSERT_EQ(!check_serializability(t).serializable, violating);
-    RunResult opt_on = run_with_sets(t, true);
-    RunResult opt_off = run_with_sets(t, false);
-    EXPECT_EQ(run_basic(t).violation, violating);
-    EXPECT_EQ(opt_on.violation, violating);
-    expect_same_verdict(opt_on, opt_off, "opt on/off");
+    EXPECT_EQ(run<AeroDromeBasic>(t).violation, violating);
+    EXPECT_EQ(run<AeroDromeOpt>(t).violation, violating);
 }
 
 /** (a) u's transaction is ordered before t's lazy read of y, and u is
