@@ -30,7 +30,8 @@
  *             were skipped) instead of stopping at the first one
  *   --validate: run the well-formedness validator first (loads the
  *               trace into memory)
- *   --stats: print engine-specific statistics after the run
+ *   --stats: print engine-specific statistics after the run, then the
+ *            process's peak resident set (peak_rss_kb, VmHWM)
  *   --witness: on a violation, reconstruct and print a witness cycle
  *              (one offending SCC of the transaction graph over the
  *              prefix up to the violating event; loads that prefix)
@@ -184,6 +185,24 @@ print_gc_block(const StatList& counters)
                 with_commas(retired).c_str(), with_commas(recycled).c_str());
 }
 
+/** The process's peak resident set (VmHWM, mapped trace pages
+ *  included); silent where /proc/self/status cannot be read. */
+void
+print_peak_rss()
+{
+    std::FILE* f = std::fopen("/proc/self/status", "r");
+    if (f == nullptr)
+        return;
+    char line[256];
+    unsigned long long kb = 0;
+    bool found = false;
+    while (!found && std::fgets(line, sizeof line, f))
+        found = std::sscanf(line, "VmHWM: %llu kB", &kb) == 1;
+    std::fclose(f);
+    if (found)
+        std::printf("  peak_rss_kb: %s\n", with_commas(kb).c_str());
+}
+
 void
 print_counters(const StatList& counters)
 {
@@ -326,6 +345,7 @@ main(int argc, char** argv)
                         with_commas(kDefaultIngestBlock).c_str());
             print_counters(checker->counters());
             print_gc_block(checker->counters());
+            print_peak_rss();
         }
         switch (status) {
           case RunStatus::kOk:

@@ -105,6 +105,7 @@ MappedBinaryEventSource::open_mapped_or_buffered(const std::string& path)
                 ::close(fd);
                 map_base_ = m;
                 map_len_ = static_cast<size_t>(st.st_size);
+                page_size_ = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
                 data_ = static_cast<const uint8_t*>(m);
                 avail_ = map_len_;
                 mapped_ = true;
@@ -219,13 +220,28 @@ MappedBinaryEventSource::parse_header()
 void
 MappedBinaryEventSource::extend_clean_span()
 {
+    // Capped lookahead: the block loop scans again once pos_ reaches
+    // clean_end_, so an uncapped scan would only fault pages in early.
+    const size_t end = std::min(avail_, pos_ + kScanAhead);
 #ifdef AERO_VC_X86_DISPATCH
     if (vck::detail::kHaveAvx2) {
-        clean_end_ = clean_scan_avx2(data_, pos_, avail_);
+        clean_end_ = clean_scan_avx2(data_, pos_, end);
         return;
     }
 #endif
-    clean_end_ = clean_scan(data_, pos_, avail_);
+    clean_end_ = clean_scan(data_, pos_, end);
+}
+
+void
+MappedBinaryEventSource::release_consumed()
+{
+    // Whole pages only: the page holding pos_ may still be decoding.
+    if (!mapped_ || pos_ - released_ < kReadChunk)
+        return;
+    const size_t upto = pos_ & ~(page_size_ - 1);
+    ::madvise(static_cast<uint8_t*>(map_base_) + released_, upto - released_,
+              MADV_DONTNEED);
+    released_ = upto;
 }
 
 /** Mirror of BinaryEventSource::try_decode over the byte window: same
@@ -481,7 +497,7 @@ MappedBinaryEventSource::decode_block(Event* out, size_t n)
 bool
 MappedBinaryEventSource::next(Event& out)
 {
-    return decode_block(&out, 1) == 1;
+    return next_n(&out, 1) == 1;
 }
 
 size_t
@@ -489,7 +505,9 @@ MappedBinaryEventSource::next_n(Event* out, size_t n)
 {
     if (n == 0)
         return 0;
-    return decode_block(out, n);
+    const size_t got = decode_block(out, n);
+    release_consumed();
+    return got;
 }
 
 const char*

@@ -16,6 +16,18 @@
  * runtime dispatch); anything else takes a per-record slow path that
  * reproduces BinaryEventSource's error contract byte-for-byte.
  *
+ * Residency: the trace bytes a mapped run holds resident are a constant,
+ * not a share of the file. The clean-span scan looks at most kScanAhead
+ * (64 KiB) past the decode position, and once that position has moved
+ * kReadChunk (256 KiB) past the last release point, next_n() drops the
+ * whole pages below it with MADV_DONTNEED. The mapping is read-only and
+ * private and never written, so a dropped page that is touched again
+ * refaults from the page cache with the file's bytes; nothing reads
+ * below the decode position anyway, since errors are re-derived and
+ * resync slides from it, and --validate / --witness open a fresh source.
+ * The kernel maps whole page-cache folios, so the bound rounds out to
+ * them (src/trace/README.md, "Residency").
+ *
  * Fallback rules (the reader never refuses input BinaryEventSource
  * accepts):
  *  - pipes/stdin, special files, or mmap failure switch to a read()-into-
@@ -83,11 +95,15 @@ public:
     /** True when the trace is served from an mmap (diagnostics). */
     bool is_mapped() const { return mapped_; }
 
-    /** Buffered-mode read granularity. The header is read alone, so
-     *  the first refill covers byte offsets [28, 28 + kReadChunk). */
+    /** Buffered-mode read granularity, and the mapped path's release
+     *  stride. The header is read alone, so the first refill covers
+     *  byte offsets [28, 28 + kReadChunk). */
     static constexpr size_t kReadChunk = 256 * 1024;
 
 private:
+    /** How far past the decode position one clean-span scan looks. */
+    static constexpr size_t kScanAhead = 64 * 1024;
+
     /** Longest record: 1 opcode + two 5-byte varints. */
     static constexpr size_t kMaxRecordBytes = 11;
     static constexpr size_t kHeaderBytes = 28;
@@ -102,6 +118,8 @@ private:
     size_t decode_block(Event* out, size_t n);
     Rec decode_one(Event& out, size_t& len, StreamError& err);
     void extend_clean_span();
+    /** Mapped: drop the consumed pages once kReadChunk bytes gathered. */
+    void release_consumed();
     void record_gap(StreamError err);
 
     std::unique_ptr<std::ifstream> own_stream_; ///< buffered path source
@@ -117,6 +135,8 @@ private:
     bool mapped_ = false;
     void* map_base_ = nullptr;
     size_t map_len_ = 0;
+    size_t page_size_ = 0;
+    size_t released_ = 0; ///< data_[0..released_) pages dropped
 
     std::istream* in_ = nullptr; ///< buffered-mode byte source
     std::vector<uint8_t> buf_;

@@ -16,14 +16,19 @@
  * land identically on the block reader and the reference (FaultParity).
  *
  * Also here: the magic-sniffing format decision (extension only breaks
- * ties), the buffered fallback for paths that cannot be mapped, and the
+ * ties), the buffered fallback for paths that cannot be mapped, the
+ * mapped reader's constant trace residency (MappedResidency), and the
  * block runner's budget-poll boundaries (a block larger than
  * check_interval must not blow past max_seconds).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -180,7 +185,10 @@ expect_same_drain(const DrainResult& ref, const DrainResult& got,
                           what + " [recovered " + std::to_string(i) + "]");
 }
 
-/** RAII temp file holding a binary image (for the mmap path). */
+/** RAII temp file holding a binary image (for the mmap path). Written
+ *  in 64 KiB slices, as a streaming trace writer fills the page cache:
+ *  one multi-MiB write() can leave the file in 2 MiB page-cache folios,
+ *  which Linux maps whole on a fault. */
 struct TempImage {
     std::string path;
     explicit TempImage(const std::string& image, const char* tag)
@@ -188,7 +196,10 @@ struct TempImage {
         path = ::testing::TempDir() + "aero_ingest_" + tag + "_" +
                std::to_string(::getpid()) + ".bin";
         std::ofstream f(path, std::ios::binary | std::ios::trunc);
-        f.write(image.data(), static_cast<std::streamsize>(image.size()));
+        constexpr size_t kSlice = 64 * 1024;
+        for (size_t at = 0; at < image.size(); at += kSlice)
+            f.write(image.data() + at, static_cast<std::streamsize>(
+                                           std::min(kSlice, image.size() - at)));
     }
     ~TempImage() { std::remove(path.c_str()); }
 };
@@ -359,6 +370,144 @@ TEST(BatchedDecodeParity, CheckerVerdictMatchesMaterialized)
         EXPECT_EQ(want.violation, got.violation) << seed;
         EXPECT_EQ(want.events_processed, got.events_processed) << seed;
     }
+}
+
+// --- Constant trace residency on the mapped path ----------------------------
+
+/** A binary image written record by record, for traces too large to
+ *  hold as a Trace. `offsets` keeps each record's first byte. */
+struct ImageBuilder {
+    std::string bytes;
+    std::vector<size_t> offsets;
+
+    ImageBuilder(uint32_t threads, uint32_t vars, uint32_t locks)
+    {
+        bytes.assign("AEROTRC1", 8);
+        bytes.append(8, '\0'); // event count, patched by finish()
+        for (uint32_t v : {threads, vars, locks})
+            bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+    }
+
+    void
+    varint(uint32_t v)
+    {
+        while (v >= 0x80) {
+            bytes.push_back(static_cast<char>((v & 0x7f) | 0x80));
+            v >>= 7;
+        }
+        bytes.push_back(static_cast<char>(v));
+    }
+
+    void
+    access(uint32_t i, uint32_t var)
+    {
+        offsets.push_back(bytes.size());
+        bytes.push_back(static_cast<char>(i % 2 ? Op::kWrite : Op::kRead));
+        varint(i % 4);
+        varint(var);
+    }
+
+    std::string
+    finish()
+    {
+        const uint64_t n = offsets.size();
+        std::memcpy(&bytes[8], &n, sizeof n);
+        return std::move(bytes);
+    }
+};
+
+/** Resident KiB of `path`'s mapping in /proc/self/smaps, -1 when smaps
+ *  names no such mapping. The mapping's own entry,
+ *  not the process RSS, so sanitizer and debug heaps do not count. */
+long
+mapping_rss_kb(const std::string& path)
+{
+    std::ifstream smaps("/proc/self/smaps");
+    std::string line;
+    bool in_entry = false;
+    while (std::getline(smaps, line)) {
+        if (line.size() >= path.size() &&
+            line.compare(line.size() - path.size(), path.size(), path) == 0)
+            in_entry = true; // entry header: "lo-hi perms ... path"
+        else if (in_entry && line.rfind("Rss:", 0) == 0)
+            return std::stol(line.substr(4));
+    }
+    return -1;
+}
+
+TEST(MappedResidency, ResidentTraceBytesStayConstant)
+{
+    // 16 MiB of one-byte-id records: one clean span from the header to
+    // the end of the file, so an uncapped span scan faults it all in on
+    // the first block, and a reader that never releases what it decoded
+    // passes 1 MiB resident well before the end.
+    constexpr size_t kImageBytes = 16u << 20;
+    constexpr long kMaxResidentKb = 1024;
+    std::string image;
+    {
+        ImageBuilder b(4, 100, 1);
+        for (uint32_t i = 0; b.bytes.size() < kImageBytes; ++i)
+            b.access(i, i % 100);
+        image = b.finish();
+    }
+    uint64_t expected = 0;
+    std::memcpy(&expected, image.data() + 8, sizeof expected);
+    const TempImage file(image, "residency");
+    std::string().swap(image);
+    char real[PATH_MAX];
+    ASSERT_NE(::realpath(file.path.c_str(), real), nullptr);
+
+    if (!std::ifstream("/proc/self/smaps"))
+        GTEST_SKIP() << "/proc/self/smaps cannot be read";
+    MappedBinaryEventSource src(file.path);
+    ASSERT_TRUE(src.is_mapped());
+    ASSERT_GE(mapping_rss_kb(real), 0) << "no smaps entry for " << real;
+    std::vector<Event> buf(kDefaultIngestBlock);
+    uint64_t events = 0;
+    for (size_t block = 0;; ++block) {
+        const size_t got = src.next_n(buf.data(), buf.size());
+        if (got == 0)
+            break;
+        events += got;
+        if (block % 64 == 0) {
+            ASSERT_LE(mapping_rss_kb(real), kMaxResidentKb)
+                << "after block " << block << " (" << events << " events)";
+        }
+    }
+    EXPECT_EQ(events, expected);
+}
+
+TEST(BatchedDecodeParity, ErrorContractHoldsPastReleasedPages)
+{
+    // Multi-MiB images, so the mapped reader has dropped its first pages
+    // (every kReadChunk) and re-scanned at many kScanAhead caps before
+    // the interesting bytes arrive: a wide-id stretch longer than one
+    // scan, record corruption above 1 MiB, and a torn tail.
+    constexpr size_t kMiB = 1u << 20;
+    ImageBuilder b(4, 20000, 1);
+    for (uint32_t i = 0; b.bytes.size() < kMiB + kMiB / 2; ++i) {
+        const size_t at = b.bytes.size();
+        const bool wide = at > kMiB - 40000 && at < kMiB + 50000;
+        b.access(i, wide && i % 3 == 0 ? 128 + (i * 991) % 19872 : i % 100);
+    }
+    const std::vector<size_t>& offsets = b.offsets;
+    const std::string clean = b.finish();
+    ASSERT_GT(clean.size(), kMiB + 400000);
+    // First byte of the first record at or past `at`.
+    auto record_at = [&offsets](size_t at) {
+        return *std::lower_bound(offsets.begin(), offsets.end(), at);
+    };
+
+    std::string corrupt = clean;
+    corrupt[record_at(kMiB + 100000)] = 9;         // bad opcode
+    corrupt[record_at(kMiB + 200000) + 1] = 100;   // tid >= 4
+    corrupt.replace(record_at(kMiB + 300000) + 2, 6,
+                    std::string(6, '\xff'));       // overlong varint
+    corrupt_bytes(corrupt, FaultKind::kGarbage, 0x2bad5eedu, kMiB + 400000);
+    corrupt.pop_back(); // torn tail
+    cross_check_image(corrupt, "large corrupt");
+
+    cross_check_image(clean.substr(0, clean.size() - 1), "large torn-tail");
 }
 
 // --- Fault drills run the shipped reader -------------------------------------
