@@ -10,9 +10,12 @@
  *     scalar VectorClock baseline, swept over clock dimensions. The sweep
  *     mimics the engines' hot loops (end-event propagation: join/compare
  *     one clock against a whole family), so it exercises the contiguous
- *     layout, not just a single cached pair. Results are written to
- *     BENCH_vc_ops.json (override with --json PATH) for the perf
- *     trajectory.
+ *     layout, not just a single cached pair. It ends with an
+ *     engine-start row: each engine constructed, run on 5 events and
+ *     destroyed, in ns per round, which is the fixed cost that dominates
+ *     short traces and the exhaustive differential suite. Results are
+ *     written to BENCH_vc_ops.json (override with --json PATH) for the
+ *     perf trajectory.
  *
  *  2. The usual google-benchmark suite; run with --benchmark_filter=...
  *     as usual. Pass --no-gbench to skip it.
@@ -20,12 +23,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
@@ -33,6 +38,7 @@
 #include "vc/adaptive_clock.hpp"
 #include "vc/clock_bank.hpp"
 #include "vc/vector_clock.hpp"
+#include "velodrome/velodrome.hpp"
 
 namespace {
 
@@ -272,6 +278,50 @@ bench_end_sweep(size_t entries)
     return r;
 }
 
+/** A small engine's fixed cost: construct it for 2 threads, 1 variable
+ *  and 1 lock, run 5 events, destroy it. The trace inflates an entry of
+ *  each clock table, so every bank of the shipped engine holds a row. */
+struct StartResult {
+    double opt_ns;   // ns per round, AeroDromeOpt
+    double basic_ns; // ns per round, AeroDromeBasic
+    double velo_ns;  // ns per round, Velodrome
+};
+
+constexpr size_t kStartRounds = 20000;
+constexpr int kStartRepeats = 3;
+
+/** Median over kStartRepeats passes of kStartRounds rounds, in ns per
+ *  round. */
+template <typename Checker>
+double
+time_engine_start()
+{
+    const Event kTrace[] = {
+        {0, 0, Op::kBegin},   {1, 0, Op::kWrite}, {0, 0, Op::kRead},
+        {0, 0, Op::kRelease}, {0, 0, Op::kEnd},
+    };
+    double ns[kStartRepeats];
+    for (double& pass : ns) {
+        Stopwatch watch;
+        for (size_t r = 0; r < kStartRounds; ++r) {
+            Checker checker(2, 1, 1);
+            for (size_t i = 0; i < 5; ++i)
+                benchmark::DoNotOptimize(checker.process(kTrace[i], i));
+        }
+        pass = static_cast<double>(watch.elapsed_ns()) / kStartRounds;
+    }
+    std::sort(ns, ns + kStartRepeats);
+    return ns[kStartRepeats / 2];
+}
+
+StartResult
+bench_engine_start()
+{
+    return {time_engine_start<AeroDromeOpt>(),
+            time_engine_start<AeroDromeBasic>(),
+            time_engine_start<Velodrome>()};
+}
+
 /** Geometric mean of the speedups at dim >= 16 (the acceptance metric:
  *  single-dim points on a shared box are noisy; the geomean across the
  *  swept dims is the stable summary). */
@@ -327,6 +377,7 @@ run_kernel_comparison(const std::string& json_path)
     std::vector<SweepResult> sweeps;
     for (size_t entries : {size_t{1000}, size_t{10000}, size_t{100000}})
         sweeps.push_back(bench_end_sweep(entries));
+    const StartResult start = bench_engine_start();
 
     std::printf("%-14s %6s %14s %14s %9s\n", "kernel", "dim", "scalar ns/op",
                 "bank ns/op", "speedup");
@@ -347,6 +398,12 @@ run_kernel_comparison(const std::string& json_path)
                     s.entries, s.enrolled, s.full_ns, s.window_ns,
                     s.speedup());
     }
+
+    std::printf("\n%-14s %12s %12s %12s %9s\n", "kernel", "opt ns",
+                "basic ns", "velodrome ns", "opt/basic");
+    std::printf("%-14s %12.0f %12.0f %12.0f %8.2fx\n", "engine_start",
+                start.opt_ns, start.basic_ns, start.velo_ns,
+                start.opt_ns / start.basic_ns);
 
     std::string out = "{\n";
     char buf[192];
@@ -372,7 +429,19 @@ run_kernel_comparison(const std::string& json_path)
                       s.speedup(), i + 1 < sweeps.size() ? "," : "");
         out += buf;
     }
-    out += "  ]}\n";
+    out += "  ]},\n";
+    std::snprintf(buf, sizeof(buf),
+                  "  \"engine_start\": {\"rounds\": %zu, \"repeats\": %d, "
+                  "\"opt_ns_per_round\": %.0f, ",
+                  kStartRounds, kStartRepeats, start.opt_ns);
+    out += buf;
+    std::snprintf(buf, sizeof(buf),
+                  "\"basic_ns_per_round\": %.0f, "
+                  "\"velodrome_ns_per_round\": %.0f, "
+                  "\"opt_over_basic\": %.2f}\n",
+                  start.basic_ns, start.velo_ns,
+                  start.opt_ns / start.basic_ns);
+    out += buf;
     out += "}\n";
 
     std::FILE* f = std::fopen(json_path.c_str(), "w");

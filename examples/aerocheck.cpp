@@ -141,8 +141,10 @@ usage(const char* argv0)
 std::unique_ptr<AtomicityChecker>
 make_engine(const std::string& name)
 {
-    // Streamed input: dimensions are unknown up front; every engine
-    // grows its state on demand.
+    // Engines start empty. A binary header's dimensions reach reserve()
+    // through the runner (after reserve_hint_sane); text traces declare
+    // none, and every engine grows its state on demand. Neither path
+    // writes state before the events that use it.
     if (name == "aerodrome")
         return std::make_unique<AeroDromeOpt>(0, 0, 0);
     if (name == "aerodrome-basic")

@@ -67,13 +67,15 @@ void
 AeroDromeOpt::ensure_var(VarId x)
 {
     // One resize per array for the whole id range (reserve sizes every
-    // variable of the trace header at once).
+    // variable of the trace header at once). Each array reads zero as
+    // empty, so the resize writes nothing: a variable's pages are first
+    // touched by its first access.
     if (x < last_w_thr_.size())
         return;
     const size_t n = size_t{x} + 1;
     tbl_.add_entries(3 * (n - last_w_thr_.size()));
-    last_w_thr_.resize(n, kNoThread);
-    stale_write_.resize(n, 0);
+    last_w_thr_.resize(n);
+    stale_write_.resize(n);
     stale_readers_.resize(n);
 }
 
@@ -84,7 +86,7 @@ AeroDromeOpt::ensure_lock(LockId l)
         return;
     const size_t n = size_t{l} + 1;
     locks_.add_entries(n - last_rel_thr_.size());
-    last_rel_thr_.resize(n, kNoThread);
+    last_rel_thr_.resize(n);
 }
 
 bool
@@ -453,7 +455,7 @@ AeroDromeOpt::retire_slot(uint32_t s)
         // there ends the run).
         assert(!stale_readers_.contains(x, s));
     }
-    for (ThreadId& r : last_rel_thr_) {
+    for (BiasedId& r : last_rel_thr_) {
         if (r == s)
             r = kNoThread;
     }
@@ -549,10 +551,9 @@ AeroDromeOpt::memory_bytes() const
 {
     size_t n = c_.memory_bytes() + cb_.memory_bytes() + tbl_.memory_bytes() +
                locks_.memory_bytes();
-    n += c_pure_.capacity() + stale_write_.capacity();
-    n += (last_rel_thr_.capacity() + last_w_thr_.capacity() +
-          parent_thread_.capacity()) *
-         sizeof(ThreadId);
+    n += c_pure_.capacity() + stale_write_.memory_bytes();
+    n += last_rel_thr_.memory_bytes() + last_w_thr_.memory_bytes();
+    n += parent_thread_.capacity() * sizeof(ThreadId);
     n += parent_txn_seq_.capacity() * sizeof(uint64_t) + acted_.capacity();
     n += stale_readers_.memory_bytes();
     n += slots_.memory_bytes() + gcf_.memory_bytes() + txns_.memory_bytes();

@@ -82,6 +82,7 @@
 #include "vc/adaptive_clock.hpp"
 #include "vc/clock_bank.hpp"
 #include "vc/gc.hpp"
+#include "vc/zeroed_storage.hpp"
 
 namespace aero {
 
@@ -247,13 +248,17 @@ private:
     /** c_pure_[t] != 0 iff C_t == bot[v/t]; sound but conservative. */
     std::vector<uint8_t> c_pure_;
 
-    std::vector<ThreadId> last_rel_thr_;
-    std::vector<ThreadId> last_w_thr_;
+    /** The per-lock and per-variable arrays below live on ZeroedStorage
+     *  and read an all-zero element as empty (BiasedId: the zero word is
+     *  kNoThread / kNoNode), so sizing them for a whole id range writes
+     *  nothing. */
+    ZeroedArray<BiasedId> last_rel_thr_;
+    ZeroedArray<BiasedId> last_w_thr_;
 
     /** staleWrite_x: W_x lags behind the last write, whose timestamp is
      *  the live clock of last_w_thr_[x] (within that thread's still-active
      *  transaction). */
-    std::vector<uint8_t> stale_write_;
+    ZeroedArray<uint8_t> stale_write_;
     /**
      * staleReaders_x for every variable x: one 4-byte chain head per
      * variable into a shared pool of {thread, next} nodes with a free list.
@@ -267,7 +272,7 @@ private:
         static constexpr uint32_t kNoNode = UINT32_MAX;
 
         /** Give variables [0, n) a head (new ones empty). */
-        void resize(size_t n) { head_.resize(n, kNoNode); }
+        void resize(size_t n) { head_.resize(n); }
 
         /** Add t to x's set; false if it is already there. */
         bool
@@ -287,7 +292,10 @@ private:
                 fresh = static_cast<uint32_t>(pool_.size());
                 pool_.push_back({t, kNoNode});
             }
-            (tail == kNoNode ? head_[x] : pool_[tail].next) = fresh;
+            if (tail == kNoNode)
+                head_[x] = fresh;
+            else
+                pool_[tail].next = fresh;
             return true;
         }
 
@@ -305,16 +313,18 @@ private:
         bool
         erase(VarId x, ThreadId t)
         {
-            for (uint32_t* link = &head_[x]; *link != kNoNode;
-                 link = &pool_[*link].next) {
-                Node& n = pool_[*link];
-                if (n.t == t) {
-                    const uint32_t dead = *link;
-                    *link = n.next;
-                    n.next = free_;
-                    free_ = dead;
+            uint32_t prev = kNoNode;
+            for (uint32_t n = head_[x]; n != kNoNode; n = pool_[n].next) {
+                if (pool_[n].t == t) {
+                    if (prev == kNoNode)
+                        head_[x] = pool_[n].next;
+                    else
+                        pool_[prev].next = pool_[n].next;
+                    pool_[n].next = free_;
+                    free_ = n;
                     return true;
                 }
+                prev = n;
             }
             return false;
         }
@@ -342,8 +352,7 @@ private:
         size_t
         memory_bytes() const
         {
-            return head_.capacity() * sizeof(uint32_t) +
-                   pool_.capacity() * sizeof(Node);
+            return head_.memory_bytes() + pool_.capacity() * sizeof(Node);
         }
 
     private:
@@ -352,7 +361,7 @@ private:
             uint32_t next;
         };
 
-        std::vector<uint32_t> head_; ///< per variable; kNoNode = empty set
+        ZeroedArray<BiasedId> head_; ///< per variable; kNoNode = empty set
         std::vector<Node> pool_;
         uint32_t free_ = kNoNode; ///< free-list head, linked through next
     };

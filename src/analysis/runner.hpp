@@ -111,9 +111,11 @@ struct RunResult {
 };
 
 /** True when pre-sizing engine state for these dimensions is sane: the
- *  products an arena-backed engine allocates for stay modest. Corrupt
- *  headers can otherwise turn reserve() into a multi-GB allocation; an
- *  engine that is never pre-sized simply grows on demand. */
+ *  products an engine sizes for stay modest. This caps address space,
+ *  not memory: no engine writes state on reserve(), so a page is first
+ *  touched by the event that uses it, and a corrupt header costs at
+ *  most the mappings it sizes. An engine that is never pre-sized simply
+ *  grows on demand. */
 bool reserve_hint_sane(uint32_t threads, uint32_t vars, uint32_t locks);
 
 /** Stream `trace` through `checker` under `budget`: run_checker_stream

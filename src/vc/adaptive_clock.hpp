@@ -57,6 +57,7 @@
 #include "vc/clock_bank.hpp"
 #include "vc/epoch.hpp"
 #include "vc/gc.hpp"
+#include "vc/zeroed_storage.hpp"
 
 namespace aero {
 
@@ -123,13 +124,14 @@ public:
     uint32_t
     add_entry()
     {
-        entries_.push_back(0);
+        entries_.resize(entries_.size() + 1);
         return static_cast<uint32_t>(entries_.size() - 1);
     }
 
-    /** Append n bottom entries with consecutive indices (one resize for
-     *  a whole id range). */
-    void add_entries(size_t n) { entries_.resize(entries_.size() + n, 0); }
+    /** Append n bottom entries with consecutive indices. The zero word
+     *  is the bottom epoch, so a whole id range costs no write: its
+     *  pages are first touched by the operations on them. */
+    void add_entries(size_t n) { entries_.resize(entries_.size() + n); }
 
     /** Grow the arena clock dimension (threads seen; engines keep all
      *  their banks and tables at one shared dimension). */
@@ -478,7 +480,7 @@ public:
     size_t
     memory_bytes() const
     {
-        size_t n = entries_.capacity() * sizeof(uint64_t) +
+        size_t n = entries_.memory_bytes() +
                    arena_.memory_bytes() +
                    upd_gate_.capacity() * sizeof(ClockValue) +
                    open_windows_.capacity() * sizeof(uint32_t) +
@@ -618,7 +620,7 @@ private:
     void join_slow(size_t i, ConstClockRef c, ThreadId t, bool c_pure);
     void join_except_slow(size_t i, ConstClockRef c, ThreadId t);
 
-    std::vector<uint64_t> entries_;
+    ZeroedArray<uint64_t> entries_;
     ClockBank arena_;
     size_t arena_rows_ = 0;
     /** Arena rows freed by gc_reclaim, drained by inflate() before the

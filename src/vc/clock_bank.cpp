@@ -1,21 +1,5 @@
 #include "vc/clock_bank.hpp"
 
-#include <new>
-
-#include <sys/mman.h>
-#include <unistd.h>
-
-#if defined(__SANITIZE_ADDRESS__)
-#define AERO_BANK_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define AERO_BANK_ASAN 1
-#endif
-#endif
-#ifdef AERO_BANK_ASAN
-#include <sanitizer/asan_interface.h>
-#endif
-
 #ifdef AERO_VC_X86_DISPATCH
 #include <immintrin.h>
 #endif
@@ -98,7 +82,7 @@ round_to_line(size_t values)
 /** The stride for dimension d when the current stride `cur` is too
  *  small: half a line while d fits one, then whole lines, at least
  *  doubling. A row never straddles a line: stride 8 divides 16 and the
- *  base is page-aligned. */
+ *  base is 64-byte aligned. */
 size_t
 stride_for(size_t d, size_t cur)
 {
@@ -111,120 +95,25 @@ stride_for(size_t d, size_t cur)
     return round_to_line(want);
 }
 
-size_t
-round_to_page(size_t bytes)
-{
-    static const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-    return (bytes + page - 1) / page * page;
-}
-
-/** Ask for 2 MiB pages. Advisory: the kernel ignores it where the
- *  mapping holds no aligned 2 MiB extent, and a failure costs only the
- *  small pages we already have. */
-void
-advise_huge(void* p, size_t bytes)
-{
-    (void)::madvise(p, bytes, MADV_HUGEPAGE);
-}
-
-/** A fresh private anonymous mapping: page-aligned and zero-filled. */
-ClockValue*
-map_zeroed(size_t bytes)
-{
-    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED)
-        throw std::bad_alloc();
-    advise_huge(p, bytes);
-    return static_cast<ClockValue*>(p);
-}
-
-// ASan keeps the whole mapping addressable and does not carry shadow
-// state across mremap/munmap, so the bank poisons its spare capacity
-// itself and unpoisons before handing pages back to the kernel.
-void
-poison(const ClockValue* p, size_t bytes)
-{
-#ifdef AERO_BANK_ASAN
-    ASAN_POISON_MEMORY_REGION(p, bytes);
-#else
-    (void)p;
-    (void)bytes;
-#endif
-}
-
-void
-unpoison(const ClockValue* p, size_t bytes)
-{
-#ifdef AERO_BANK_ASAN
-    ASAN_UNPOISON_MEMORY_REGION(p, bytes);
-#else
-    (void)p;
-    (void)bytes;
-#endif
-}
-
 } // namespace
-
-void
-ClockBank::release()
-{
-    if (data_ != nullptr) {
-        unpoison(data_, map_bytes_);
-        ::munmap(data_, map_bytes_);
-    }
-    data_ = nullptr;
-    rows_ = row_cap_ = dim_ = stride_ = map_bytes_ = 0;
-}
-
-void
-ClockBank::adopt(ClockValue* base, size_t bytes, size_t stride)
-{
-    data_ = base;
-    map_bytes_ = bytes;
-    stride_ = stride;
-    row_cap_ = bytes / (stride * sizeof(ClockValue));
-    const size_t live = rows_ * stride * sizeof(ClockValue);
-    unpoison(data_, live);
-    poison(data_ + rows_ * stride, bytes - live);
-}
-
-void
-ClockBank::grow_rows(size_t new_row_cap)
-{
-    const size_t bytes =
-        round_to_page(new_row_cap * stride_ * sizeof(ClockValue));
-    if (data_ == nullptr) {
-        adopt(map_zeroed(bytes), bytes, stride_);
-        return;
-    }
-    // The kernel moves the page tables, not the data, and the grown
-    // tail reads as zero pages: bottom rows with zero padding.
-    unpoison(data_, map_bytes_);
-    void* p = ::mremap(data_, map_bytes_, bytes, MREMAP_MAYMOVE);
-    if (p == MAP_FAILED) {
-        adopt(data_, map_bytes_, stride_); // the old mapping is intact
-        throw std::bad_alloc();
-    }
-    advise_huge(p, bytes);
-    adopt(static_cast<ClockValue*>(p), bytes, stride_);
-}
 
 void
 ClockBank::grow_stride(size_t new_stride)
 {
-    const size_t bytes =
-        round_to_page(row_cap_ * new_stride * sizeof(ClockValue));
-    ClockValue* fresh = map_zeroed(bytes);
-    // Only the live components move; the fresh mapping is already zero
+    const size_t row_cap =
+        storage_.capacity() / (stride_ * sizeof(ClockValue));
+    ZeroedStorage fresh(/*huge_pages=*/true);
+    fresh.grow(row_cap * new_stride * sizeof(ClockValue), 0);
+    fresh.unpoison(0, rows_ * new_stride * sizeof(ClockValue));
+    // Only the live components move; the fresh storage is already zero
     // everywhere else.
+    ClockValue* dst = static_cast<ClockValue*>(fresh.data());
     for (size_t i = 0; i < rows_; ++i) {
-        std::memcpy(fresh + i * new_stride, data_ + i * stride_,
+        std::memcpy(dst + i * new_stride, base() + i * stride_,
                     dim_ * sizeof(ClockValue));
     }
-    unpoison(data_, map_bytes_);
-    ::munmap(data_, map_bytes_);
-    adopt(fresh, bytes, new_stride);
+    storage_.swap(fresh);
+    stride_ = new_stride;
 }
 
 void
@@ -234,17 +123,18 @@ ClockBank::ensure_rows(size_t n)
         return;
     if (stride_ == 0)
         stride_ = stride_for(dim_, 0); // dimension still 0
-    if (n > row_cap_) {
-        size_t new_cap = row_cap_ < 4 ? 4 : row_cap_ * 2;
+    const size_t row_bytes = stride_ * sizeof(ClockValue);
+    const size_t row_cap = storage_.capacity() / row_bytes;
+    if (n > row_cap) {
+        size_t new_cap = row_cap < 4 ? 4 : row_cap * 2;
         if (new_cap < n)
             new_cap = n;
-        grow_rows(new_cap);
+        storage_.grow(new_cap * row_bytes, rows_ * row_bytes);
     }
-    // Rows rows_..n have never been written, so they are bottom: mapped
-    // and remapped pages start zero, and stride growth copies only live
-    // rows into a fresh zero mapping.
-    unpoison(data_ + rows_ * stride_,
-             (n - rows_) * stride_ * sizeof(ClockValue));
+    // Rows rows_..n have never been written, so they are bottom: storage
+    // grows zeroed, and stride growth copies only live rows into fresh
+    // zero storage.
+    storage_.unpoison(rows_ * row_bytes, n * row_bytes);
     rows_ = n;
 }
 
@@ -255,11 +145,10 @@ ClockBank::ensure_dim(size_t d)
         return;
     if (d > stride_) {
         const size_t new_stride = stride_for(d, stride_);
-        if (row_cap_ == 0) {
+        if (storage_.capacity() == 0)
             stride_ = new_stride; // nothing allocated yet
-        } else {
+        else
             grow_stride(new_stride);
-        }
     }
     // Components dim_..d are zero in every row (the padding invariant), so
     // exposing them is free.

@@ -16,16 +16,18 @@
  *
  * with `stride` sized to the dimension: 8 ClockValues (32 bytes, half a
  * cache line) while dim <= 8, then whole lines (16 ClockValues = 64
- * bytes), doubling. The array is a private anonymous page mapping, so
- * the base is page-aligned and no clock straddles a cache line: a sweep
- * over rows is a pure streaming access, and small-dimension rows pack
- * two to a line, so a fetched line is mostly live components. Mapped
- * pages start zero, which gives bottom rows and zero padding without a
- * memset. Components beyond `dim` (the padding) are kept zero at all
- * times — the vector-time
+ * bytes), doubling. The array is ZeroedStorage (vc/zeroed_storage.hpp):
+ * zeroed heap memory while small, a private anonymous mapping from
+ * ZeroedStorage::kMapBytes on. Either way the base is 64-byte aligned,
+ * so no clock straddles a cache line: a sweep over rows is a pure
+ * streaming access, and small-dimension rows pack two to a line, so a
+ * fetched line is mostly live components. New storage reads zero, which
+ * gives bottom rows and zero padding without a memset. Components beyond
+ * `dim` (the padding) are kept zero at all times — the vector-time
  * bottom for threads not yet seen — which makes dimension growth within
- * the current stride free. Row growth remaps pages (mremap) instead of
- * copying; only stride growth copies, and only the live components.
+ * the current stride free. Once mapped, row growth remaps pages (mremap)
+ * instead of copying; stride growth copies, and only the live
+ * components.
  *
  * Access is handle-based: `bank[i]` returns a ClockRef/ConstClockRef (raw
  * pointer + dimension). Refs are invalidated by ensure_rows/ensure_dim
@@ -47,6 +49,7 @@
 #include <string>
 
 #include "vc/vector_clock.hpp"
+#include "vc/zeroed_storage.hpp"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define AERO_VC_X86_DISPATCH 1
@@ -276,15 +279,15 @@ private:
 
 /**
  * A bank of `rows()` vector clocks, each of dimension `dim()`, stored
- * contiguously in one anonymous mapping; no row straddles a cache line.
+ * contiguously in one ZeroedStorage; no row straddles a cache line.
  *
- * Growth is amortized in both directions. Row capacity doubles by
- * remapping pages: nothing is copied, and the new tail reads as zero.
- * The per-row stride grows 8 -> 16 components and then doubles in
- * cache-line units when the dimension outgrows it; that maps a fresh
- * arena and copies the live components of each row. Padding components
- * (dim..stride) are zero at all times.
- * A failed map or remap throws std::bad_alloc.
+ * Growth is amortized in both directions. Row capacity doubles: on the
+ * heap by a copy of the live rows, once mapped by remapping pages, with
+ * nothing copied; either way the new tail reads as zero. The per-row
+ * stride grows 8 -> 16 components and then doubles in cache-line units
+ * when the dimension outgrows it; that takes fresh storage and copies
+ * the live components of each row. Padding components (dim..stride) are
+ * zero at all times. A failed allocation throws std::bad_alloc.
  */
 class ClockBank {
 public:
@@ -306,23 +309,18 @@ public:
     operator=(ClockBank&& other) noexcept
     {
         if (this != &other) {
-            release();
-            swap(other);
+            ClockBank gone(std::move(other));
+            swap(gone);
         }
         return *this;
     }
-
-    ClockBank(const ClockBank&) = delete;
-    ClockBank& operator=(const ClockBank&) = delete;
-
-    ~ClockBank() { release(); }
 
     size_t rows() const { return rows_; }
     size_t dim() const { return dim_; }
     size_t stride() const { return stride_; }
 
-    /** Bytes of the backing mapping, page-rounded (memory accounting). */
-    size_t memory_bytes() const { return map_bytes_; }
+    /** Bytes of the backing storage (memory accounting). */
+    size_t memory_bytes() const { return storage_.capacity(); }
 
     /** Grow to at least n rows (new rows are bottom). Invalidates refs. */
     void ensure_rows(size_t n);
@@ -335,50 +333,43 @@ public:
     operator[](size_t i)
     {
         assert(i < rows_);
-        return ClockRef(data_ + i * stride_, dim_);
+        return ClockRef(base() + i * stride_, dim_);
     }
 
     ConstClockRef
     operator[](size_t i) const
     {
         assert(i < rows_);
-        return ConstClockRef(data_ + i * stride_, dim_);
+        return ConstClockRef(base() + i * stride_, dim_);
     }
 
     /** Raw base pointer (benchmarks, tests). */
-    const ClockValue* data() const { return data_; }
+    const ClockValue* data() const { return base(); }
 
 private:
-    void release();
+    ClockValue*
+    base() const
+    {
+        return static_cast<ClockValue*>(storage_.data());
+    }
 
     void
     swap(ClockBank& other) noexcept
     {
-        std::swap(data_, other.data_);
+        storage_.swap(other.storage_);
         std::swap(rows_, other.rows_);
-        std::swap(row_cap_, other.row_cap_);
         std::swap(dim_, other.dim_);
         std::swap(stride_, other.stride_);
-        std::swap(map_bytes_, other.map_bytes_);
     }
 
-    /** Map or remap to hold at least new_row_cap rows at the current
-     *  stride. */
-    void grow_rows(size_t new_row_cap);
-
-    /** Move to a fresh mapping at new_stride, copying the live
-     *  components of each row. */
+    /** Move to fresh storage at new_stride, copying the live components
+     *  of each row. */
     void grow_stride(size_t new_stride);
 
-    /** Take `base` (a mapping of `bytes`) as the arena at `stride`. */
-    void adopt(ClockValue* base, size_t bytes, size_t stride);
-
-    ClockValue* data_ = nullptr;
-    size_t rows_ = 0;      ///< live rows
-    size_t row_cap_ = 0;   ///< rows the mapping holds
-    size_t dim_ = 0;       ///< live components per row
-    size_t stride_ = 0;    ///< allocated components per row (8 or 16k)
-    size_t map_bytes_ = 0; ///< mapping length (whole pages)
+    ZeroedStorage storage_{/*huge_pages=*/true};
+    size_t rows_ = 0;   ///< live rows
+    size_t dim_ = 0;    ///< live components per row
+    size_t stride_ = 0; ///< allocated components per row (8 or 16k)
 };
 
 } // namespace aero

@@ -8,12 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
 #include "oracle/serializability_oracle.hpp"
 #include "trace/builder.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define AERO_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define AERO_TEST_ASAN 1
+#endif
+#endif
 
 namespace aero {
 namespace {
@@ -503,6 +513,67 @@ TEST(AeroDromeOptimized, StaleFlushesOfOneEndShareTwoRows)
     EXPECT_LE(e.arena_rows() - before, 2u);
     EXPECT_EQ(e.epoch_stats().rows_shared, 2u * (kVars - 1));
     EXPECT_EQ(e.opt_stats().propagated_ends, 1u);
+}
+
+// --- Start cost, counted ------------------------------------------------
+
+/** Minor page faults this process has taken so far. */
+long
+minor_faults()
+{
+    rusage u{};
+    ::getrusage(RUSAGE_SELF, &u);
+    return u.ru_minflt;
+}
+
+TEST(AeroDromeOptimized, ReserveOfAHugeIdSpaceTouchesNoPage)
+{
+#ifdef AERO_TEST_ASAN
+    GTEST_SKIP() << "ASan's shadow memory takes faults of its own";
+#endif
+    // Sizing 2^24 variables (over 500 MB of zero state) writes nothing:
+    // the pages are first touched by the events that use them.
+    AeroDromeOpt opt(0, 0, 0);
+    const long before = minor_faults();
+    opt.reserve(4, 1u << 24, 1u << 10);
+    EXPECT_LE(minor_faults() - before, 64);
+
+    // The top variable works. Basic, which grows per id, runs the same
+    // events on variable 0: renaming a variable moves no verdict.
+    const VarId x = (1u << 24) - 1;
+    const Event events[] = {
+        {0, 0, Op::kBegin}, {1, x, Op::kWrite}, {0, x, Op::kRead}};
+    AeroDromeBasic basic(0, 0, 0);
+    for (size_t i = 0; i < 3; ++i) {
+        Event renamed = events[i];
+        renamed.target = 0;
+        EXPECT_EQ(opt.process(events[i], i), basic.process(renamed, i))
+            << "event " << i;
+    }
+}
+
+TEST(AeroDromeOptimized, SmallEngineRoundsReuseMemory)
+{
+#ifdef AERO_TEST_ASAN
+    GTEST_SKIP() << "ASan's quarantine hands out fresh pages";
+#endif
+    // t1's write makes t0's read impure, so t0's release inflates L_m
+    // and its end inflates R_x and hR_x: every clock bank of the engine
+    // holds a row. A small engine's storage comes from the allocator's cache,
+    // so rounds after the first take no fresh page.
+    const Event events[] = {{0, 0, Op::kBegin},
+                            {1, 0, Op::kWrite},
+                            {0, 0, Op::kRead},
+                            {0, 0, Op::kRelease},
+                            {0, 0, Op::kEnd}};
+    const long before = minor_faults();
+    for (int round = 0; round < 2000; ++round) {
+        AeroDromeOpt opt(2, 1, 1);
+        for (size_t i = 0; i < 5; ++i)
+            ASSERT_FALSE(opt.process(events[i], i));
+        ASSERT_EQ(opt.arena_rows(), 3u);
+    }
+    EXPECT_LT(minor_faults() - before, 200);
 }
 
 } // namespace
