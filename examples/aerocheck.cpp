@@ -45,14 +45,16 @@
  * would still be real, but "no violation" is not a proof),
  * 6 = internal error (contained panic / resource cap).
  *
- * Fault injection (robustness drills):
- * AERO_FAULT_PLAN=site:kind:trigger[:seed] in the environment arms the
- * process-wide FaultInjector before the run (src/support/fault.hpp for
- * the grammar).
+ * Fault injection (robustness drill): AERO_FAULT_PLAN=alloc:alloc-cap:N
+ * in the environment breaches the allocation cap from the run's N-th
+ * budget poll on, which ends it as an internal error (exit 6). A set but
+ * unparseable plan is a usage error (exit 2). To drill corrupt input,
+ * damage the trace file itself.
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -263,7 +265,14 @@ main(int argc, char** argv)
     // 6 with context) instead of an abort, and arm any AERO_FAULT_PLAN
     // robustness drill requested by the environment.
     set_panic_handler(&throwing_panic_handler);
-    FaultInjector::instance().arm_from_env();
+    if (const char* plan = std::getenv("AERO_FAULT_PLAN");
+        plan != nullptr && !FaultInjector::instance().arm_from_env()) {
+        std::fprintf(stderr,
+                     "AERO_FAULT_PLAN '%s' is not a fault plan "
+                     "(want alloc:alloc-cap:TRIGGER)\n",
+                     plan);
+        return 2;
+    }
 
     try {
         if (args.validate_first) {

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include "support/assert.hpp"
-#include "support/fault.hpp"
 #include "vc/clock_bank.hpp" // AERO_VC_X86_DISPATCH + kHaveAvx2
 
 #ifdef AERO_VC_X86_DISPATCH
@@ -85,13 +84,7 @@ MappedBinaryEventSource::~MappedBinaryEventSource()
 void
 MappedBinaryEventSource::open_mapped_or_buffered(const std::string& path)
 {
-    // An armed trace-byte fault plan needs every byte to pass through
-    // refill(), where its hooks run: arming precedes a run (the injector
-    // contract), so the window is chosen once, here.
-    const bool faults_armed =
-        FaultInjector::instance().armed_for(FaultSite::kTraceByte);
-    const int fd =
-        faults_armed ? -1 : ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd >= 0) {
         struct stat st;
         if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
@@ -114,8 +107,8 @@ MappedBinaryEventSource::open_mapped_or_buffered(const std::string& path)
         }
         ::close(fd);
     }
-    // Not a regular file, open/map failed, or a fault drill: the
-    // buffered fallback keeps pipes and special files working.
+    // Not a regular file, or open/map failed: the buffered fallback
+    // keeps pipes and special files working.
     own_stream_ = std::make_unique<std::ifstream>(path, std::ios::binary);
     if (!*own_stream_)
         fatal("cannot open file for reading: " + path);
@@ -140,26 +133,10 @@ MappedBinaryEventSource::refill(size_t upto)
     const size_t want = std::min(buf_.size(), upto) - avail_;
     in_->read(reinterpret_cast<char*>(buf_.data() + avail_),
               static_cast<std::streamsize>(want));
-    size_t end = avail_ + static_cast<size_t>(in_->gcount());
-    if (end < avail_ + want)
+    const size_t got = static_cast<size_t>(in_->gcount());
+    if (got < want)
         src_eof_ = true;
-#if defined(AERO_FAULTS)
-    // The trace-byte hooks see each post-header byte once, in stream
-    // order, at its absolute offset: the hit sequence of the per-byte
-    // reference reader. A truncate cuts the window at that byte.
-    for (size_t i = avail_; i < end; ++i) {
-        if (base_ + i < kHeaderBytes)
-            continue;
-        int c = buf_[i];
-        if (!FaultInjector::instance().filter_byte(base_ + i, c)) {
-            end = i;
-            src_eof_ = true;
-            break;
-        }
-        buf_[i] = static_cast<uint8_t>(c);
-    }
-#endif
-    avail_ = end;
+    avail_ += got;
     data_ = buf_.data();
     clean_end_ = pos_; // window moved: re-scan lazily
 }

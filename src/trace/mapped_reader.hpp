@@ -28,16 +28,11 @@
  * The kernel maps whole page-cache folios, so the bound rounds out to
  * them (src/trace/README.md, "Residency").
  *
- * Fallback rules (the reader never refuses input BinaryEventSource
- * accepts):
- *  - pipes/stdin, special files, or mmap failure switch to a read()-into-
- *    buffer window over the same batched kernel (absolute offsets are
- *    preserved across refills);
- *  - a trace-byte fault plan (FaultSite::kTraceByte) armed at
- *    construction also picks the buffered window: under -DAERO_FAULTS
- *    refill() runs FaultInjector::filter_byte once over each post-header
- *    byte it reads, so fault drills run this reader, with the fault
- *    positions, causes, messages and offsets of the per-byte reference.
+ * Fallback rule (the reader never refuses input BinaryEventSource
+ * accepts): a non-empty regular file is always mapped; pipes/stdin,
+ * special files, or an mmap failure switch to a read()-into-buffer
+ * window over the same batched kernel (absolute offsets are preserved
+ * across refills).
  *
  * Error contract: identical to BinaryEventSource (src/trace/README.md)
  * — same StreamError causes, messages, event indices, and absolute byte

@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "support/assert.hpp"
-#include "support/fault.hpp"
 #include "support/str.hpp"
 #include "trace/mapped_reader.hpp"
 
@@ -163,14 +162,8 @@ bool
 TextEventSource::next(Event& out)
 {
     std::string line;
-    while (!truncated_ && std::getline(is_, line)) {
+    while (std::getline(is_, line)) {
         ++line_no_;
-#if defined(AERO_FAULTS)
-        if (!FaultInjector::instance().filter_text_line(line_no_, line)) {
-            truncated_ = true;
-            break;
-        }
-#endif
         std::string msg;
         int r = parse_line(line, out, msg);
         if (r == 1) {
@@ -243,13 +236,6 @@ BinaryEventSource::peek_byte(size_t k)
         if (truncated_)
             return -1;
         int c = is_.get();
-#if defined(AERO_FAULTS)
-        if (!FaultInjector::instance().filter_byte(offset_ + buf_.size(),
-                                                   c)) {
-            truncated_ = true; // injected stream cut
-            return -1;
-        }
-#endif
         if (c == EOF) {
             truncated_ = true;
             return -1;

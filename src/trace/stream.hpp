@@ -199,7 +199,6 @@ private:
     size_t line_no_ = 0;
     uint64_t produced_ = 0;
     bool resync_ = false;
-    bool truncated_ = false; // injected stream cut (AERO_FAULTS)
     std::vector<StreamError> errors_;
     uint64_t errors_total_ = 0;
 };
@@ -213,10 +212,10 @@ private:
  * corruption, never an instruction to allocate.
  *
  * Reference only: nothing in the library constructs it. Every
- * production read (open_event_source, read_binary, fault drills) goes
- * through the block reader, MappedBinaryEventSource; this one-byte-at-a-
- * time decoder, with its own per-byte fault hook, is the parity
- * reference that reader is tested against (tests/ingest_test.cpp).
+ * production read (open_event_source, read_binary) goes through the
+ * block reader, MappedBinaryEventSource; this one-byte-at-a-time decoder
+ * is the parity reference that reader is tested against, on clean and
+ * damaged images alike (tests/ingest_test.cpp).
  */
 class BinaryEventSource : public EventSource {
 public:
@@ -264,8 +263,7 @@ private:
     uint32_t num_threads_ = 0;
     uint32_t num_vars_ = 0;
     uint32_t num_locks_ = 0;
-    /** Lookahead bytes already pulled from is_ (fault filter applied);
-     *  front is the next undecoded byte at stream offset offset_. */
+    /** Lookahead bytes already pulled from is_; front is the next undecoded byte at stream offset offset_. */
     std::deque<int> buf_;
     uint64_t offset_ = 0; // absolute offset of buf_ front
     bool truncated_ = false;

@@ -12,8 +12,8 @@
  * list through BinaryEventSource::next_n (the EventSource base default)
  * and MappedBinaryEventSource (mmap and buffered windows) at block sizes
  * {1, 7, 256, 4096} as through BinaryEventSource::next() one event at a
- * time. With -DAERO_FAULTS=ON, armed trace-byte fault drills must also
- * land identically on the block reader and the reference (FaultParity).
+ * time. Damage placed at record and refill boundaries (opcode, tid,
+ * varint bytes, both sides of a buffered refill) is in the corpus too.
  *
  * Also here: the magic-sniffing format decision (extension only breaks
  * ties), the buffered fallback for paths that cannot be mapped, the
@@ -510,25 +510,12 @@ TEST(BatchedDecodeParity, ErrorContractHoldsPastReleasedPages)
     cross_check_image(clean.substr(0, clean.size() - 1), "large torn-tail");
 }
 
-// --- Fault drills run the shipped reader -------------------------------------
-
-/** Drain `open()`'s source with `plan` armed first (the reader picks its
- *  window at construction); `fires` gets the injector's fire count. */
-template <typename Open>
-DrainResult
-armed_drain(const FaultPlan& plan, Open open, uint64_t& fires)
-{
-    FaultInjector::instance().arm(plan);
-    DrainResult out = open();
-    fires = FaultInjector::instance().fires();
-    FaultInjector::instance().disarm();
-    return out;
-}
+// --- Damage at record and refill boundaries --------------------------------
 
 /** Post-header byte count of record `r`'s byte `k` in an image whose ids
  *  are all one byte. */
 uint64_t
-trigger_in_record(const std::string& image, size_t r, size_t k)
+post_header_offset(const std::string& image, size_t r, size_t k)
 {
     size_t pos = 28;
     for (size_t i = 0; i < r; ++i) {
@@ -538,86 +525,46 @@ trigger_in_record(const std::string& image, size_t r, size_t k)
     return pos + k - 28;
 }
 
-TEST(FaultParity, ArmedDrillsLandOnTheBlockReaderAsOnTheReference)
+TEST(BatchedDecodeParity, DamageAtRecordAndRefillBoundariesMatchesReference)
 {
-    if (!fault_points_compiled())
-        GTEST_SKIP() << "per-byte hooks not compiled (-DAERO_FAULTS=ON)";
     constexpr uint64_t kChunk = MappedBinaryEventSource::kReadChunk;
-
     const std::string narrow = serialize(corpus_trace(8650));
     const std::string wide = serialize(wide_id_trace());
     const std::string big = serialize(wide_id_trace(24000));
     ASSERT_GT(big.size(), 28 + kChunk + 64);
-    const TempImage narrow_file(narrow, "fault_narrow");
-    const TempImage wide_file(wide, "fault_wide");
-    const TempImage big_file(big, "fault_big");
 
     struct Case {
         const char* what;
         const std::string& image;
-        const std::string& path;
-        uint64_t trigger; // post-header byte count
+        uint64_t at; // post-header byte count
     };
     // First byte of the first multi-byte varint (continuation bit set).
     size_t cont = 28;
     while (!(static_cast<uint8_t>(wide[cont]) & 0x80))
         ++cont;
     std::vector<Case> cases = {
-        {"first-record opcode", narrow, narrow_file.path,
-         trigger_in_record(narrow, 0, 0)},
-        {"first-record tid", narrow, narrow_file.path,
-         trigger_in_record(narrow, 0, 1)},
-        {"mid-record", narrow, narrow_file.path,
-         trigger_in_record(narrow, 9, 1)},
-        {"varint byte 1", wide, wide_file.path, cont - 28},
-        {"varint byte 2", wide, wide_file.path, cont - 27},
+        {"first-record opcode", narrow, post_header_offset(narrow, 0, 0)},
+        {"first-record tid", narrow, post_header_offset(narrow, 0, 1)},
+        {"mid-record", narrow, post_header_offset(narrow, 9, 1)},
+        {"varint byte 1", wide, cont - 28},
+        {"varint byte 2", wide, cont - 27},
     };
     // Refill boundaries: the header is read alone, so the first event
     // read ends at offset 28 + kChunk; kChunk - 28 sits a header's width
     // before it.
     for (uint64_t at : {kChunk - 28, kChunk})
         for (uint64_t t : {at - 1, at, at + 1})
-            cases.push_back({"refill", big, big_file.path, t});
+            cases.push_back({"refill", big, t});
 
     for (const Case& c : cases) {
-        for (FaultKind kind :
-             {FaultKind::kBitFlip, FaultKind::kGarbage, FaultKind::kTruncate}) {
-            FaultPlan plan;
-            plan.site = FaultSite::kTraceByte;
-            plan.kind = kind;
-            plan.trigger = c.trigger;
-            plan.seed = 3 + c.trigger;
-            for (bool resync : {false, true}) {
-                const std::string what =
-                    std::string(c.what) + " @" + std::to_string(c.trigger) +
-                    " " + fault_kind_name(kind) +
-                    (resync ? " resync" : " strict");
-                uint64_t fires = 0;
-                const DrainResult ref = armed_drain(
-                    plan, [&] { return drain_reference(c.image, resync); },
-                    fires);
-                EXPECT_EQ(fires, 1u) << what << " [reference]";
-                const DrainResult by_stream = armed_drain(
-                    plan,
-                    [&] {
-                        std::istringstream in(c.image, std::ios::binary);
-                        MappedBinaryEventSource src(in);
-                        return drain_batched(src, resync, kDefaultIngestBlock);
-                    },
-                    fires);
-                EXPECT_EQ(fires, 1u) << what << " [istream]";
-                expect_same_drain(ref, by_stream, what + " [istream]");
-                const DrainResult by_path = armed_drain(
-                    plan,
-                    [&] {
-                        MappedBinaryEventSource src(c.path);
-                        EXPECT_STREQ(src.source_kind(), "binary-buffered");
-                        return drain_batched(src, resync, kDefaultIngestBlock);
-                    },
-                    fires);
-                EXPECT_EQ(fires, 1u) << what << " [path]";
-                expect_same_drain(ref, by_path, what + " [path]");
-            }
+        for (const auto& [kind, name] :
+             {std::pair{FaultKind::kBitFlip, "bit-flip"},
+              std::pair{FaultKind::kGarbage, "garbage"},
+              std::pair{FaultKind::kTruncate, "truncate"}}) {
+            std::string image = c.image;
+            corrupt_bytes_at(image, kind, 28 + c.at, 3 + c.at);
+            cross_check_image(image, std::string(c.what) + " @" +
+                                         std::to_string(c.at) + " " + name);
         }
     }
 }

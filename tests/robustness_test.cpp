@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
+
+#include <unistd.h>
 
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
@@ -23,6 +27,7 @@
 #include "support/rng.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
+#include "trace/mapped_reader.hpp"
 #include "trace/stream.hpp"
 #include "trace/text_io.hpp"
 #include "trace/validator.hpp"
@@ -199,9 +204,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MutationFuzz,
 // The mutation fuzz above corrupts at the *event* level; real logs rot at
 // the *byte* level — flipped bits, torn tails, overwritten blocks,
 // including inside the header. Serialize a well-formed trace, corrupt
-// its image deterministically (corrupt_bytes — the same payloads the
-// AERO_FAULTS reader hooks inject, available in every build), and
-// stream it through a checker. The contract: the run ends in a
+// its image deterministically (corrupt_bytes), and stream it through a
+// checker over the reader users run: the mmap reader for a binary file,
+// the text reader for text. The contract: the run ends in a
 // structured status — ok, violation, or stream-error with populated
 // evidence (degraded for a resync run) — never an abort, a hang, or an
 // unstructured throw. The ASan+UBSan CI job runs this suite to pin
@@ -236,15 +241,14 @@ fuzz_kind(uint64_t seed)
     }
 }
 
-/** Stream a (possibly corrupt) binary image; every outcome must be
+/** Check a (possibly corrupt) binary trace file; every outcome must be
  *  structured. `resync` additionally allows the degraded completion. */
 void
-expect_structured_binary_outcome(const std::string& image, bool resync)
+expect_structured_binary_outcome(const std::string& path, bool resync)
 {
-    std::istringstream in(image, std::ios::binary);
     RunResult r;
     try {
-        BinaryEventSource src(in); // throws on a corrupt header
+        MappedBinaryEventSource src(path); // throws on a corrupt header
         src.set_resync(resync);
         AeroDromeOpt engine(0, 0, 0);
         r = run_checker_stream(engine, src);
@@ -282,18 +286,28 @@ TEST_P(CorruptionFuzz, BinaryByteCorruptionEndsStructured)
                       min_offset);
     ASSERT_LT(offset, blob.str().size()) << "corruption missed the image";
 
-    expect_structured_binary_outcome(image, /*resync=*/false);
-    expect_structured_binary_outcome(image, /*resync=*/true);
+    const std::string path = ::testing::TempDir() + "aero_corrupt_" +
+                             std::to_string(::getpid()) + ".bin";
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f.write(image.data(), static_cast<std::streamsize>(image.size()));
+    }
+    expect_structured_binary_outcome(path, /*resync=*/false);
+    expect_structured_binary_outcome(path, /*resync=*/true);
+    std::remove(path.c_str());
 }
 
-TEST_P(CorruptionFuzz, TextByteCorruptionEndsStructured)
+INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionFuzz,
+                         ::testing::Range<uint64_t>(7000, 7220));
+
+// The text reader has its own parser and alphabet; give it the same
+// treatment on every 4th seed (one serialization per seed is enough:
+// the format is line-oriented, so every kind lands inside some record).
+class TextCorruptionFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TextCorruptionFuzz, TextByteCorruptionEndsStructured)
 {
-    // The text reader has its own parser and alphabet; give it the same
-    // treatment on a subset (one serialization per seed is enough — the
-    // format is line-oriented, so every kind lands inside some record).
     const uint64_t seed = GetParam();
-    if (seed % 4 != 0)
-        GTEST_SKIP() << "text subset runs every 4th seed";
     Trace t = fuzz_corpus_trace(seed);
     std::ostringstream blob;
     write_text(blob, t);
@@ -318,8 +332,8 @@ TEST_P(CorruptionFuzz, TextByteCorruptionEndsStructured)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionFuzz,
-                         ::testing::Range<uint64_t>(7000, 7220));
+INSTANTIATE_TEST_SUITE_P(Seeds, TextCorruptionFuzz,
+                         ::testing::Range<uint64_t>(7000, 7220, 4));
 
 } // namespace
 } // namespace aero
