@@ -156,39 +156,6 @@ make_engine(const std::string& name)
     return nullptr;
 }
 
-/** One-line reclamation summary pulled out of the counter list; silent
- *  when the engine has no reclamation counters at all. A run that never
- *  swept prints zero counts. */
-void
-print_gc_block(const StatList& counters)
-{
-    auto get = [&counters](const char* key, uint64_t& out) {
-        for (const auto& [k, v] : counters)
-            if (k == key) {
-                out = v;
-                return true;
-            }
-        return false;
-    };
-    uint64_t sweeps = 0, reclaimed = 0, rows = 0, shared = 0, live = 0,
-             retired = 0, recycled = 0;
-    if (!get("gc_sweeps", sweeps))
-        return;
-    get("gc_reclaimed", reclaimed);
-    get("gc_rows_freed", rows);
-    get("rows_shared", shared);
-    get("gc_live_entries", live);
-    get("slots_retired", retired);
-    get("slots_recycled", recycled);
-    std::printf("  reclamation: %s sweeps, %s entries reclaimed, %s "
-                "rows freed, %s rows shared, %s live entries after the "
-                "last sweep, %s thread slots retired (%s reissued)\n",
-                with_commas(sweeps).c_str(),
-                with_commas(reclaimed).c_str(), with_commas(rows).c_str(),
-                with_commas(shared).c_str(), with_commas(live).c_str(),
-                with_commas(retired).c_str(), with_commas(recycled).c_str());
-}
-
 /** The process's peak resident set (VmHWM, mapped trace pages
  *  included); silent where /proc/self/status cannot be read. */
 void
@@ -355,7 +322,6 @@ main(int argc, char** argv)
                         source->source_kind(),
                         with_commas(kDefaultIngestBlock).c_str());
             print_counters(checker->counters());
-            print_gc_block(checker->counters());
             print_peak_rss();
         }
         switch (status) {

@@ -27,7 +27,7 @@
  * O(|Thr| * (locks + |Thr| * vars)) per end, so var-heavy traces run
  * quadratic here; Velodrome is the fast independent engine for
  * cross-checking large traces. There are no epochs, update sets or
- * reclamation, and set_gc() is ignored.
+ * reclamation.
  *
  * Thread state is created at a thread's first event (C_t := bot[1/t]
  * then), so sparse thread ids cost O(max tid), not O(max tid^2).

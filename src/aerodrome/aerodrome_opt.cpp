@@ -8,15 +8,8 @@ AeroDromeOpt::AeroDromeOpt(uint32_t num_threads, uint32_t num_vars,
                            uint32_t num_locks)
     : txns_(num_threads)
 {
-    grow_dim(num_threads);
-    c_.ensure_rows(num_threads);
-    cb_.ensure_rows(num_threads);
-    c_pure_.assign(num_threads, 1);
-    for (uint32_t t = 0; t < num_threads; ++t)
-        c_[t].set(t, 1);
-    parent_thread_.assign(num_threads, kNoThread);
-    parent_txn_seq_.assign(num_threads, 0);
-    acted_.assign(num_threads, 0);
+    if (num_threads > 0)
+        ensure_thread(num_threads - 1);
     if (num_vars > 0)
         ensure_var(num_vars - 1);
     if (num_locks > 0)
@@ -24,11 +17,10 @@ AeroDromeOpt::AeroDromeOpt(uint32_t num_threads, uint32_t num_vars,
 }
 
 void
-AeroDromeOpt::reserve(uint32_t threads, uint32_t vars, uint32_t locks)
+AeroDromeOpt::reserve(uint32_t /*threads*/, uint32_t vars, uint32_t locks)
 {
-    // With gc on the hint counts external tids; rows are recycled slots.
-    if (threads > 0 && !gc_)
-        ensure_thread(threads - 1);
+    // The thread hint counts external tids, not rows: rows are recycled
+    // slots, so it sizes nothing.
     if (vars > 0)
         ensure_var(vars - 1);
     if (locks > 0)
@@ -192,10 +184,6 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
             }
         }
         tbl_.close_update_window(t);
-        for (LockId l = 0; l < last_rel_thr_.size(); ++l) {
-            if (last_rel_thr_[l] == t)
-                last_rel_thr_[l] = kNoThread;
-        }
         return false;
     }
 
@@ -287,17 +275,12 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
 bool
 AeroDromeOpt::process(const Event& e, size_t index)
 {
-    ThreadId t = e.tid;
+    // Rows are recycled slots: translate the actor and, for the two
+    // thread-target ops, the target through the slot map.
+    const ThreadId t = slot_of(e.tid);
     ThreadId target = e.target;
-    if (gc_) {
-        // Rows are recycled slots: translate the actor and, for the two
-        // thread-target ops, the target through the slot map.
-        t = slot_of(e.tid);
-        if (e.op == Op::kFork || e.op == Op::kJoin)
-            target = slot_of(e.target);
-    } else {
-        ensure_thread(t);
-    }
+    if (e.op == Op::kFork || e.op == Op::kJoin)
+        target = slot_of(e.target);
     acted_[t] = 1;
 
     switch (e.op) {
@@ -314,13 +297,24 @@ AeroDromeOpt::process(const Event& e, size_t index)
         if (txns_.on_end(t)) {
             if (handle_end(t, index))
                 return true;
-            if (gc_)
-                maybe_gc_sweep();
+            maybe_gc_sweep();
         }
         return false;
 
       case Op::kAcquire:
         ensure_lock(target);
+        // Same-releaser fast path: while last_rel_thr_[l] == t, L_l is
+        // contained in C_t, so the join adds nothing, and any ordering of
+        // t's current transaction that reached L_l through a peer was
+        // already checked when it reached C_t. The containment holds from
+        // t's release, which assigned C_t to L_l, and survives everything
+        // that touches L_l or C_t before the next release: only another
+        // thread u's propagated end joins into L_l, and its gate
+        // cb_u(u) <= L_l(u) <= C_t(u) also joins C_u into C_t (with its
+        // check) in that end's peer loop; a gc sweep only demotes
+        // entries to bottom; C_t only grows; retire_slot scrubs the entry
+        // when t's row is reissued. So no end, propagated or skipped,
+        // needs to clear it.
         if (last_rel_thr_[target] != t) {
             return check_and_get_entry(locks_, target, target, t, index,
                                        "acquire saw conflicting release");
@@ -352,7 +346,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
                                        t, index, "join saw child's events")) {
             return true;
         }
-        if (gc_ && target != t)
+        if (target != t)
             retire_slot(target);
         return false;
       }

@@ -132,12 +132,8 @@ public:
      *  the variable and lock tables. */
     AdaptiveClockStats epoch_stats() const;
 
-    /** Toggle dead-state reclamation (clock-entry GC + thread-slot
-     *  recycling); call before the first event. */
-    void set_gc(bool on) override { gc_ = on; }
-
-    /** Test hook: with gc on, sweep every n outermost ends (0 restores
-     *  the arena-growth trigger). */
+    /** Test hook: sweep every n outermost ends (0 restores the
+     *  arena-growth trigger). */
     void set_gc_sweep_every(uint32_t n) { gc_sweep_every_ = n; }
 
     uint64_t gc_sweeps() const { return gc_sweeps_; }
@@ -162,13 +158,11 @@ private:
     ThreadId
     rid(ThreadId t) const
     {
-        if (!gc_)
-            return t;
         ThreadId ext = slots_.ext_of(t);
         return ext == kNoThread ? t : ext;
     }
 
-    /** Row for external tid `ext` under gc (allocating reuse-first). */
+    /** Row for external tid `ext` (allocating reuse-first). */
     uint32_t
     slot_of(ThreadId ext)
     {
@@ -380,7 +374,6 @@ private:
     std::vector<uint8_t> acted_;
 
     /** Dead-state reclamation (src/vc/README.md, "Reclamation"). */
-    bool gc_ = true;
     ThreadSlotMap slots_;
     GcFrontier gcf_;
     uint64_t gc_sweeps_ = 0;

@@ -82,17 +82,6 @@ public:
      */
     virtual size_t memory_bytes() const { return 0; }
 
-    /**
-     * Toggle dead-state reclamation (clock-entry GC + thread-slot
-     * recycling; src/vc/README.md "Reclamation") before the first event.
-     * AeroDrome (Algorithm 3) and Velodrome reclaim by default;
-     * set_gc(false) keeps all state and is the reference the tests
-     * compare against. Verdicts are bit-identical either way. Engines
-     * without a reclamation path ignore the call: AeroDrome-basic
-     * (Algorithm 1, the plain-vector reference) always keeps all state.
-     */
-    virtual void set_gc(bool /*on*/) {}
-
     /** True once a violation has been detected. */
     virtual bool has_violation() const = 0;
 

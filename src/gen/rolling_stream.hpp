@@ -22,14 +22,13 @@
  *    clock entries go cold and become reclaimable while the live
  *    footprint stays put.
  *
- * With reclamation off (set_gc(false)) engine memory grows with the
- * trace; with it on, the default, the soak test asserts memory_bytes()
- * plateaus.
+ * An engine that kept every thread's state would grow with the trace;
+ * under reclamation the soak test asserts memory_bytes() plateaus.
  *
  * Events are produced one transaction at a time (workers round-robin),
  * deterministically from the seed: the same options always yield the
  * same stream, and two sources with the same options can be drawn
- * independently (e.g. one for a gc-on run, one for a gc-off run).
+ * independently (e.g. one per engine).
  */
 
 #include <cstdint>

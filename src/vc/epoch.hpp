@@ -24,14 +24,12 @@
  * it clear). The bottom vector time is value 0 (thread ignored), so a
  * zero word is bottom — fresh entries need no initialisation.
  *
- * Under reclamation (the engines' default; src/vc/README.md,
- * "Reclamation") the thread field names a *slot* of the engine's
- * ThreadSlotMap, not an external thread id: slots of joined threads are
- * reissued, and the
- * retiring engine continues each slot's clock one past every value the
- * dead thread minted, so a stale v@s can never alias a reissued slot's
- * fresh epochs. With gc off (set_gc(false), the test reference),
- * slot == external tid and nothing changes.
+ * In the shipped engine (src/vc/README.md, "Reclamation") the thread
+ * field names a *slot* of the engine's ThreadSlotMap, not an external
+ * thread id: slots of joined threads are reissued, and the retiring
+ * engine continues each slot's clock one past every value the dead
+ * thread minted, so a stale v@s can never alias a reissued slot's fresh
+ * epochs.
  */
 
 #include <cassert>

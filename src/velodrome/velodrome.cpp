@@ -5,8 +5,8 @@
 namespace aero {
 
 Velodrome::Velodrome(uint32_t num_threads, uint32_t num_vars,
-                     uint32_t num_locks, const VelodromeOptions& opts)
-    : opts_(opts), txns_(num_threads)
+                     uint32_t num_locks)
+    : txns_(num_threads)
 {
     cur_.assign(num_threads, kNone);
     last_.assign(num_threads, kNone);
@@ -129,8 +129,6 @@ Velodrome::add_edge(uint32_t a, uint32_t b)
 void
 Velodrome::maybe_collect(uint32_t n)
 {
-    if (!opts_.garbage_collect)
-        return;
     // Iteratively delete completed, incoming-edge-free nodes.
     std::vector<uint32_t> work{n};
     while (!work.empty()) {

@@ -40,12 +40,6 @@
 
 namespace aero {
 
-/** Tuning knobs for Velodrome. */
-struct VelodromeOptions {
-    /** Enable the garbage-collection optimization. */
-    bool garbage_collect = true;
-};
-
 /** Statistics exposed for the evaluation harness. */
 struct VelodromeStats {
     /** Nodes currently alive in the graph. */
@@ -71,8 +65,7 @@ struct VelodromeStats {
  */
 class Velodrome : public CheckerBase {
 public:
-    Velodrome(uint32_t num_threads, uint32_t num_vars, uint32_t num_locks,
-              const VelodromeOptions& opts = {});
+    Velodrome(uint32_t num_threads, uint32_t num_vars, uint32_t num_locks);
 
     std::string_view name() const override { return "Velodrome"; }
 
@@ -81,10 +74,6 @@ public:
     void reserve(uint32_t threads, uint32_t vars, uint32_t locks) override;
 
     const VelodromeStats& stats() const { return stats_; }
-
-    /** Map the engine-agnostic reclamation toggle onto Velodrome's own
-     *  no-incoming-edge node GC; call before the first event. */
-    void set_gc(bool on) override { opts_.garbage_collect = on; }
 
     StatList
     counters() const override
@@ -137,7 +126,6 @@ private:
     void ensure_var(VarId x);
     void ensure_lock(LockId l);
 
-    VelodromeOptions opts_;
     TxnTracker txns_;
 
     std::vector<Node> nodes_;

@@ -28,10 +28,9 @@ run(const Trace& trace, Velodrome& v)
 }
 
 RunResult
-run(const Trace& trace, const VelodromeOptions& opts = {})
+run(const Trace& trace)
 {
-    Velodrome v(trace.num_threads(), trace.num_vars(), trace.num_locks(),
-                opts);
+    Velodrome v(trace.num_threads(), trace.num_vars(), trace.num_locks());
     return run_checker(v, trace);
 }
 
@@ -82,31 +81,11 @@ TEST(Velodrome, GcCollectsIndependentTransactions)
     EXPECT_GT(v.stats().gc_deleted, 150u);
 }
 
-TEST(Velodrome, GcDisabledKeepsNodes)
+TEST(Velodrome, GcKeepsVerdicts)
 {
-    Trace t = gen::make_independent(4, 50, 6);
-    VelodromeOptions opts;
-    opts.garbage_collect = false;
-    Velodrome v(t.num_threads(), t.num_vars(), t.num_locks(), opts);
-    EXPECT_FALSE(run(t, v).violation);
-    EXPECT_EQ(v.stats().gc_deleted, 0u);
-    EXPECT_EQ(v.stats().max_live_nodes, v.stats().total_nodes);
-}
-
-TEST(Velodrome, GcOnOffSameVerdicts)
-{
-    for (uint32_t k : {2u, 3u, 5u}) {
-        Trace ring = gen::make_ring(k);
-        VelodromeOptions no_gc;
-        no_gc.garbage_collect = false;
-        EXPECT_TRUE(run(ring).violation);
-        EXPECT_TRUE(run(ring, no_gc).violation);
-    }
-    Trace pipe = gen::make_pipeline(4, 20);
-    VelodromeOptions no_gc;
-    no_gc.garbage_collect = false;
-    EXPECT_FALSE(run(pipe).violation);
-    EXPECT_FALSE(run(pipe, no_gc).violation);
+    for (uint32_t k : {2u, 3u, 5u})
+        EXPECT_TRUE(run(gen::make_ring(k)).violation);
+    EXPECT_FALSE(run(gen::make_pipeline(4, 20)).violation);
 
     // Table 2's regime: whole-thread transactions whose cycle closes in
     // the trace's tail. The live graph stays at one node per thread, far
@@ -120,7 +99,6 @@ TEST(Velodrome, GcOnOffSameVerdicts)
     Velodrome v(spec.num_threads(), spec.num_vars(), spec.num_locks());
     EXPECT_TRUE(run(spec, v).violation);
     EXPECT_LE(v.stats().max_live_nodes, 64u);
-    EXPECT_TRUE(run(spec, no_gc).violation);
 }
 
 TEST(Velodrome, PipelineFullyCollected)
