@@ -1,6 +1,7 @@
 #include "aerodrome/aerodrome_opt.hpp"
 
 #include <cassert>
+#include <utility>
 
 namespace aero {
 
@@ -325,6 +326,8 @@ AeroDromeOpt::process(const Event& e, size_t index)
         ensure_lock(target);
         locks_.assign(target, c_[t], t, pure_of(t));
         last_rel_thr_[target] = t;
+        if (target >= rel_hi_)
+            rel_hi_ = size_t{target} + 1;
         return false;
 
       case Op::kFork:
@@ -420,6 +423,8 @@ AeroDromeOpt::process(const Event& e, size_t index)
             tbl_.assign(base, c_[t], t, pure_of(t));
         }
         last_w_thr_[x] = t;
+        if (x >= w_hi_)
+            w_hi_ = size_t{x} + 1;
         return false;
       }
     }
@@ -433,8 +438,9 @@ AeroDromeOpt::retire_slot(uint32_t s)
         return; // ill-formed join mid-transaction: leak the row, stay safe
     // Scrub every cached fact that names this row. The lazy proxies must
     // be materialized/flushed BEFORE the clock reset: they stand in for
-    // c_[s], which is about to become the reissue continuation.
-    for (VarId x = 0; x < last_w_thr_.size(); ++x) {
+    // c_[s], which is about to become the reissue continuation. Only
+    // ids below the write and release high-water marks can name a row.
+    for (VarId x = 0; x < w_hi_; ++x) {
         if (last_w_thr_[x] == s) {
             if (stale_write_[x]) {
                 // Defensive: a well-formed trace cleared this at s's last
@@ -449,9 +455,9 @@ AeroDromeOpt::retire_slot(uint32_t s)
         // there ends the run).
         assert(!stale_readers_.contains(x, s));
     }
-    for (BiasedId& r : last_rel_thr_) {
-        if (r == s)
-            r = kNoThread;
+    for (size_t l = 0; l < rel_hi_; ++l) {
+        if (last_rel_thr_[l] == s)
+            last_rel_thr_[l] = kNoThread;
     }
     tbl_.close_update_window(s);
     parent_thread_[s] = kNoThread;
@@ -478,7 +484,18 @@ AeroDromeOpt::gc_sweep_now()
         if (bound[s] != kNoThread && txns_.active(s))
             gcf_.cap_active(s, c_[s].get(s));
     }
-    gc_live_entries_ = tbl_.gc_sweep(gcf_) + locks_.gc_sweep(gcf_);
+    // The last scan reclaimed nothing at this very frontier: skip the
+    // scans. Only entries written since could die now, and the next scan
+    // finds them, so skipping only defers reclamation (vc/gc.hpp). The
+    // test hook always scans.
+    if (gc_sweep_every_ == 0 && gc_fruitless_ && gcf_ == gc_scanned_) {
+        ++gc_sweeps_skipped_;
+    } else {
+        const uint64_t before = epoch_stats().gc_reclaimed;
+        gc_live_entries_ = tbl_.gc_sweep(gcf_) + locks_.gc_sweep(gcf_);
+        gc_fruitless_ = epoch_stats().gc_reclaimed == before;
+        std::swap(gcf_, gc_scanned_);
+    }
     ++gc_sweeps_;
     gc_rows_baseline_ = arena_rows_live();
     gc_ends_ = 0;
@@ -534,6 +551,8 @@ AeroDromeOpt::counters() const
         {"gc_rows_freed", es.gc_rows_freed},
         {"rows_shared", es.rows_shared},
         {"gc_sweeps", gc_sweeps_},
+        {"gc_sweeps_skipped", gc_sweeps_skipped_},
+        // As of the last sweep that scanned, not the last sweep.
         {"gc_live_entries", gc_live_entries_},
         {"slots_retired", slots_.retired()},
         {"slots_recycled", slots_.recycled()},
@@ -550,7 +569,8 @@ AeroDromeOpt::memory_bytes() const
     n += parent_thread_.capacity() * sizeof(ThreadId);
     n += parent_txn_seq_.capacity() * sizeof(uint64_t) + acted_.capacity();
     n += stale_readers_.memory_bytes();
-    n += slots_.memory_bytes() + gcf_.memory_bytes() + txns_.memory_bytes();
+    n += slots_.memory_bytes() + gcf_.memory_bytes() +
+         gc_scanned_.memory_bytes() + txns_.memory_bytes();
     return n;
 }
 

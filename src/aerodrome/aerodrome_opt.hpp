@@ -133,10 +133,13 @@ public:
     AdaptiveClockStats epoch_stats() const;
 
     /** Test hook: sweep every n outermost ends (0 restores the
-     *  arena-growth trigger). */
+     *  arena-growth trigger). Sweeps it triggers always scan: it is the
+     *  no-skip reference for the growth trigger. */
     void set_gc_sweep_every(uint32_t n) { gc_sweep_every_ = n; }
 
     uint64_t gc_sweeps() const { return gc_sweeps_; }
+    /** Sweeps that skipped the table scans (counted in gc_sweeps). */
+    uint64_t gc_sweeps_skipped() const { return gc_sweeps_skipped_; }
     /** Arena rows ever allocated by the variable and lock tables (the
      *  high-water mark; shared rows count once). */
     size_t
@@ -248,6 +251,12 @@ private:
      *  nothing. */
     ZeroedArray<BiasedId> last_rel_thr_;
     ZeroedArray<BiasedId> last_w_thr_;
+    /** One past the highest lock id ever released and variable id ever
+     *  written: only entries below them can name a thread, so
+     *  retire_slot scans [0, rel_hi_) and [0, w_hi_), not the header's
+     *  id range. */
+    size_t rel_hi_ = 0;
+    size_t w_hi_ = 0;
 
     /** staleWrite_x: W_x lags behind the last write, whose timestamp is
      *  the live clock of last_w_thr_[x] (within that thread's still-active
@@ -376,7 +385,14 @@ private:
     /** Dead-state reclamation (src/vc/README.md, "Reclamation"). */
     ThreadSlotMap slots_;
     GcFrontier gcf_;
+    /** The frontier of the last sweep that scanned the tables, and
+     *  whether that scan reclaimed nothing: a later sweep at the same
+     *  frontier is skipped (gc_sweep_now). */
+    GcFrontier gc_scanned_;
+    bool gc_fruitless_ = false;
     uint64_t gc_sweeps_ = 0;
+    uint64_t gc_sweeps_skipped_ = 0;
+    /** Live entries found by the last sweep that scanned. */
     uint64_t gc_live_entries_ = 0;
     size_t gc_rows_baseline_ = 0;
     uint32_t gc_sweep_every_ = 0;

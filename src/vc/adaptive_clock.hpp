@@ -443,20 +443,25 @@ public:
     }
 
     /** Sweep the whole table against f, reclaiming every dead entry in
-     *  place. Returns the number of live (non-bottom) entries left. */
+     *  place. Returns the number of live (non-bottom) entries left.
+     *  Bottom entries are the zero word, so a group of eight whose OR is
+     *  zero is stepped over without a deadness test. */
     size_t
     gc_sweep(const GcFrontier& f)
     {
         size_t live = 0;
         const size_t n = entries_.size();
-        for (size_t i = 0; i < n; ++i) {
-            if (entries_[i] == 0)
-                continue; // already bottom
-            if (gc_dead(i, f))
-                gc_reclaim(i);
-            else
-                ++live;
+        const uint64_t* w = entries_.data();
+        size_t i = 0;
+        for (; i + 8 <= n; i += 8) {
+            if ((w[i] | w[i + 1] | w[i + 2] | w[i + 3] | w[i + 4] |
+                 w[i + 5] | w[i + 6] | w[i + 7]) == 0)
+                continue; // eight bottom entries
+            for (size_t j = i; j < i + 8; ++j)
+                live += gc_sweep_entry(j, f);
         }
+        for (; i < n; ++i)
+            live += gc_sweep_entry(i, f);
         return live;
     }
 
@@ -501,6 +506,19 @@ private:
      *  shared_refs_). On epochs bit 62 is part of the thread field. */
     static constexpr uint64_t kSharedTag = uint64_t{1} << 62;
     static constexpr uint64_t kRowMask = kSharedTag - 1;
+
+    /** One entry of gc_sweep: 1 if it is left live, else 0. */
+    size_t
+    gc_sweep_entry(size_t i, const GcFrontier& f)
+    {
+        if (entries_[i] == 0)
+            return 0; // already bottom
+        if (gc_dead(i, f)) {
+            gc_reclaim(i);
+            return 0;
+        }
+        return 1;
+    }
 
     /** One thread's update window: enrolled entries as a list plus a
      *  membership bitset (bit i of word i / 64, lazily sized by entry

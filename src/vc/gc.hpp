@@ -40,6 +40,17 @@
  * removes rows from the minimum after their values were absorbed by the
  * joiner; a stale active-cap is at most one below the clock it capped),
  * so a stale frontier is merely more conservative, never wrong.
+ *
+ * The shipped engine uses this to skip sweeps that cannot reclaim
+ * (AeroDromeOpt::gc_sweep_now): it keeps the frontier of the last sweep
+ * that scanned, and when that scan reclaimed nothing and the new
+ * frontier equals it component for component (same dim), it skips both
+ * table scans. Entries that were already there survived that frontier
+ * and survive it again; an entry written since that would die under it
+ * only waits for the next scan, which runs once the frontier moves.
+ * Skipping only defers reclamation. The set_gc_sweep_every test hook
+ * always scans, so it stays the no-skip reference. A scan itself steps
+ * over eight bottom entry words at a time (AdaptiveClockTable::gc_sweep).
  */
 
 #include <cstdint>
@@ -101,6 +112,10 @@ public:
     bool empty() const { return rows_ == 0; }
 
     size_t dim() const { return f_.size(); }
+
+    /** Same dim and the same value at every component: deadness under
+     *  the two frontiers is the same predicate. */
+    bool operator==(const GcFrontier& o) const { return f_ == o.f_; }
 
     ClockValue get(size_t u) const { return u < f_.size() ? f_[u] : 0; }
 

@@ -12,6 +12,11 @@
  *
  * Event count is CI-budgeted (kDefaultEvents) and overridable via
  * AERO_SOAK_EVENTS for real soaks; the test is labelled `soak` in ctest.
+ * The override has a floor, kMinEvents (200,000): below it the warm-up
+ * is not over by the half-way sample (at 100,000 events the first half
+ * peaks at ~87 KB and the second at ~150 KB), so the plateau bound
+ * would fail on working code. A smaller value fails the test with a
+ * message that names the floor.
  *
  * The accounting audit at the bottom keeps memory_bytes() honest: on the
  * star workload, whose long hub transaction keeps state live under
@@ -41,6 +46,7 @@ namespace aero {
 namespace {
 
 constexpr uint64_t kDefaultEvents = 600000;
+constexpr uint64_t kMinEvents = 200000;
 
 uint64_t
 soak_events()
@@ -72,6 +78,10 @@ TEST(SoakMemory, OptPlateausWithGc)
     // Drive the engine over the stream, sampling memory_bytes() every
     // 4096 events into the high-water mark of each half.
     const uint64_t n = soak_events();
+    ASSERT_GE(n, kMinEvents)
+        << "AERO_SOAK_EVENTS=" << n << " is below the floor of "
+        << kMinEvents << " events: the warm-up would outlast the first "
+        << "half and the plateau bound would not hold";
     const gen::RollingStreamOptions opts = stream_opts(n);
     gen::RollingStreamSource src(opts);
     AeroDromeOpt e(0, 0, 0);
