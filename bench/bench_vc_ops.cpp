@@ -1,39 +1,48 @@
 /**
  * @file
- * Experiment E7 — microbenchmarks backing Theorem 4's cost model: every
- * non-end event costs O(|Thr|) (one vector-clock comparison + join), and
- * end events cost O(|Thr| + L + V') where V' is the update-set size.
+ * Experiment E7 — the vector-clock kernel ledger behind Theorem 4's cost
+ * model: every non-end event costs O(|Thr|) (one vector-clock comparison
+ * + join), and end events cost O(|Thr| + L + V'), where L is the number
+ * of locks released so far and V' the update-set size.
  *
- * Two parts:
+ * One timing helper (measure) times every row: a warm-up that calibrates
+ * the pass length, then kPasses equal passes, reported as the median,
+ * p25 and p75 of ns per operation. Each row times one job two ways, the
+ * two passes interleaved, and reports the ratio of the medians:
  *
- *  1. A standalone kernel comparison, ClockBank arena kernels vs. the
- *     scalar VectorClock baseline, swept over clock dimensions. The sweep
- *     mimics the engines' hot loops (end-event propagation: join/compare
- *     one clock against a whole family), so it exercises the contiguous
- *     layout, not just a single cached pair. It ends with an
- *     engine-start row: each engine constructed, run on 5 events and
- *     destroyed, in ns per round, which is the fixed cost that dominates
- *     short traces and the exhaustive differential suite. Results are
- *     written to BENCH_vc_ops.json (override with --json PATH) for the
- *     perf trajectory.
+ *  - join, leq, join_except: the ClockBank arena kernels vs. the scalar
+ *    VectorClock baseline, swept over clock dimensions. Each sweep folds
+ *    or compares one clock against a whole family, the shape of the
+ *    engines' end-event propagation, so it exercises the contiguous
+ *    layout, not just a single cached pair.
+ *  - adaptive: AdaptiveClockTable assign and join_into on an entry held
+ *    as an epoch vs. one inflated into an arena row, at the same
+ *    dimension: the FastTrack-style fast path every access takes.
+ *  - end_sweep: one end's gate-and-join over its update window (8
+ *    enrolled entries, a typical transaction footprint) vs. over the
+ *    full table.
  *
- *  2. The usual google-benchmark suite; run with --benchmark_filter=...
- *     as usual. Pass --no-gbench to skip it.
+ * The last row, engine_start, is each engine constructed, run on 5
+ * events and destroyed: the fixed cost that dominates short traces and
+ * the exhaustive differential suite.
+ *
+ * Results go to stdout and to BENCH_vc_ops.json (override with --json
+ * PATH), labelled with the host they were measured on.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
-#include "analysis/runner.hpp"
-#include "gen/patterns.hpp"
 #include "support/stopwatch.hpp"
 #include "vc/adaptive_clock.hpp"
 #include "vc/clock_bank.hpp"
@@ -44,6 +53,110 @@ namespace {
 
 using namespace aero;
 
+/** Compiler barrier: the compiler must assume `value` is read and
+ *  written here, so the timed work that produced it is not dropped. */
+template <typename T>
+void
+escape(T& value)
+{
+    asm volatile("" : : "g"(&value) : "memory");
+}
+
+/** Quartiles of one row's passes, in ns per operation. */
+struct Spread {
+    double p25 = 0;
+    double median = 0;
+    double p75 = 0;
+};
+
+/** Passes per row: odd, so the median and quartiles are passes. A pass
+ *  spans several scheduler ticks; the whole ledger runs in ~6 s. */
+constexpr int kPasses = 9;
+constexpr double kPassSeconds = 0.015;
+constexpr double kWarmSeconds = 0.002;
+
+/** Call `body()` for kWarmSeconds to warm caches; return the calls that
+ *  make one pass of ~kPassSeconds. */
+template <typename F>
+size_t
+calibrate(F& body)
+{
+    size_t calls = 0;
+    Stopwatch warm;
+    do {
+        body();
+        ++calls;
+    } while (warm.elapsed_seconds() < kWarmSeconds);
+    return static_cast<size_t>(static_cast<double>(calls) * kPassSeconds /
+                               warm.elapsed_seconds()) + 1;
+}
+
+/** One pass of `reps` calls, in ns per call. */
+template <typename F>
+double
+time_pass(F& body, size_t reps)
+{
+    Stopwatch watch;
+    for (size_t r = 0; r < reps; ++r)
+        body();
+    return static_cast<double>(watch.elapsed_ns()) / static_cast<double>(reps);
+}
+
+/** Time each of `bodies` over kPasses passes, interleaved so that every
+ *  body of a row sees the same load on a shared box; return each one's
+ *  quartiles of ns per inner operation, given `ops_per_call`. */
+template <typename... F>
+std::array<Spread, sizeof...(F)>
+measure(size_t ops_per_call, F&&... bodies)
+{
+    constexpr size_t n = sizeof...(F);
+    const size_t reps[n] = {calibrate(bodies)...};
+    double ns[n][kPasses];
+    for (int p = 0; p < kPasses; ++p) {
+        size_t k = 0;
+        ((ns[k][p] = time_pass(bodies, reps[k]), ++k), ...);
+    }
+    const double per_op = 1.0 / static_cast<double>(ops_per_call);
+    std::array<Spread, n> out;
+    for (size_t k = 0; k < n; ++k) {
+        std::sort(ns[k], ns[k] + kPasses);
+        out[k] = {ns[k][kPasses / 4] * per_op, ns[k][kPasses / 2] * per_op,
+                  ns[k][kPasses - 1 - kPasses / 4] * per_op};
+    }
+    return out;
+}
+
+/** One job timed the baseline way and the shipped way. */
+struct Row {
+    const char* op; ///< adaptive rows: the table operation; else null
+    size_t key;     ///< clock dimension, or end_sweep's table entries
+    Spread base;    ///< scalar clocks / inflated entry / full table
+    Spread fast;    ///< bank rows / epoch entry / update window
+    double
+    speedup() const
+    {
+        return fast.median > 0 ? base.median / fast.median : 0;
+    }
+};
+
+/** Rows of one kind; JSON fields are "<base>_ns_per_<unit>" and
+ *  "<fast>_ns_per_<unit>". */
+struct Family {
+    const char* name;
+    const char* key;
+    const char* base;
+    const char* fast;
+    const char* unit;
+    std::vector<Row> rows;
+};
+
+// --- Kernel comparison, bank vs. scalar -----------------------------------
+
+/** Clocks per family in the sweep: large enough to stream across rows,
+ *  small enough to stay cache-resident so the comparison measures the
+ *  kernels (compute + per-clock overheads), not DRAM bandwidth. */
+constexpr size_t kFamily = 256;
+
 VectorClock
 make_clock(size_t dim, uint32_t salt)
 {
@@ -53,195 +166,115 @@ make_clock(size_t dim, uint32_t salt)
     return v;
 }
 
-// --- Part 1: kernel comparison, bank vs. scalar ---------------------------
+/** Sweep `op(acc, clock)` over a family of kFamily distinct clocks,
+ *  lifted by `lift` in every component, in the scalar layout and in a
+ *  bank (rows 0..kFamily-1, the accumulator in row kFamily). `op`
+ *  returns a bool the sweep folds into a sink, so comparisons stay
+ *  live. */
+template <typename Op>
+Row
+bench_sweep(size_t dim, ClockValue lift, Op op)
+{
+    std::vector<VectorClock> scalar;
+    ClockBank bank(kFamily + 1, dim);
+    for (size_t i = 0; i < kFamily; ++i) {
+        scalar.push_back(make_clock(dim, static_cast<uint32_t>(i)));
+        for (size_t d = 0; d < dim; ++d) {
+            scalar[i].set(d, scalar[i].get(d) + lift);
+            bank[i].set(d, scalar[i].get(d));
+        }
+    }
+    VectorClock sacc = make_clock(dim, 7);
+    ClockRef bacc = bank[kFamily];
+    for (size_t d = 0; d < dim; ++d)
+        bacc.set(d, sacc.get(d));
 
-struct KernelResult {
-    size_t dim = 0;
-    double scalar_ns = 0; ///< ns per clock-pair operation, scalar layout
-    double bank_ns = 0;   ///< ns per clock-pair operation, bank layout
-    double
-    speedup() const
+    bool sink = false;
+    const auto [base, fast] = measure(
+        kFamily,
+        [&] {
+            for (const auto& v : scalar)
+                sink ^= op(sacc, v);
+            escape(sacc);
+            escape(sink);
+        },
+        [&] {
+            for (size_t i = 0; i < kFamily; ++i)
+                sink ^= op(bacc, bank[i]);
+            escape(bank);
+            escape(sink);
+        });
+    return {nullptr, dim, base, fast};
+}
+
+/** Geometric mean of the speedups at dim >= 16 (the acceptance metric:
+ *  single-dim points on a shared box are noisy; the geomean across the
+ *  swept dims is the stable summary). */
+double
+geomean_dim16plus(const Family& f)
+{
+    double log_sum = 0;
+    size_t n = 0;
+    for (const Row& r : f.rows) {
+        if (r.key >= 16 && r.speedup() > 0) {
+            log_sum += std::log(r.speedup());
+            ++n;
+        }
+    }
+    return n > 0 ? std::exp(log_sum / static_cast<double>(n)) : 0;
+}
+
+// --- Adaptive entries, epoch vs. inflated ---------------------------------
+
+/** An AdaptiveClockTable whose entry 0 is set from clock[0] = 7@1
+ *  (its only non-zero component) and clock[1], another thread's clock,
+ *  at 3 in every component. Passed as pure, the source keeps the entry
+ *  the epoch 7@1; passed as impure, it inflates the entry into an arena
+ *  row. Exits 1 if the entry is not the representation asked. */
+struct AdaptiveSetup {
+    AdaptiveClockTable tbl;
+    ClockBank clock;
+    bool epoch;
+    uint8_t dst_pure = 0;
+    AdaptiveSetup(size_t dim, bool as_epoch) : clock(2, dim), epoch(as_epoch)
     {
-        return bank_ns > 0 ? scalar_ns / bank_ns : 0;
+        tbl.ensure_dim(dim);
+        tbl.add_entry();
+        clock[0].set(1, 7);
+        for (size_t d = 0; d < dim; ++d)
+            clock[1].set(d, 3);
+        tbl.assign(0, clock[0], 1, epoch);
+        if (tbl.is_inflated(0) == epoch) {
+            std::fprintf(stderr, "bench_vc_ops: adaptive dim %zu: entry is "
+                                 "not %s\n",
+                         dim, epoch ? "an epoch" : "inflated");
+            std::exit(1);
+        }
     }
 };
 
-/** Clocks per family in the sweep: large enough to stream across rows,
- *  small enough to stay cache-resident so the comparison measures the
- *  kernels (compute + per-clock overheads), not DRAM bandwidth. */
-constexpr size_t kFamily = 256;
-
-/** Repeat `body()` until it has consumed ~`min_seconds`, and take the
- *  best of three timed passes (the standard defense against scheduler
- *  noise on shared machines); return ns per inner operation given
- *  `ops_per_call`. */
-template <typename F>
-double
-time_ns_per_op(F&& body, size_t ops_per_call, double min_seconds = 0.1)
+/** `op(setup)` on an inflated entry vs. on an epoch entry. */
+template <typename Op>
+Row
+bench_adaptive(const char* name, size_t dim, Op op)
 {
-    // Warm up once, then scale the repeat count to the budget.
-    Stopwatch warm;
-    body();
-    double once = warm.elapsed_seconds();
-    size_t reps = once > 0 ? static_cast<size_t>(min_seconds / once) + 1 : 64;
-    double best = 0;
-    for (int pass = 0; pass < 3; ++pass) {
-        Stopwatch watch;
-        for (size_t r = 0; r < reps; ++r)
-            body();
-        double total = watch.elapsed_seconds();
-        if (pass == 0 || total < best)
-            best = total;
-    }
-    return best / static_cast<double>(reps) /
-           static_cast<double>(ops_per_call) * 1e9;
+    AdaptiveSetup inflated(dim, false), epoch(dim, true);
+    const auto [base, fast] =
+        measure(1, [&] { op(inflated); }, [&] { op(epoch); });
+    return {name, dim, base, fast};
 }
 
-/** A family of kFamily distinct clocks in the scalar layout. */
-std::vector<VectorClock>
-make_family(size_t dim)
-{
-    std::vector<VectorClock> family;
-    for (size_t i = 0; i < kFamily; ++i)
-        family.push_back(make_clock(dim, static_cast<uint32_t>(i)));
-    return family;
-}
-
-/** A bank with rows 0..kFamily-1 mirroring `family` (row kFamily spare). */
-ClockBank
-make_bank(const std::vector<VectorClock>& family, size_t dim)
-{
-    ClockBank bank(kFamily + 1, dim);
-    for (size_t i = 0; i < kFamily; ++i) {
-        for (size_t d = 0; d < dim; ++d)
-            bank[i].set(d, family[i].get(d));
-    }
-    return bank;
-}
-
-/** Join sweep: fold every clock of a family into one accumulator — the
- *  shape of end-event propagation and of R_x/W_x maintenance. */
-KernelResult
-bench_join(size_t dim)
-{
-    KernelResult r;
-    r.dim = dim;
-
-    std::vector<VectorClock> scalar = make_family(dim);
-    VectorClock sacc(dim);
-    r.scalar_ns = time_ns_per_op(
-        [&] {
-            for (const auto& v : scalar)
-                sacc.join(v);
-            benchmark::DoNotOptimize(sacc);
-        },
-        kFamily);
-
-    ClockBank bank = make_bank(scalar, dim);
-    ClockRef bacc = bank[kFamily];
-    r.bank_ns = time_ns_per_op(
-        [&] {
-            for (size_t i = 0; i < kFamily; ++i)
-                bacc.join(bank[i]);
-            benchmark::DoNotOptimize(bank);
-        },
-        kFamily);
-    return r;
-}
-
-/** Leq sweep: compare one clock against a whole family. The probe clock
- *  is below every family member, so neither implementation can take an
- *  early exit — this measures full-scan comparison throughput. */
-KernelResult
-bench_leq(size_t dim)
-{
-    KernelResult r;
-    r.dim = dim;
-
-    std::vector<VectorClock> scalar = make_family(dim);
-    for (auto& v : scalar) {
-        for (size_t d = 0; d < dim; ++d)
-            v.set(d, v.get(d) + 100); // keep the probe below the family
-    }
-    VectorClock sprobe = make_clock(dim, 7);
-    bool sink = false;
-    r.scalar_ns = time_ns_per_op(
-        [&] {
-            for (const auto& v : scalar)
-                sink ^= sprobe.leq(v);
-            benchmark::DoNotOptimize(sink);
-        },
-        kFamily);
-
-    ClockBank bank = make_bank(scalar, dim);
-    ClockRef bprobe = bank[kFamily];
-    for (size_t d = 0; d < dim; ++d)
-        bprobe.set(d, sprobe.get(d));
-    r.bank_ns = time_ns_per_op(
-        [&] {
-            ConstClockRef probe = bank[kFamily];
-            for (size_t i = 0; i < kFamily; ++i)
-                sink ^= probe.leq(bank[i]);
-            benchmark::DoNotOptimize(sink);
-        },
-        kFamily);
-    return r;
-}
-
-/** join_except sweep (the hR_x update kernel). */
-KernelResult
-bench_join_except(size_t dim)
-{
-    KernelResult r;
-    r.dim = dim;
-
-    std::vector<VectorClock> scalar = make_family(dim);
-    VectorClock sacc(dim);
-    r.scalar_ns = time_ns_per_op(
-        [&] {
-            for (const auto& v : scalar)
-                sacc.join_except(v, dim / 2);
-            benchmark::DoNotOptimize(sacc);
-        },
-        kFamily);
-
-    ClockBank bank = make_bank(scalar, dim);
-    ClockRef bacc = bank[kFamily];
-    r.bank_ns = time_ns_per_op(
-        [&] {
-            for (size_t i = 0; i < kFamily; ++i)
-                bacc.join_except(bank[i], dim / 2);
-            benchmark::DoNotOptimize(bank);
-        },
-        kFamily);
-    return r;
-}
+// --- End sweep and engine start -------------------------------------------
 
 /** The end-event sweep micro-kernel: one completed transaction's
  *  gate-and-join over an AdaptiveClockTable of `entries` entries, as the
- *  full-table pass vs the update-window pass (8 enrolled entries — a
- *  typical transaction footprint). The ratio is the per-end win of the
- *  update sets at that table size. */
-struct SweepResult {
-    size_t entries;
-    size_t enrolled;
-    double full_ns;   // ns per full-table end sweep
-    double window_ns; // ns per update-window end sweep
-    double
-    speedup() const
-    {
-        return window_ns > 0 ? full_ns / window_ns : 0;
-    }
-};
-
-SweepResult
+ *  full-table pass vs the update-window pass. The ratio is the per-end
+ *  win of the update sets at that table size. */
+Row
 bench_end_sweep(size_t entries)
 {
     constexpr size_t kEnrolled = 8;
     constexpr ClockValue kGate = 5;
-    SweepResult r;
-    r.entries = entries;
-    r.enrolled = kEnrolled;
 
     AdaptiveClockTable tbl;
     tbl.ensure_dim(8);
@@ -253,196 +286,208 @@ bench_end_sweep(size_t entries)
         tbl.assign(i, clocks[1], 1, true);
     }
 
-    uint64_t fired = 0;
-    r.full_ns = time_ns_per_op(
-        [&] {
-            for (size_t i = 0; i < entries; ++i)
-                fired += tbl.get(i, 0) >= kGate;
-            benchmark::DoNotOptimize(fired);
-        },
-        entries);
-    r.full_ns *= static_cast<double>(entries); // per end, not per entry
-
     tbl.open_update_window(0, kGate);
     for (size_t i = 0; i < kEnrolled && i < entries; ++i)
         tbl.join(i, clocks[0], 0, true); // enrolls: source >= gate
     tbl.seal_update_window(0);
     const auto& set = tbl.update_entries(0);
-    r.window_ns = time_ns_per_op(
+
+    uint64_t fired = 0;
+    const auto [full, window] = measure(
+        1,
+        [&] {
+            for (size_t i = 0; i < entries; ++i)
+                fired += tbl.get(i, 0) >= kGate;
+            escape(fired);
+        },
         [&] {
             for (uint32_t i : set)
                 fired += tbl.get(i, 0) >= kGate;
-            benchmark::DoNotOptimize(fired);
-        },
-        1);
-    return r;
+            escape(fired);
+        });
+    return {nullptr, entries, full, window};
 }
 
-/** A small engine's fixed cost: construct it for 2 threads, 1 variable
- *  and 1 lock, run 5 events, destroy it. The trace inflates an entry of
- *  each clock table, so every bank of the shipped engine holds a row. */
-struct StartResult {
-    double opt_ns;   // ns per round, AeroDromeOpt
-    double basic_ns; // ns per round, AeroDromeBasic
-    double velo_ns;  // ns per round, Velodrome
-};
-
-constexpr size_t kStartRounds = 20000;
-constexpr int kStartRepeats = 3;
-
-/** Median over kStartRepeats passes of kStartRounds rounds, in ns per
- *  round. */
+/** One round of a small engine's fixed cost: construct it for 2
+ *  threads, 1 variable and 1 lock, run 5 events, destroy it. The trace
+ *  inflates an entry of each clock table, so every bank of the shipped
+ *  engine holds a row. */
 template <typename Checker>
-double
-time_engine_start()
+void
+engine_start_round()
 {
-    const Event kTrace[] = {
+    static const Event kTrace[] = {
         {0, 0, Op::kBegin},   {1, 0, Op::kWrite}, {0, 0, Op::kRead},
         {0, 0, Op::kRelease}, {0, 0, Op::kEnd},
     };
-    double ns[kStartRepeats];
-    for (double& pass : ns) {
-        Stopwatch watch;
-        for (size_t r = 0; r < kStartRounds; ++r) {
-            Checker checker(2, 1, 1);
-            for (size_t i = 0; i < 5; ++i)
-                benchmark::DoNotOptimize(checker.process(kTrace[i], i));
-        }
-        pass = static_cast<double>(watch.elapsed_ns()) / kStartRounds;
-    }
-    std::sort(ns, ns + kStartRepeats);
-    return ns[kStartRepeats / 2];
+    Checker checker(2, 1, 1);
+    bool violation = false;
+    for (size_t i = 0; i < 5; ++i)
+        violation |= checker.process(kTrace[i], i);
+    escape(violation);
 }
 
-StartResult
-bench_engine_start()
+// --- Report ---------------------------------------------------------------
+
+/** The value after ": " on the first line of `path` that starts with
+ *  `prefix` (the whole line if it has no ": "), without characters that
+ *  would need escaping in JSON; "unknown" if there is no such line. */
+std::string
+proc_line(const char* path, const char* prefix)
 {
-    return {time_engine_start<AeroDromeOpt>(),
-            time_engine_start<AeroDromeBasic>(),
-            time_engine_start<Velodrome>()};
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.compare(0, std::strlen(prefix), prefix) != 0)
+            continue;
+        const size_t colon = line.find(": ");
+        if (colon != std::string::npos)
+            line.erase(0, colon + 2);
+        line.erase(std::remove_if(line.begin(), line.end(),
+                                  [](char c) { return c == '"' || c == '\\'; }),
+                   line.end());
+        return line;
+    }
+    return "unknown";
 }
 
-/** Geometric mean of the speedups at dim >= 16 (the acceptance metric:
- *  single-dim points on a shared box are noisy; the geomean across the
- *  swept dims is the stable summary). */
-double
-geomean_dim16plus(const std::vector<KernelResult>& results)
+/** "median [p25, p75]", right-aligned in `width` columns. */
+std::string
+cell(const Spread& s, int width)
 {
-    double log_sum = 0;
-    size_t n = 0;
-    for (const auto& r : results) {
-        if (r.dim >= 16 && r.speedup() > 0) {
-            log_sum += std::log(r.speedup());
-            ++n;
-        }
-    }
-    return n > 0 ? std::exp(log_sum / static_cast<double>(n)) : 0;
+    char text[96], out[128];
+    std::snprintf(text, sizeof(text), "%.2f [%.2f, %.2f]", s.median, s.p25,
+                  s.p75);
+    std::snprintf(out, sizeof(out), "%*s", width, text);
+    return out;
+}
+
+/** `"<prefix>_ns_per_<unit>": {"median": ..., "p25": ..., "p75": ...}` */
+std::string
+json(const char* prefix, const char* unit, const Spread& s)
+{
+    char buf[192];
+    std::snprintf(buf, sizeof(buf),
+                  "\"%s_ns_per_%s\": {\"median\": %.2f, \"p25\": %.2f, "
+                  "\"p75\": %.2f}",
+                  prefix, unit, s.median, s.p25, s.p75);
+    return buf;
 }
 
 void
-append_results(std::string& out, const char* kernel,
-               const std::vector<KernelResult>& results, bool last)
+report(const Family& f, std::string& out)
 {
-    char buf[256];
-    out += "  \"";
-    out += kernel;
-    out += "\": {\"per_dim\": [\n";
-    for (size_t i = 0; i < results.size(); ++i) {
-        const auto& r = results[i];
-        std::snprintf(buf, sizeof(buf),
-                      "    {\"dim\": %zu, \"scalar_ns_per_op\": %.2f, "
-                      "\"bank_ns_per_op\": %.2f, \"speedup\": %.2f}%s\n",
-                      r.dim, r.scalar_ns, r.bank_ns, r.speedup(),
-                      i + 1 < results.size() ? "," : "");
+    char buf[128];
+    std::string base = std::string(f.base) + " ns/" + f.unit;
+    std::string fast = std::string(f.fast) + " ns/" + f.unit;
+    std::printf("\n%-22s %7s %28s %28s %9s\n", f.name, f.key, base.c_str(),
+                fast.c_str(), "speedup");
+    out += std::string("  \"") + f.name + "\": {\"rows\": [\n";
+    for (size_t i = 0; i < f.rows.size(); ++i) {
+        const Row& r = f.rows[i];
+        std::string label = f.name;
+        if (r.op)
+            label = label + " " + r.op;
+        std::printf("%-22s %7zu %s %s %8.2fx\n", label.c_str(), r.key,
+                    cell(r.base, 28).c_str(), cell(r.fast, 28).c_str(),
+                    r.speedup());
+        out += "    {";
+        if (r.op)
+            out += std::string("\"op\": \"") + r.op + "\", ";
+        std::snprintf(buf, sizeof(buf), "\"%s\": %zu, ", f.key, r.key);
+        out += buf + json(f.base, f.unit, r.base) + ", " +
+               json(f.fast, f.unit, r.fast);
+        std::snprintf(buf, sizeof(buf), ", \"speedup\": %.2f}%s\n",
+                      r.speedup(), i + 1 < f.rows.size() ? "," : "");
         out += buf;
     }
-    std::snprintf(buf, sizeof(buf),
-                  "  ], \"geomean_speedup_dim16plus\": %.2f}%s\n",
-                  geomean_dim16plus(results), last ? "" : ",");
-    out += buf;
+    out += "  ]";
+    if (std::strcmp(f.base, "scalar") == 0) { // the bank kernel families
+        std::snprintf(buf, sizeof(buf), ", \"geomean_speedup_dim16plus\": %.2f",
+                      geomean_dim16plus(f));
+        out += buf;
+    }
+    out += "},\n";
 }
 
 int
-run_kernel_comparison(const std::string& json_path)
+run_ledger(const std::string& json_path)
 {
-    const size_t dims[] = {4, 8, 16, 32, 64, 256};
-
-    std::vector<KernelResult> join, leq, join_except;
-    for (size_t dim : dims) {
-        join.push_back(bench_join(dim));
-        leq.push_back(bench_leq(dim));
-        join_except.push_back(bench_join_except(dim));
-    }
-
-    std::vector<SweepResult> sweeps;
-    for (size_t entries : {size_t{1000}, size_t{10000}, size_t{100000}})
-        sweeps.push_back(bench_end_sweep(entries));
-    const StartResult start = bench_engine_start();
-
-    std::printf("%-14s %6s %14s %14s %9s\n", "kernel", "dim", "scalar ns/op",
-                "bank ns/op", "speedup");
-    auto print = [](const char* name, const std::vector<KernelResult>& rs) {
-        for (const auto& r : rs) {
-            std::printf("%-14s %6zu %14.2f %14.2f %8.2fx\n", name, r.dim,
-                        r.scalar_ns, r.bank_ns, r.speedup());
-        }
-    };
-    print("join", join);
-    print("leq", leq);
-    print("join_except", join_except);
-
-    std::printf("\n%-14s %8s %10s %14s %14s %9s\n", "kernel", "entries",
-                "enrolled", "full ns/end", "window ns/end", "speedup");
-    for (const auto& s : sweeps) {
-        std::printf("%-14s %8zu %10zu %14.1f %14.1f %8.0fx\n", "end_sweep",
-                    s.entries, s.enrolled, s.full_ns, s.window_ns,
-                    s.speedup());
-    }
-
-    std::printf("\n%-14s %12s %12s %12s %9s\n", "kernel", "opt ns",
-                "basic ns", "velodrome ns", "opt/basic");
-    std::printf("%-14s %12.0f %12.0f %12.0f %8.2fx\n", "engine_start",
-                start.opt_ns, start.basic_ns, start.velo_ns,
-                start.opt_ns / start.basic_ns);
-
-    std::string out = "{\n";
-    char buf[192];
-    std::snprintf(buf, sizeof(buf), "  \"family_size\": %zu,\n", kFamily);
-    out += buf;
+    const unsigned hw_threads = std::thread::hardware_concurrency();
+    const std::string cpu = proc_line("/proc/cpuinfo", "model name");
+    const std::string loadavg = proc_line("/proc/loadavg", "");
 #ifdef AERO_VC_X86_DISPATCH
-    out += vck::detail::kHaveAvx2 ? "  \"simd\": \"avx2\",\n"
-                                  : "  \"simd\": \"autovec\",\n";
+    const char* simd = vck::detail::kHaveAvx2 ? "avx2" : "autovec";
 #else
-    out += "  \"simd\": \"autovec\",\n";
+    const char* simd = "autovec";
 #endif
-    append_results(out, "join", join, false);
-    append_results(out, "leq", leq, false);
-    append_results(out, "join_except", join_except, false);
-    out += "  \"end_sweep\": {\"per_table\": [\n";
-    for (size_t i = 0; i < sweeps.size(); ++i) {
-        const auto& s = sweeps[i];
-        std::snprintf(buf, sizeof(buf),
-                      "    {\"entries\": %zu, \"enrolled\": %zu, "
-                      "\"full_ns_per_end\": %.1f, "
-                      "\"window_ns_per_end\": %.1f, \"speedup\": %.0f}%s\n",
-                      s.entries, s.enrolled, s.full_ns, s.window_ns,
-                      s.speedup(), i + 1 < sweeps.size() ? "," : "");
-        out += buf;
+    std::printf("host: %u hardware threads, %s, loadavg %s, simd %s\n"
+                "each cell: median [p25, p75] of %d passes\n",
+                hw_threads, cpu.c_str(), loadavg.c_str(), simd, kPasses);
+
+    auto join = [](auto& acc, const auto& v) {
+        acc.join(v);
+        return false;
+    };
+    auto leq = [](auto& probe, const auto& v) { return probe.leq(v); };
+    std::vector<Family> families = {
+        {"join", "dim", "scalar", "bank", "op", {}},
+        {"leq", "dim", "scalar", "bank", "op", {}},
+        {"join_except", "dim", "scalar", "bank", "op", {}},
+        {"adaptive", "dim", "inflated", "epoch", "op", {}},
+        {"end_sweep", "entries", "full", "window", "end", {}},
+    };
+    for (size_t dim : {4, 8, 16, 32, 64, 256}) {
+        auto join_except = [dim](auto& acc, const auto& v) {
+            acc.join_except(v, dim / 2);
+            return false;
+        };
+        families[0].rows.push_back(bench_sweep(dim, 0, join));
+        // The probe stays below the family: no early exit, full scans.
+        families[1].rows.push_back(bench_sweep(dim, 100, leq));
+        families[2].rows.push_back(bench_sweep(dim, 0, join_except));
     }
-    out += "  ]},\n";
+    for (size_t dim : {16, 64, 256}) {
+        families[3].rows.push_back(
+            bench_adaptive("assign", dim, [](AdaptiveSetup& s) {
+                s.tbl.assign(0, s.clock[0], 1, s.epoch);
+                escape(s.tbl);
+            }));
+        families[3].rows.push_back(
+            bench_adaptive("join_into", dim, [](AdaptiveSetup& s) {
+                s.tbl.join_into(s.clock[1], 0, 0, s.dst_pure);
+                escape(s.clock);
+            }));
+    }
+    for (size_t entries : {1000, 10000, 100000})
+        families[4].rows.push_back(bench_end_sweep(entries));
+    const auto [opt, basic, velo] =
+        measure(1, engine_start_round<AeroDromeOpt>,
+                engine_start_round<AeroDromeBasic>,
+                engine_start_round<Velodrome>);
+
+    char buf[512];
     std::snprintf(buf, sizeof(buf),
-                  "  \"engine_start\": {\"rounds\": %zu, \"repeats\": %d, "
-                  "\"opt_ns_per_round\": %.0f, ",
-                  kStartRounds, kStartRepeats, start.opt_ns);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "\"basic_ns_per_round\": %.0f, "
-                  "\"velodrome_ns_per_round\": %.0f, "
-                  "\"opt_over_basic\": %.2f}\n",
-                  start.basic_ns, start.velo_ns,
-                  start.opt_ns / start.basic_ns);
-    out += buf;
-    out += "}\n";
+                  "{\n  \"host\": {\"hardware_concurrency\": %u, "
+                  "\"cpu_model\": \"%s\", \"loadavg_at_start\": \"%s\", "
+                  "\"simd\": \"%s\"},\n"
+                  "  \"passes\": %d, \"family_size\": %zu,\n",
+                  hw_threads, cpu.c_str(), loadavg.c_str(), simd, kPasses,
+                  kFamily);
+    std::string out = buf;
+    for (const Family& f : families)
+        report(f, out);
+
+    std::printf("\n%-14s %28s %28s %28s %9s\n", "", "opt ns/round",
+                "basic ns/round", "velodrome ns/round", "opt/basic");
+    std::printf("%-14s %s %s %s %8.2fx\n", "engine_start",
+                cell(opt, 28).c_str(), cell(basic, 28).c_str(),
+                cell(velo, 28).c_str(), opt.median / basic.median);
+    std::snprintf(buf, sizeof(buf), ", \"opt_over_basic\": %.2f}\n}\n",
+                  opt.median / basic.median);
+    out += "  \"engine_start\": {" + json("opt", "round", opt) + ",\n    " +
+           json("basic", "round", basic) + ",\n    " +
+           json("velodrome", "round", velo) + buf;
 
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (!f) {
@@ -455,260 +500,22 @@ run_kernel_comparison(const std::string& json_path)
     return 0;
 }
 
-// --- Part 2: google-benchmark suite ---------------------------------------
-
-void
-BM_VcJoin(benchmark::State& state)
-{
-    size_t dim = static_cast<size_t>(state.range(0));
-    VectorClock a = make_clock(dim, 1);
-    VectorClock b = make_clock(dim, 2);
-    for (auto _ : state) {
-        a.join(b);
-        benchmark::DoNotOptimize(a);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_VcJoin)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-void
-BM_BankJoin(benchmark::State& state)
-{
-    size_t dim = static_cast<size_t>(state.range(0));
-    ClockBank bank(2, dim);
-    VectorClock a = make_clock(dim, 1);
-    VectorClock b = make_clock(dim, 2);
-    for (size_t d = 0; d < dim; ++d) {
-        bank[0].set(d, a.get(d));
-        bank[1].set(d, b.get(d));
-    }
-    for (auto _ : state) {
-        bank[0].join(bank[1]);
-        benchmark::DoNotOptimize(bank);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BankJoin)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-void
-BM_VcLeq(benchmark::State& state)
-{
-    size_t dim = static_cast<size_t>(state.range(0));
-    VectorClock a = make_clock(dim, 1);
-    VectorClock b = make_clock(dim, 2);
-    bool r = false;
-    for (auto _ : state) {
-        r ^= a.leq(b);
-        benchmark::DoNotOptimize(r);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_VcLeq)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-void
-BM_BankLeq(benchmark::State& state)
-{
-    size_t dim = static_cast<size_t>(state.range(0));
-    ClockBank bank(2, dim);
-    VectorClock a = make_clock(dim, 1);
-    VectorClock b = make_clock(dim, 2);
-    for (size_t d = 0; d < dim; ++d) {
-        bank[0].set(d, a.get(d));
-        bank[1].set(d, b.get(d));
-    }
-    bool r = false;
-    for (auto _ : state) {
-        r ^= ConstClockRef(bank[0]).leq(bank[1]);
-        benchmark::DoNotOptimize(r);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BankLeq)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-void
-BM_VcJoinExcept(benchmark::State& state)
-{
-    size_t dim = static_cast<size_t>(state.range(0));
-    VectorClock a = make_clock(dim, 1);
-    VectorClock b = make_clock(dim, 2);
-    for (auto _ : state) {
-        a.join_except(b, dim / 2);
-        benchmark::DoNotOptimize(a);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_VcJoinExcept)->Arg(4)->Arg(64);
-
-/** Epoch-adaptive assign: the O(1) fast path (entry stays an epoch)
- *  vs. the inflated O(dim) path, at the same dimension. The gap is the
- *  per-access win the engines see on uncontended variables. */
-void
-BM_AdaptiveAssignEpoch(benchmark::State& state)
-{
-    size_t dim = static_cast<size_t>(state.range(0));
-    AdaptiveClockTable tbl;
-    tbl.ensure_dim(dim);
-    uint32_t i = tbl.add_entry();
-    ClockBank clock(1, dim);
-    clock[0].set(0, 5);
-    for (auto _ : state) {
-        tbl.assign(i, clock[0], 0, /*c_pure=*/true);
-        benchmark::DoNotOptimize(tbl);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AdaptiveAssignEpoch)->Arg(16)->Arg(64)->Arg(256);
-
-void
-BM_AdaptiveAssignInflated(benchmark::State& state)
-{
-    size_t dim = static_cast<size_t>(state.range(0));
-    AdaptiveClockTable tbl;
-    tbl.ensure_dim(dim);
-    uint32_t i = tbl.add_entry();
-    ClockBank clock(1, dim);
-    VectorClock v = make_clock(dim, 3);
-    for (size_t d = 0; d < dim; ++d)
-        clock[0].set(d, v.get(d));
-    tbl.assign(i, clock[0], 0, /*c_pure=*/false); // impure: inflates
-    if (!tbl.is_inflated(i)) {
-        state.SkipWithError("impure assign did not inflate the entry");
-        return;
-    }
-    for (auto _ : state) {
-        tbl.assign(i, clock[0], 0, /*c_pure=*/false);
-        benchmark::DoNotOptimize(tbl);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AdaptiveAssignInflated)->Arg(16)->Arg(64)->Arg(256);
-
-/** join_into (C_t |_|= W_x) with an epoch entry vs. an inflated one. */
-void
-BM_AdaptiveJoinInto(benchmark::State& state)
-{
-    size_t dim = static_cast<size_t>(state.range(0));
-    bool epoch = state.range(1) != 0;
-    AdaptiveClockTable tbl;
-    tbl.ensure_dim(dim);
-    uint32_t i = tbl.add_entry();
-    ClockBank clock(2, dim);
-    clock[0].set(1, 7);
-    // A pure source keeps epoch 7@1; the same clock passed as impure
-    // inflates it into a row.
-    tbl.assign(i, clock[0], 1, epoch);
-    if (tbl.is_inflated(i) == epoch) {
-        state.SkipWithError("entry representation does not match the arg");
-        return;
-    }
-    ClockRef dst = clock[1];
-    for (size_t d = 0; d < dim; ++d)
-        dst.set(d, 3);
-    uint8_t dst_pure = 0;
-    for (auto _ : state) {
-        tbl.join_into(dst, i, 0, dst_pure);
-        benchmark::DoNotOptimize(clock);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AdaptiveJoinInto)
-    ->Args({16, 1})
-    ->Args({16, 0})
-    ->Args({256, 1})
-    ->Args({256, 0});
-
-/** Per-event cost of the full engine as thread count grows (Theorem 4's
- *  |Thr| factor on non-end events). */
-void
-BM_AeroDromePerEventThreads(benchmark::State& state)
-{
-    uint32_t threads = static_cast<uint32_t>(state.range(0));
-    Trace t = gen::make_independent(threads, 2000, 8);
-    for (auto _ : state) {
-        AeroDromeOpt checker(t.num_threads(), t.num_vars(), t.num_locks());
-        RunResult r = run_checker(checker, t);
-        benchmark::DoNotOptimize(r.violation);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(t.size()));
-}
-BENCHMARK(BM_AeroDromePerEventThreads)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-
-/** End-event cost as the per-transaction variable footprint grows (the
- *  update-set V' factor). */
-void
-BM_AeroDromeEndEventFootprint(benchmark::State& state)
-{
-    uint32_t accesses = static_cast<uint32_t>(state.range(0));
-    // Few transactions, each touching `accesses` distinct variables; the
-    // trace is sized so total events stay constant across args.
-    uint32_t txns = 32768 / accesses;
-    Trace t = gen::make_independent(4, txns, accesses);
-    for (auto _ : state) {
-        AeroDromeOpt checker(t.num_threads(), t.num_vars(), t.num_locks());
-        RunResult r = run_checker(checker, t);
-        benchmark::DoNotOptimize(r.violation);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(t.size()));
-}
-BENCHMARK(BM_AeroDromeEndEventFootprint)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
     std::string json_path = "BENCH_vc_ops.json";
-    bool run_gbench = true;
-    bool json_requested = false;
-    bool gbench_flags = false;
-
-    // Strip our flags before handing argv to google-benchmark.
-    std::vector<char*> passthrough;
-    passthrough.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
             json_path = argv[++i];
-            json_requested = true;
-        } else if (std::strcmp(argv[i], "--no-gbench") == 0) {
-            run_gbench = false;
         } else {
-            if (std::strncmp(argv[i], "--benchmark", 11) == 0)
-                gbench_flags = true;
-            passthrough.push_back(argv[i]);
+            std::fprintf(stderr,
+                         "bench_vc_ops: unknown argument '%s'\n"
+                         "usage: bench_vc_ops [--json PATH]\n",
+                         argv[i]);
+            return 2;
         }
     }
-
-    // --benchmark_* flags mean the user wants the gbench suite: skip the
-    // ~5s kernel sweep so the recorded BENCH_vc_ops.json isn't clobbered
-    // as a side effect — unless --json explicitly asked for it.
-    if (json_requested || !gbench_flags) {
-        int rc = run_kernel_comparison(json_path);
-        if (rc != 0)
-            return rc;
-    }
-    if (!run_gbench)
-        return 0;
-
-    int bench_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               passthrough.data())) {
-        return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    return run_ledger(json_path);
 }

@@ -205,7 +205,11 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
             }
         }
     }
-    for (size_t l = 0; l < locks_.size(); ++l) {
+    // L_l is written only by a release and by a fired gate, which needs
+    // a non-bottom entry (cb_t(t) >= 1 after the begin's tick); a gc
+    // sweep only demotes. So locks never released stay bottom and the
+    // sweep stops at rel_hi_.
+    for (size_t l = 0; l < rel_hi_; ++l) {
         ++stats_.comparisons;
         if (cbt_t <= locks_.get(l, t)) {
             ++stats_.joins;

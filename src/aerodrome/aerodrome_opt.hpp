@@ -63,7 +63,8 @@
  * Storage is epoch-adaptive (vc/adaptive_clock.hpp): W_x, R_x and hR_x
  * are entries 3x, 3x+1 and 3x+2 of one AdaptiveClockTable, so an entry's
  * kind and variable follow from its index; the L_l live in a second,
- * window-less table that propagated ends sweep in full. Both give O(1)
+ * window-less table that propagated ends sweep up to the highest lock
+ * ever released (rel_hi_), not the header's lock count. Both give O(1)
  * conflict checks and updates while the touched state stays
  * epoch-shaped, inflating into their arena on first contention. Purity
  * bits on C_t drive the fast paths. The staleReaders_x sets are chains in
@@ -239,7 +240,7 @@ private:
     /** W_x, R_x, hR_x at entries w_entry(x) + {0, 1, 2}; update windows
      *  open at outermost begins. */
     AdaptiveClockTable tbl_;
-    /** L_l at entry l; no windows (ends sweep it in full). */
+    /** L_l at entry l; no windows (ends sweep [0, rel_hi_)). */
     AdaptiveClockTable locks_;
 
     /** c_pure_[t] != 0 iff C_t == bot[v/t]; sound but conservative. */
@@ -252,9 +253,10 @@ private:
     ZeroedArray<BiasedId> last_rel_thr_;
     ZeroedArray<BiasedId> last_w_thr_;
     /** One past the highest lock id ever released and variable id ever
-     *  written: only entries below them can name a thread, so
-     *  retire_slot scans [0, rel_hi_) and [0, w_hi_), not the header's
-     *  id range. */
+     *  written: only entries below them can name a thread or hold a
+     *  non-bottom L_l, so retire_slot scans [0, rel_hi_) and [0, w_hi_),
+     *  and a propagated end sweeps the lock table below rel_hi_, not the
+     *  header's id range. */
     size_t rel_hi_ = 0;
     size_t w_hi_ = 0;
 
