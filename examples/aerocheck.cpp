@@ -143,10 +143,8 @@ usage(const char* argv0)
 std::unique_ptr<AtomicityChecker>
 make_engine(const std::string& name)
 {
-    // Engines start empty. A binary header's dimensions reach reserve()
-    // through the runner (after reserve_hint_sane); text traces declare
-    // none, and every engine grows its state on demand. Neither path
-    // writes state before the events that use it.
+    // Engines start empty and grow their state with the ids the events
+    // use; a binary header's dimensions size nothing.
     if (name == "aerodrome")
         return std::make_unique<AeroDromeOpt>(0, 0, 0);
     if (name == "aerodrome-basic")

@@ -1,5 +1,6 @@
 #include "aerodrome/aerodrome_opt.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -15,17 +16,6 @@ AeroDromeOpt::AeroDromeOpt(uint32_t num_threads, uint32_t num_vars,
         ensure_var(num_vars - 1);
     if (num_locks > 0)
         ensure_lock(num_locks - 1);
-}
-
-void
-AeroDromeOpt::reserve(uint32_t /*threads*/, uint32_t vars, uint32_t locks)
-{
-    // The thread hint counts external tids, not rows: rows are recycled
-    // slots, so it sizes nothing.
-    if (vars > 0)
-        ensure_var(vars - 1);
-    if (locks > 0)
-        ensure_lock(locks - 1);
 }
 
 void
@@ -59,13 +49,14 @@ AeroDromeOpt::ensure_thread(ThreadId t)
 void
 AeroDromeOpt::ensure_var(VarId x)
 {
-    // One resize per array for the whole id range (reserve sizes every
-    // variable of the trace header at once). Each array reads zero as
-    // empty, so the resize writes nothing: a variable's pages are first
-    // touched by its first access.
+    // The id range at least doubles, so a trace that names one fresh
+    // variable after another grows every array a logarithmic number of
+    // times, and each stays within 2x of the highest id used. Each array
+    // reads zero as empty, so the resize writes nothing: a variable's
+    // pages are first touched by its first access.
     if (x < last_w_thr_.size())
         return;
-    const size_t n = size_t{x} + 1;
+    const size_t n = std::max(size_t{x} + 1, 2 * last_w_thr_.size());
     tbl_.add_entries(3 * (n - last_w_thr_.size()));
     last_w_thr_.resize(n);
     stale_write_.resize(n);
@@ -77,7 +68,7 @@ AeroDromeOpt::ensure_lock(LockId l)
 {
     if (l < last_rel_thr_.size())
         return;
-    const size_t n = size_t{l} + 1;
+    const size_t n = std::max(size_t{l} + 1, 2 * last_rel_thr_.size());
     locks_.add_entries(n - last_rel_thr_.size());
     last_rel_thr_.resize(n);
 }
@@ -205,11 +196,8 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
             }
         }
     }
-    // L_l is written only by a release and by a fired gate, which needs
-    // a non-bottom entry (cb_t(t) >= 1 after the begin's tick); a gc
-    // sweep only demotes. So locks never released stay bottom and the
-    // sweep stops at rel_hi_.
-    for (size_t l = 0; l < rel_hi_; ++l) {
+    // The lock table holds only the ids used (at most 2x the highest).
+    for (size_t l = 0; l < locks_.size(); ++l) {
         ++stats_.comparisons;
         if (cbt_t <= locks_.get(l, t)) {
             ++stats_.joins;
@@ -330,8 +318,6 @@ AeroDromeOpt::process(const Event& e, size_t index)
         ensure_lock(target);
         locks_.assign(target, c_[t], t, pure_of(t));
         last_rel_thr_[target] = t;
-        if (target >= rel_hi_)
-            rel_hi_ = size_t{target} + 1;
         return false;
 
       case Op::kFork:
@@ -427,8 +413,6 @@ AeroDromeOpt::process(const Event& e, size_t index)
             tbl_.assign(base, c_[t], t, pure_of(t));
         }
         last_w_thr_[x] = t;
-        if (x >= w_hi_)
-            w_hi_ = size_t{x} + 1;
         return false;
       }
     }
@@ -442,9 +426,8 @@ AeroDromeOpt::retire_slot(uint32_t s)
         return; // ill-formed join mid-transaction: leak the row, stay safe
     // Scrub every cached fact that names this row. The lazy proxies must
     // be materialized/flushed BEFORE the clock reset: they stand in for
-    // c_[s], which is about to become the reissue continuation. Only
-    // ids below the write and release high-water marks can name a row.
-    for (VarId x = 0; x < w_hi_; ++x) {
+    // c_[s], which is about to become the reissue continuation.
+    for (VarId x = 0; x < last_w_thr_.size(); ++x) {
         if (last_w_thr_[x] == s) {
             if (stale_write_[x]) {
                 // Defensive: a well-formed trace cleared this at s's last
@@ -459,7 +442,7 @@ AeroDromeOpt::retire_slot(uint32_t s)
         // there ends the run).
         assert(!stale_readers_.contains(x, s));
     }
-    for (size_t l = 0; l < rel_hi_; ++l) {
+    for (size_t l = 0; l < last_rel_thr_.size(); ++l) {
         if (last_rel_thr_[l] == s)
             last_rel_thr_[l] = kNoThread;
     }
@@ -497,6 +480,7 @@ AeroDromeOpt::gc_sweep_now()
     } else {
         const uint64_t before = epoch_stats().gc_reclaimed;
         gc_live_entries_ = tbl_.gc_sweep(gcf_) + locks_.gc_sweep(gcf_);
+        gc_scanned_words_ += tbl_.size() + locks_.size();
         gc_fruitless_ = epoch_stats().gc_reclaimed == before;
         std::swap(gcf_, gc_scanned_);
     }
@@ -556,6 +540,7 @@ AeroDromeOpt::counters() const
         {"rows_shared", es.rows_shared},
         {"gc_sweeps", gc_sweeps_},
         {"gc_sweeps_skipped", gc_sweeps_skipped_},
+        {"gc_scanned_words", gc_scanned_words_},
         // As of the last sweep that scanned, not the last sweep.
         {"gc_live_entries", gc_live_entries_},
         {"slots_retired", slots_.retired()},

@@ -63,8 +63,9 @@
  * Storage is epoch-adaptive (vc/adaptive_clock.hpp): W_x, R_x and hR_x
  * are entries 3x, 3x+1 and 3x+2 of one AdaptiveClockTable, so an entry's
  * kind and variable follow from its index; the L_l live in a second,
- * window-less table that propagated ends sweep up to the highest lock
- * ever released (rel_hi_), not the header's lock count. Both give O(1)
+ * window-less table that propagated ends sweep whole. Both tables and
+ * every per-id array grow with the ids the events use (at most 2x the
+ * highest), never with a trace header's declared counts. Both give O(1)
  * conflict checks and updates while the touched state stays
  * epoch-shaped, inflating into their arena on first contention. Purity
  * bits on C_t drive the fast paths. The staleReaders_x sets are chains in
@@ -123,8 +124,6 @@ public:
     std::string_view name() const override { return "AeroDrome"; }
 
     bool process(const Event& e, size_t index) override;
-
-    void reserve(uint32_t threads, uint32_t vars, uint32_t locks) override;
 
     const AeroDromeStats& stats() const { return stats_; }
     const AeroDromeOptStats& opt_stats() const { return opt_stats_; }
@@ -240,7 +239,7 @@ private:
     /** W_x, R_x, hR_x at entries w_entry(x) + {0, 1, 2}; update windows
      *  open at outermost begins. */
     AdaptiveClockTable tbl_;
-    /** L_l at entry l; no windows (ends sweep [0, rel_hi_)). */
+    /** L_l at entry l; no windows (propagated ends sweep it whole). */
     AdaptiveClockTable locks_;
 
     /** c_pure_[t] != 0 iff C_t == bot[v/t]; sound but conservative. */
@@ -248,17 +247,10 @@ private:
 
     /** The per-lock and per-variable arrays below live on ZeroedStorage
      *  and read an all-zero element as empty (BiasedId: the zero word is
-     *  kNoThread / kNoNode), so sizing them for a whole id range writes
+     *  kNoThread / kNoNode), so growing them to a huge id writes
      *  nothing. */
     ZeroedArray<BiasedId> last_rel_thr_;
     ZeroedArray<BiasedId> last_w_thr_;
-    /** One past the highest lock id ever released and variable id ever
-     *  written: only entries below them can name a thread or hold a
-     *  non-bottom L_l, so retire_slot scans [0, rel_hi_) and [0, w_hi_),
-     *  and a propagated end sweeps the lock table below rel_hi_, not the
-     *  header's id range. */
-    size_t rel_hi_ = 0;
-    size_t w_hi_ = 0;
 
     /** staleWrite_x: W_x lags behind the last write, whose timestamp is
      *  the live clock of last_w_thr_[x] (within that thread's still-active
@@ -394,6 +386,8 @@ private:
     bool gc_fruitless_ = false;
     uint64_t gc_sweeps_ = 0;
     uint64_t gc_sweeps_skipped_ = 0;
+    /** Table entries walked by the sweeps that scanned. */
+    uint64_t gc_scanned_words_ = 0;
     /** Live entries found by the last sweep that scanned. */
     uint64_t gc_live_entries_ = 0;
     size_t gc_rows_baseline_ = 0;

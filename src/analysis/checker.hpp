@@ -54,11 +54,10 @@ public:
     virtual bool process(const Event& e, size_t index) = 0;
 
     /**
-     * Optional capacity hint: the trace will mention at most this many
-     * threads/variables/locks. Engines backed by contiguous arenas
-     * (ClockBank) use it to size their storage once, up front, instead of
-     * re-laying arenas out as ids appear mid-run. Ids beyond the hint
-     * still work; this is purely a performance hint.
+     * A no-op that no engine overrides: engines size their state by the
+     * ids the events use, never by a trace header. It stays only because
+     * perfbench's aerobench replays the runner's former set-up, which
+     * called it.
      */
     virtual void reserve(uint32_t /*threads*/, uint32_t /*vars*/,
                          uint32_t /*locks*/)

@@ -113,9 +113,8 @@ run_status_name(RunStatus status)
 bool
 reserve_hint_sane(uint32_t threads, uint32_t vars, uint32_t locks)
 {
-    // Engines allocate per-thread clock banks over each id space; gate on
-    // the products (and a generous thread cap — thread count multiplies
-    // everything, including the frontier itself).
+    // Kept for perfbench's aerobench (see runner.hpp): gate on the
+    // products and a generous thread cap.
     constexpr uint64_t kMaxProduct = 1ull << 28;
     constexpr uint64_t kMaxThreads = 1u << 12;
     const uint64_t t = threads;
@@ -131,17 +130,6 @@ run_checker_stream(AtomicityChecker& checker, EventSource& source,
     Stopwatch watch;
     const bool limited = budget.max_seconds > 0;
     block = resolve_ingest_block(block);
-
-    // Sources that know the stream's metainfo dimensions up front (binary
-    // headers, in-memory traces) let arena-backed engines size their clock
-    // banks once instead of re-laying them out inside the timed loop;
-    // text sources intern incrementally and grow.
-    // Header dimensions are untrusted input: implausible ones skip the
-    // hint rather than turn into a giant allocation.
-    uint32_t threads = 0, vars = 0, locks = 0;
-    if (source.dimensions(threads, vars, locks) &&
-        reserve_hint_sane(threads, vars, locks))
-        checker.reserve(threads, vars, locks);
 
     PanicContextScope panic_scope;
     try {

@@ -110,12 +110,10 @@ struct RunResult {
     }
 };
 
-/** True when pre-sizing engine state for these dimensions is sane: the
- *  products an engine sizes for stay modest. This caps address space,
- *  not memory: no engine writes state on reserve(), so a page is first
- *  touched by the event that uses it, and a corrupt header costs at
- *  most the mappings it sizes. An engine that is never pre-sized simply
- *  grows on demand. */
+/** True when these header dimensions have modest products. Nothing in
+ *  src/ calls it: engines size state by the ids the events use, never by
+ *  a header. It stays only because perfbench's aerobench replays the
+ *  runner's former set-up, which gated AtomicityChecker::reserve on it. */
 bool reserve_hint_sane(uint32_t threads, uint32_t vars, uint32_t locks);
 
 /** Stream `trace` through `checker` under `budget`: run_checker_stream

@@ -219,7 +219,7 @@ BinaryEventSource::BinaryEventSource(std::istream& is) : is_(is)
         !read_raw(&num_locks_, sizeof(num_locks_)))
         bad_header(16, "binary trace truncated in header");
     // A header-declared id space is a claim, not an allocation order: a
-    // flipped high bit would otherwise turn into a multi-GB reserve.
+    // flipped high bit would otherwise widen the ids the reader accepts.
     if (num_threads_ > kMaxHeaderIds || num_vars_ > kMaxHeaderIds ||
         num_locks_ > kMaxHeaderIds)
         bad_header(16, "implausible id space in header (" +

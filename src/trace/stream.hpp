@@ -83,8 +83,8 @@ public:
 
     /**
      * Metainfo dimensions of the whole stream, when the source knows them
-     * up front (an in-memory trace, a binary header). Lets the streaming
-     * runner pre-size engine arenas exactly like the materialized path.
+     * up front (an in-memory trace, a binary header). drain_trace copies
+     * them into its Trace; no engine is sized from them.
      * @return false when the dimensions are only known at end of stream
      *         (e.g. the incrementally-interned text format).
      */

@@ -2,6 +2,12 @@
 
 namespace aero {
 
+void
+AdaptiveClockTable::grow_member(UpdWindow& w, size_t word)
+{
+    w.member.resize(word + 1);
+}
+
 size_t
 AdaptiveClockTable::alloc_row()
 {

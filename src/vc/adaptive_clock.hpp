@@ -495,7 +495,7 @@ public:
                        (sizeof(size_t) + sizeof(uint32_t) + 2 * sizeof(void*));
         for (const UpdWindow& w : upd_) {
             n += sizeof(UpdWindow) + w.list.capacity() * sizeof(uint32_t) +
-                 w.member.capacity() * sizeof(uint64_t);
+                 w.member.memory_bytes();
         }
         return n;
     }
@@ -521,11 +521,13 @@ private:
     }
 
     /** One thread's update window: enrolled entries as a list plus a
-     *  membership bitset (bit i of word i / 64, lazily sized by entry
-     *  id) for O(1) dedup. */
+     *  membership bitset (bit i of word i / 64, sized by the highest
+     *  entry enrolled) for O(1) dedup. The bitset reads zero as "not a
+     *  member", so a window that enrolls a high entry writes only the
+     *  word it sets. */
     struct UpdWindow {
         std::vector<uint32_t> list;
-        std::vector<uint64_t> member;
+        ZeroedArray<uint64_t> member;
     };
 
     /**
@@ -561,13 +563,17 @@ private:
         const size_t word = i >> 6;
         const uint64_t bit = uint64_t{1} << (i & 63);
         if (word >= w.member.size())
-            w.member.resize(word + 1, 0);
+            grow_member(w, word);
         if (!(w.member[word] & bit)) {
             w.member[word] |= bit;
             w.list.push_back(i);
             ++stats_.upd_enrolled;
         }
     }
+
+    /** Give w's bitset word `word`. Out of line, so enroll_into's
+     *  inlined fast path carries no resize. */
+    static void grow_member(UpdWindow& w, size_t word);
 
     /** Inflated entry i's row, ready for an in-place write: a shared
      *  row is first made private (copy-on-write; its old contents are

@@ -13,9 +13,9 @@
  * destroying a small engine makes no system call. At kMapBytes and
  * above it moves, once, to a private anonymous mapping; from then on it
  * grows by mremap, which moves page tables, not data, and the grown tail
- * reads as zero pages. See src/vc/README.md, "Zeroed storage". A large pre-size (a trace header's id space)
- * therefore touches no page: each is first touched by the event that
- * writes it.
+ * reads as zero pages. See src/vc/README.md, "Zeroed storage". Growing
+ * to a huge id therefore touches no page: each is first touched by the
+ * event that writes it.
  *
  * This is the allocator-cache pattern: the common small case is served
  * from memory the process already holds, and only the large case pays a
@@ -92,7 +92,7 @@ private:
  * A growable array of trivially copyable T on ZeroedStorage, for state
  * whose all-zero element means "empty": resize() exposes zero elements
  * without writing them. Capacity at least doubles, so growth one id at
- * a time is amortized, and a pre-size to n takes exactly n.
+ * a time is amortized.
  */
 template <typename T>
 class ZeroedArray {
@@ -100,6 +100,14 @@ class ZeroedArray {
                   "elements are moved as bytes");
 
 public:
+    ZeroedArray() = default;
+
+    ZeroedArray(ZeroedArray&& other) noexcept : size_(other.size_)
+    {
+        mem_.swap(other.mem_);
+        other.size_ = 0;
+    }
+
     size_t size() const { return size_; }
 
     T* data() { return static_cast<T*>(mem_.data()); }

@@ -18,17 +18,6 @@ Velodrome::Velodrome(uint32_t num_threads, uint32_t num_vars,
 }
 
 void
-Velodrome::reserve(uint32_t threads, uint32_t /*vars*/, uint32_t /*locks*/)
-{
-    // Only the thread dimension is pre-sized: it sets last_read_'s row
-    // width, which would otherwise re-lay out the table as threads
-    // appear. Variables and locks grow on demand, so a header's id space
-    // costs nothing before its ids occur.
-    if (threads > 0)
-        ensure_thread(threads - 1);
-}
-
-void
 Velodrome::ensure_thread(ThreadId t)
 {
     if (t >= cur_.size()) {

@@ -60,8 +60,10 @@ struct VelodromeStats {
 /**
  * Online Velodrome checker.
  *
- * Construct with the trace's dimensions (threads/vars/locks); ids beyond
- * the declared dimensions grow the state automatically.
+ * The constructor's dimensions (threads/vars/locks) pre-size the state
+ * for callers that hold a whole Trace; a streaming run passes zeros, and
+ * every id grows the state when it first occurs. Per-variable state is
+ * sized by the highest variable id used, times the thread columns.
  */
 class Velodrome : public CheckerBase {
 public:
@@ -70,8 +72,6 @@ public:
     std::string_view name() const override { return "Velodrome"; }
 
     bool process(const Event& e, size_t index) override;
-
-    void reserve(uint32_t threads, uint32_t vars, uint32_t locks) override;
 
     const VelodromeStats& stats() const { return stats_; }
 

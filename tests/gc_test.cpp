@@ -24,7 +24,8 @@
  * The GcSkip cases pin when the growth trigger skips a sweep's table
  * scans: on star, whose frontier cannot move, sweeps skip and lose no
  * reclamation against a scan at every end; on the rolling stream every
- * sweep reclaims, so none skips.
+ * sweep reclaims, so none skips. GcSweep pins that a sweep walks the
+ * ids a trace uses, whatever its header declares.
  */
 
 #include <gtest/gtest.h>
@@ -38,6 +39,7 @@
 #include "oracle/serializability_oracle.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/builder.hpp"
+#include "trace/stream.hpp"
 #include "vc/adaptive_clock.hpp"
 #include "vc/gc.hpp"
 #include "velodrome/velodrome.hpp"
@@ -433,6 +435,70 @@ TEST(GcSkip, RollingSweepsAllScan)
     EXPECT_EQ(e.gc_sweeps_skipped(), 0u);
     EXPECT_EQ(e.epoch_stats().gc_reclaimed, 5079u);
     EXPECT_EQ(e.thread_slots().recycled(), 48u);
+}
+
+// ---------------------------------------------------------------------
+// The header sizes nothing: a sweep walks the ids the trace uses.
+
+/** A source that streams `inner` under a header declaring the given
+ *  dimensions. */
+class DeclaredSource : public EventSource {
+public:
+    DeclaredSource(EventSource& inner, uint32_t threads, uint32_t vars,
+                   uint32_t locks)
+        : inner_(inner), threads_(threads), vars_(vars), locks_(locks)
+    {}
+
+    bool next(Event& out) override { return inner_.next(out); }
+
+    bool
+    dimensions(uint32_t& threads, uint32_t& vars,
+               uint32_t& locks) const override
+    {
+        threads = threads_;
+        vars = vars_;
+        locks = locks_;
+        return true;
+    }
+
+private:
+    EventSource& inner_;
+    uint32_t threads_, vars_, locks_;
+};
+
+TEST(GcSweep, DeclaredVariableCountMovesNoCounter)
+{
+    // The rolling stream's variable ring has 4,096 ids. Declaring 2^20
+    // variables must not change what the engine does: a pre-size from
+    // the header would make every sweep walk 3 x 2^20 entries
+    // (gc_scanned_words).
+    gen::RollingStreamOptions opts;
+    opts.max_events = 200000;
+    uint32_t threads = 0;
+    {
+        gen::RollingStreamSource count(opts);
+        Event e;
+        while (count.next(e)) {}
+        threads = count.threads_issued();
+    }
+    StatList stats[2];
+    const uint32_t declared[2] = {1u << 20, opts.vars};
+    for (int k = 0; k < 2; ++k) {
+        gen::RollingStreamSource inner(opts);
+        DeclaredSource src(inner, threads, declared[k], opts.locks);
+        AeroDromeOpt e(0, 0, 0);
+        const RunResult r = run_checker_stream(e, src);
+        EXPECT_FALSE(r.violation);
+        EXPECT_EQ(r.events_processed, opts.max_events);
+        stats[k] = e.counters();
+    }
+    EXPECT_EQ(stats[0], stats[1]);
+    uint64_t scanned = 0;
+    for (const auto& [name, value] : stats[0]) {
+        if (name == "gc_scanned_words")
+            scanned = value;
+    }
+    EXPECT_GT(scanned, 0u);
 }
 
 // ---------------------------------------------------------------------
