@@ -30,8 +30,11 @@
  *             were skipped) instead of stopping at the first one
  *   --validate: run the well-formedness validator first (loads the
  *               trace into memory)
- *   --stats: print engine-specific statistics after the run, then the
- *            process's peak resident set (peak_rss_kb, VmHWM)
+ *   --stats: print the ingest line (reader kind, block size, whether
+ *            blocks were decoded ahead on a worker thread, decode busy
+ *            time and the checker's wait for blocks), the engine's
+ *            statistics, then the process's peak resident set
+ *            (peak_rss_kb, VmHWM)
  *   --witness: on a violation, reconstruct and print a witness cycle
  *              (one offending SCC of the transaction graph over the
  *              prefix up to the violating event; loads that prefix)
@@ -298,7 +301,14 @@ main(int argc, char** argv)
         if (r.stream_errors_recovered > 0) {
             std::printf("  resync: skipped %s corrupt record(s):\n",
                         with_commas(r.stream_errors_recovered).c_str());
-            for (const StreamError& err : source->recovered_errors()) {
+            // The list can run past the blocks the run checked (decode
+            // ahead); the count stops at them.
+            const std::vector<StreamError>& errors =
+                source->recovered_errors();
+            const size_t shown = static_cast<size_t>(std::min<uint64_t>(
+                errors.size(), r.stream_errors_recovered));
+            for (size_t k = 0; k < shown; ++k) {
+                const StreamError& err = errors[k];
                 std::printf("    [%s] event %s, byte offset %s: %s\n",
                             stream_error_cause_name(err.cause),
                             with_commas(err.event_index).c_str(),
@@ -316,9 +326,13 @@ main(int argc, char** argv)
                 print_witness(load_trace(args, r.details->event_index + 1));
         }
         if (args.stats) {
-            std::printf("  ingest: %s source, block %s\n",
+            std::printf("  ingest: %s source, block %s, decode %s, "
+                        "decode_busy %s, engine_wait %s\n",
                         source->source_kind(),
-                        with_commas(kDefaultIngestBlock).c_str());
+                        with_commas(kDefaultIngestBlock).c_str(),
+                        r.decoded_ahead ? "ahead" : "inline",
+                        format_duration(r.decode_seconds).c_str(),
+                        format_duration(r.wait_seconds).c_str());
             print_counters(checker->counters());
             print_peak_rss();
         }

@@ -424,6 +424,7 @@ AeroDromeOpt::retire_slot(uint32_t s)
 {
     if (txns_.active(s))
         return; // ill-formed join mid-transaction: leak the row, stay safe
+    retire_scanned_words_ += last_w_thr_.size() + last_rel_thr_.size();
     // Scrub every cached fact that names this row. The lazy proxies must
     // be materialized/flushed BEFORE the clock reset: they stand in for
     // c_[s], which is about to become the reissue continuation.
@@ -541,6 +542,7 @@ AeroDromeOpt::counters() const
         {"gc_sweeps", gc_sweeps_},
         {"gc_sweeps_skipped", gc_sweeps_skipped_},
         {"gc_scanned_words", gc_scanned_words_},
+        {"retire_scanned_words", retire_scanned_words_},
         // As of the last sweep that scanned, not the last sweep.
         {"gc_live_entries", gc_live_entries_},
         {"slots_retired", slots_.retired()},

@@ -388,6 +388,8 @@ private:
     uint64_t gc_sweeps_skipped_ = 0;
     /** Table entries walked by the sweeps that scanned. */
     uint64_t gc_scanned_words_ = 0;
+    /** last_w_thr_ and last_rel_thr_ entries walked by retire_slot. */
+    uint64_t retire_scanned_words_ = 0;
     /** Live entries found by the last sweep that scanned. */
     uint64_t gc_live_entries_ = 0;
     size_t gc_rows_baseline_ = 0;

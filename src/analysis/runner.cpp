@@ -1,7 +1,15 @@
 #include "analysis/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <exception>
+#include <memory>
+#include <system_error>
+#include <thread>
+
+#include <sched.h>
 
 #include "support/assert.hpp"
 #include "support/fault.hpp"
@@ -88,6 +96,212 @@ private:
     bool new_block_ = false;
 };
 
+/** Blocks in the decode-ahead ring: the one being checked and up to
+ *  two decoded ahead of it. */
+constexpr uint64_t kRingDepth = 3;
+/** The worker's sleep between two looks at a full ring. */
+constexpr auto kFullRingPoll = std::chrono::microseconds(20);
+
+using Clock = std::chrono::steady_clock;
+
+uint64_t
+ns_between(Clock::time_point from, Clock::time_point to)
+{
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+            .count());
+}
+
+/** The CPUs this thread may run on, into `set`. @return true when
+ *  there are at least two. */
+bool
+second_cpu_allowed(cpu_set_t& set)
+{
+    CPU_ZERO(&set);
+    return sched_getaffinity(0, sizeof set, &set) == 0 &&
+           CPU_COUNT(&set) >= 2;
+}
+
+/**
+ * Hands the run loop its blocks. The first block is decoded inline;
+ * when it comes back full, the source may not block and a second CPU is
+ * allowed, a worker thread takes the source over and fills a ring of
+ * kRingDepth blocks while the loop checks the oldest one in place.
+ *
+ * The ring is two counters and no lock: the worker publishes a slot by
+ * advancing filled_, the loop frees one by advancing drained_. The
+ * worker sleeps kFullRingPoll between looks at a full ring; the loop
+ * yields its CPU between looks at an empty one (a pause-spin would
+ * invite the hypervisor to deschedule it). Neither side wakes the
+ * other. The worker's last slot is terminal: empty at end of stream, or
+ * holding what next_n threw, which next() rethrows after every block
+ * before it, where the sequential loop would have thrown it.
+ */
+class BlockFeed {
+public:
+    BlockFeed(EventSource& source, size_t block)
+        : source_(source), block_(block)
+    {
+        // Default-initialised: a block is written before it is read.
+        slots_[0].events.reset(new Event[block]);
+    }
+
+    ~BlockFeed() { stop(); }
+
+    BlockFeed(const BlockFeed&) = delete;
+    BlockFeed& operator=(const BlockFeed&) = delete;
+
+    /** Free the block last returned and point `events` at the next.
+     *  @return its event count, 0 at end of stream; rethrows what the
+     *  source threw. */
+    size_t
+    next(const Event*& events)
+    {
+        if (!worker_.joinable())
+            return next_inline(events);
+        const uint64_t d = drained_.load(std::memory_order_relaxed) + 1;
+        drained_.store(d, std::memory_order_release);
+        if (filled_.load(std::memory_order_acquire) == d) {
+            const Clock::time_point from = Clock::now();
+            while (filled_.load(std::memory_order_acquire) == d)
+                std::this_thread::yield();
+            wait_ns_ += ns_between(from, Clock::now());
+        }
+        const Slot& slot = slots_[d % kRingDepth];
+        recovered_ = slot.recovered;
+        if (slot.error)
+            std::rethrow_exception(slot.error);
+        events = slot.events.get();
+        return slot.got;
+    }
+
+    /** Stop and join the worker, if one runs. */
+    void
+    stop()
+    {
+        if (worker_.joinable()) {
+            stop_.store(true, std::memory_order_relaxed);
+            worker_.join();
+        }
+    }
+
+    /** Tally the run's ingest figures into `result`, after stop(). */
+    void
+    report(RunResult& result) const
+    {
+        result.stream_errors_recovered = recovered_;
+        result.decode_seconds =
+            static_cast<double>(inline_ns_ + worker_ns_) * 1e-9;
+        result.wait_seconds =
+            static_cast<double>(inline_ns_ + wait_ns_) * 1e-9;
+        result.decoded_ahead = decoded_ahead_;
+    }
+
+private:
+    struct Slot {
+        std::unique_ptr<Event[]> events;
+        size_t got = 0;
+        /** The source's recovered_error_count() after this block. */
+        uint64_t recovered = 0;
+        std::exception_ptr error;
+    };
+
+    size_t
+    next_inline(const Event*& events)
+    {
+        const Clock::time_point from = Clock::now();
+        const size_t got = source_.next_n(slots_[0].events.get(), block_);
+        inline_ns_ += ns_between(from, Clock::now());
+        recovered_ = source_.recovered_error_count();
+        events = slots_[0].events.get();
+        if (first_) {
+            first_ = false;
+            cpu_set_t allowed;
+            if (got == block_ && !source_.may_block() &&
+                second_cpu_allowed(allowed))
+                start(allowed);
+        }
+        return got;
+    }
+
+    /** Slot 0 holds the block being checked; the worker fills on. */
+    void
+    start(const cpu_set_t& allowed)
+    {
+        for (uint64_t k = 1; k < kRingDepth; ++k)
+            slots_[k].events.reset(new Event[block_]);
+        filled_.store(1, std::memory_order_relaxed);
+        try {
+            worker_ = std::thread(&BlockFeed::work, this, allowed,
+                                  sched_getcpu());
+            decoded_ahead_ = true;
+        } catch (const std::system_error&) {
+            // No thread to be had: keep decoding inline.
+        }
+    }
+
+    /** The worker: leave the checker's CPU, then fill the ring. A new
+     *  thread starts on its creator's CPU, and where the kernel does not
+     *  balance load (a cpuset with sched_load_balance off) it would stay
+     *  there, taking turns with the checker. Narrowing the mask moves
+     *  it; restoring the mask at once leaves the kernel free to move it
+     *  again. */
+    void
+    work(cpu_set_t allowed, int checker_cpu)
+    {
+        if (checker_cpu >= 0) {
+            cpu_set_t elsewhere = allowed;
+            CPU_CLR(checker_cpu, &elsewhere);
+            sched_setaffinity(0, sizeof elsewhere, &elsewhere);
+            sched_setaffinity(0, sizeof allowed, &allowed);
+        }
+        Clock::time_point from = Clock::now();
+        for (uint64_t f = 1;; ++f) {
+            if (f - drained_.load(std::memory_order_acquire) == kRingDepth) {
+                do {
+                    if (stop_.load(std::memory_order_relaxed))
+                        return;
+                    std::this_thread::sleep_for(kFullRingPoll);
+                } while (f - drained_.load(std::memory_order_acquire) ==
+                         kRingDepth);
+                from = Clock::now();
+            }
+            if (stop_.load(std::memory_order_relaxed))
+                return;
+            Slot& slot = slots_[f % kRingDepth];
+            try {
+                slot.got = source_.next_n(slot.events.get(), block_);
+            } catch (...) {
+                slot.got = 0;
+                slot.error = std::current_exception();
+            }
+            slot.recovered = source_.recovered_error_count();
+            const Clock::time_point to = Clock::now();
+            worker_ns_ += ns_between(from, to);
+            from = to;
+            filled_.store(f + 1, std::memory_order_release);
+            if (slot.got == 0)
+                return;
+        }
+    }
+
+    EventSource& source_;
+    const size_t block_;
+    Slot slots_[kRingDepth];
+    bool first_ = true;
+    bool decoded_ahead_ = false;
+    uint64_t recovered_ = 0;
+    uint64_t inline_ns_ = 0; ///< checking thread, decoding inline
+    uint64_t wait_ns_ = 0;   ///< checking thread, on an empty ring
+    uint64_t worker_ns_ = 0; ///< worker, in next_n; read after the join
+    /** Slots published by the worker, and slots the loop has freed. */
+    alignas(64) std::atomic<uint64_t> filled_{0};
+    alignas(64) std::atomic<uint64_t> drained_{0};
+    std::atomic<bool> stop_{false};
+    /** Last: it runs work(), which uses every member above. */
+    std::thread worker_;
+};
+
 } // namespace
 
 const char*
@@ -131,9 +345,9 @@ run_checker_stream(AtomicityChecker& checker, EventSource& source,
     const bool limited = budget.max_seconds > 0;
     block = resolve_ingest_block(block);
 
+    BlockFeed feed(source, block);
     PanicContextScope panic_scope;
     try {
-        std::vector<Event> buf(block);
         // Memory polls fire on the first event at-or-after every
         // check_interval, inside blocks too. A time budget also reads
         // the clock at PollPace's intervals, and at a block's start when
@@ -146,7 +360,8 @@ run_checker_stream(AtomicityChecker& checker, EventSource& source,
         bool stop = false;
         size_t i = 0;
         while (!stop) {
-            const size_t got = source.next_n(buf.data(), block);
+            const Event* events = nullptr;
+            const size_t got = feed.next(events);
             if (got == 0)
                 break;
             if (limited) {
@@ -176,7 +391,7 @@ run_checker_stream(AtomicityChecker& checker, EventSource& source,
                 }
                 panic_scope.set_index(i);
                 ++result.events_processed;
-                if (checker.process(buf[j], i)) {
+                if (checker.process(events[j], i)) {
                     result.violation = true;
                     stop = true;
                     break;
@@ -188,7 +403,8 @@ run_checker_stream(AtomicityChecker& checker, EventSource& source,
     } catch (const InternalError& e) {
         result.internal_error = e.what(); // contained panic
     }
-    result.stream_errors_recovered = source.recovered_error_count();
+    feed.stop();
+    feed.report(result);
     result.seconds = watch.elapsed_seconds();
     result.details = checker.violation();
     result.counters = checker.counters();

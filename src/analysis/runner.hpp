@@ -16,6 +16,11 @@
  * input), or internal_error (a contained panic / resource-cap breach) —
  * never a hang or a torn result. aerocheck maps these to distinct exit
  * codes.
+ *
+ * The check itself is one online pass on one thread (Algorithm 3 reads
+ * one event at a time), but decoding the trace need not wait for it:
+ * run_checker_stream decodes blocks ahead on a second thread while the
+ * engine checks, a two-stage pipeline (see run_checker_stream).
  */
 
 #include <cstdint>
@@ -72,6 +77,17 @@ struct RunResult {
     uint64_t events_processed = 0;
     /** Wall-clock seconds spent inside the checker loop. */
     double seconds = 0;
+    /** Seconds spent inside the source's next_n: the checking thread's
+     *  inline decodes (the first block, or every block when nothing
+     *  decoded ahead) plus the decode worker's busy time. */
+    double decode_seconds = 0;
+    /** Seconds the checking thread waited for its next block: decoding
+     *  it inline, or finding the decode-ahead ring empty. Where decode
+     *  runs ahead and keeps up, this is about one block's decode; where
+     *  it does not, it equals decode_seconds. */
+    double wait_seconds = 0;
+    /** True when a worker thread decoded blocks ahead of the checker. */
+    bool decoded_ahead = false;
     /** Violation evidence when violation is true. */
     std::optional<Violation> details;
     /** The checker's named statistic counters, captured after the run
@@ -125,9 +141,10 @@ class EventSource;
 
 /**
  * Pull events from `source` through `checker` under `budget` — the
- * constant-memory path for logs too large to materialize. Strict-mode
- * stream corruption and contained panics end the run with the matching
- * RunStatus instead of propagating.
+ * constant-memory path for logs too large to materialize, and the one
+ * run loop. Strict-mode stream corruption and contained panics end the
+ * run with the matching RunStatus instead of propagating; any other
+ * exception propagates.
  *
  * Events are pulled in blocks of `block` via EventSource::next_n so
  * block-decoding sources (MappedBinaryEventSource) amortize per-event
@@ -137,6 +154,25 @@ class EventSource;
  * the clock at least once per block, at intervals paced by the observed
  * ns/event (see RunBudget), so neither a huge block nor a slow engine
  * blows past max_seconds.
+ *
+ * Decode ahead. The first block is decoded on the calling thread, so a
+ * trace shorter than one block starts no thread. When that block comes
+ * back full, the source cannot block (EventSource::may_block) and
+ * sched_getaffinity allows at least two CPUs, one worker thread takes
+ * the source over: it fills a ring of three blocks with next_n while
+ * the checker reads the oldest in place. The worker starts on another
+ * CPU than the calling thread's (a kernel that does not balance load
+ * would leave the two sharing one). A full ring parks the worker in
+ * 20 us sleeps; the checker never wakes it. Under a one-CPU affinity
+ * mask, or when no thread can be created, every block is decoded on
+ * the calling thread. What next_n throws on the worker is rethrown on the
+ * calling thread after every block decoded before it, so the status,
+ * the error and events_processed are those of decoding inline, and so
+ * is stream_errors_recovered (counted as of the last block checked,
+ * not the last decoded). The worker is stopped and joined before this
+ * function returns or throws, on every exit: end of stream, violation,
+ * budget, memory cap or exception; the source is the worker's alone
+ * from its start to that join.
  */
 RunResult run_checker_stream(AtomicityChecker& checker, EventSource& source,
                              const RunBudget& budget = {},

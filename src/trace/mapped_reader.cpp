@@ -213,7 +213,7 @@ void
 MappedBinaryEventSource::release_consumed()
 {
     // Whole pages only: the page holding pos_ may still be decoding.
-    if (!mapped_ || pos_ - released_ < kReadChunk)
+    if (!mapped_ || pos_ - released_ < kReleaseStride)
         return;
     const size_t upto = pos_ & ~(page_size_ - 1);
     ::madvise(static_cast<uint8_t*>(map_base_) + released_, upto - released_,

@@ -19,9 +19,9 @@
  * Residency: the trace bytes a mapped run holds resident are a constant,
  * not a share of the file. The clean-span scan looks at most kScanAhead
  * (64 KiB) past the decode position, and once that position has moved
- * kReadChunk (256 KiB) past the last release point, next_n() drops the
- * whole pages below it with MADV_DONTNEED. The mapping is read-only and
- * private and never written, so a dropped page that is touched again
+ * kReleaseStride (64 KiB) past the last release point, next_n() drops
+ * the whole pages below it with MADV_DONTNEED. The mapping is read-only
+ * and private and never written, so a dropped page that is touched again
  * refaults from the page cache with the file's bytes; nothing reads
  * below the decode position anyway, since errors are re-derived and
  * resync slides from it, and --validate / --witness open a fresh source.
@@ -76,6 +76,8 @@ public:
 
     /** "binary-mmap" or "binary-buffered". */
     const char* source_kind() const override;
+    /** The buffered window reads a stream, which may be a pipe. */
+    bool may_block() const override { return !mapped_; }
 
     void set_resync(bool on) override { resync_ = on; }
     const std::vector<StreamError>& recovered_errors() const override
@@ -90,10 +92,14 @@ public:
     /** True when the trace is served from an mmap (diagnostics). */
     bool is_mapped() const { return mapped_; }
 
-    /** Buffered-mode read granularity, and the mapped path's release
-     *  stride. The header is read alone, so the first refill covers
-     *  byte offsets [28, 28 + kReadChunk). */
+    /** Buffered-mode read granularity. The header is read alone, so
+     *  the first refill covers byte offsets [28, 28 + kReadChunk). */
     static constexpr size_t kReadChunk = 256 * 1024;
+
+    /** Mapped path: how far the decode position moves between two page
+     *  releases. One kernel fault-around window: the bytes a fault maps
+     *  at once are dropped at once. */
+    static constexpr size_t kReleaseStride = 64 * 1024;
 
 private:
     /** How far past the decode position one clean-span scan looks. */
@@ -113,7 +119,8 @@ private:
     size_t decode_block(Event* out, size_t n);
     Rec decode_one(Event& out, size_t& len, StreamError& err);
     void extend_clean_span();
-    /** Mapped: drop the consumed pages once kReadChunk bytes gathered. */
+    /** Mapped: drop the consumed pages once kReleaseStride bytes
+     *  gathered. */
     void release_consumed();
     void record_gap(StreamError err);
 

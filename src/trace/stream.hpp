@@ -82,6 +82,16 @@ public:
     virtual const char* source_kind() const { return "stream"; }
 
     /**
+     * True when next_n may block on input that has not been written yet
+     * (a pipe, a terminal). run_checker_stream decodes ahead on a worker
+     * thread only from sources that return false: a run that ends early
+     * joins that worker, and a worker blocked in a read would hold the
+     * verdict until more input arrived. Memory and mapped files never
+     * block; a reader over a std::istream cannot tell, so it says true.
+     */
+    virtual bool may_block() const { return false; }
+
+    /**
      * Metainfo dimensions of the whole stream, when the source knows them
      * up front (an in-memory trace, a binary header). drain_trace copies
      * them into its Trace; no engine is sized from them.
@@ -175,6 +185,7 @@ public:
 
     bool next(Event& out) override;
     const char* source_kind() const override { return "text"; }
+    bool may_block() const override { return true; }
 
     void set_resync(bool on) override { resync_ = on; }
     const std::vector<StreamError>& recovered_errors() const override
@@ -225,6 +236,7 @@ public:
 
     bool next(Event& out) override;
     const char* source_kind() const override { return "binary"; }
+    bool may_block() const override { return true; }
 
     void set_resync(bool on) override { resync_ = on; }
     const std::vector<StreamError>& recovered_errors() const override

@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -35,12 +36,15 @@
 #include <string>
 #include <vector>
 
+#include <sched.h>
 #include <unistd.h>
 
 #include "aerodrome/aerodrome_opt.hpp"
+#include "analysis/checker.hpp"
 #include "analysis/runner.hpp"
 #include "gen/random_program.hpp"
 #include "sim/scheduler.hpp"
+#include "support/assert.hpp"
 #include "support/fault.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/mapped_reader.hpp"
@@ -685,6 +689,284 @@ TEST(BlockBudget, ResolveIngestBlockExplicitAndDefault)
 {
     EXPECT_EQ(resolve_ingest_block(0), kDefaultIngestBlock);
     EXPECT_EQ(resolve_ingest_block(77), 77u);
+}
+
+// --- Decode ahead ------------------------------------------------------------
+//
+// Past a full first block, run_checker_stream decodes on a worker thread
+// (runner.hpp). Every trace here spans at least three full blocks, so the
+// worker runs and the ring turns over. Whatever ends the run, it must end
+// as decoding inline would, with the worker joined; a hang fails ctest's
+// timeout, and a race or leak fails the sanitizer builds.
+
+/** True when this thread may run on two CPUs: the runner then decodes
+ *  ahead. */
+bool
+decodes_ahead_here()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    return ::sched_getaffinity(0, sizeof set, &set) == 0 &&
+           CPU_COUNT(&set) >= 2;
+}
+
+constexpr size_t kBlock = kDefaultIngestBlock;
+
+/** `blocks` full blocks of accesses, no transactions: serializable. */
+ImageBuilder
+access_image(size_t blocks)
+{
+    ImageBuilder b(4, 100, 1);
+    for (uint32_t i = 0; i < blocks * kBlock; ++i)
+        b.access(i, i % 100);
+    return b;
+}
+
+/** Counts the events it is handed, spinning `ns` on each: a checker
+ *  slower than decode, so the worker runs ahead and the ring fills. */
+class SlowCounter : public CheckerBase {
+public:
+    explicit SlowCounter(uint64_t ns) : ns_(ns) {}
+
+    std::string_view name() const override { return "slow-counter"; }
+
+    bool
+    process(const Event&, size_t) override
+    {
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::nanoseconds(ns_);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        ++seen;
+        return false;
+    }
+
+    uint64_t seen = 0;
+
+private:
+    uint64_t ns_;
+};
+
+TEST(DecodeAhead, StrictDamageInBlockThreeMatchesReference)
+{
+    ImageBuilder b = access_image(6);
+    const size_t bad = 2 * kBlock + 1000; // inside block 3
+    const size_t at = b.offsets[bad];
+    std::string image = b.finish();
+    image[at] = 9; // bad opcode
+    const DrainResult ref = drain_reference(image, false);
+    ASSERT_TRUE(ref.threw);
+    ASSERT_EQ(ref.events.size(), bad);
+
+    const TempImage file(image, "ahead_strict");
+    AeroDromeOpt engine(0, 0, 0);
+    SlowCounter slow(200);
+    for (AtomicityChecker* checker : {static_cast<AtomicityChecker*>(&engine),
+                                      static_cast<AtomicityChecker*>(&slow)}) {
+        const std::string what(checker->name());
+        MappedBinaryEventSource src(file.path);
+        const RunResult r = run_checker_stream(*checker, src);
+        ASSERT_EQ(r.status(), RunStatus::kStreamError) << what;
+        ASSERT_TRUE(r.stream_error.has_value()) << what;
+        expect_same_error(ref.error, *r.stream_error, what);
+        EXPECT_EQ(r.stream_error->byte_offset, at) << what;
+        EXPECT_EQ(r.events_processed, ref.events.size()) << what;
+        EXPECT_EQ(r.decoded_ahead, decodes_ahead_here()) << what;
+    }
+    EXPECT_EQ(slow.seen, ref.events.size());
+}
+
+TEST(DecodeAhead, ResyncCountsOnlyTheBlocksChecked)
+{
+    ImageBuilder b = access_image(6);
+    const size_t at[] = {b.offsets[kBlock + 7], b.offsets[2 * kBlock + 1000],
+                         b.offsets[4 * kBlock + 3]};
+    std::string image = b.finish();
+    for (size_t a : at)
+        image[a] = 9;
+    const DrainResult ref = drain_reference(image, true);
+    ASSERT_FALSE(ref.threw);
+    // Gaps recorded while decoding blocks 1 and 2: one damaged record
+    // there may read as several (resync slides byte by byte).
+    uint64_t in_two_blocks = 0;
+    for (const StreamError& err : ref.recovered)
+        in_two_blocks += err.event_index < 2 * kBlock;
+    ASSERT_GT(in_two_blocks, 0u);
+    ASSERT_LT(in_two_blocks, ref.recovered_total);
+
+    const TempImage file(image, "ahead_resync");
+    {
+        MappedBinaryEventSource src(file.path);
+        src.set_resync(true);
+        AeroDromeOpt engine(0, 0, 0);
+        const RunResult r = run_checker_stream(engine, src);
+        EXPECT_EQ(r.status(), RunStatus::kDegraded);
+        EXPECT_EQ(r.stream_errors_recovered, ref.recovered_total);
+        EXPECT_EQ(r.events_processed, ref.events.size());
+        EXPECT_EQ(r.decoded_ahead, decodes_ahead_here());
+    }
+    {
+        // A run stopped in block 2 reports the gaps of blocks 1 and 2,
+        // however far the worker decoded: a slow checker lets it decode
+        // blocks 3 and 4 first.
+        MappedBinaryEventSource src(file.path);
+        src.set_resync(true);
+        SlowCounter checker(500);
+        RunBudget budget;
+        budget.check_interval = 1;
+        FaultPlan plan;
+        plan.site = FaultSite::kAlloc;
+        plan.kind = FaultKind::kAllocCap;
+        plan.trigger = kBlock + 100;
+        FaultInjector::instance().arm(plan);
+        const RunResult r = run_checker_stream(checker, src, budget);
+        FaultInjector::instance().disarm();
+        EXPECT_EQ(r.status(), RunStatus::kInternalError);
+        EXPECT_EQ(r.events_processed, kBlock + 100);
+        EXPECT_EQ(r.stream_errors_recovered, in_two_blocks);
+    }
+}
+
+TEST(DecodeAhead, ViolationInBlockTwoEndsTheRun)
+{
+    Trace t;
+    for (uint32_t i = 0; i < kBlock + 500; ++i)
+        t.write(i % 4, 1 + i % 50);
+    // t0 begin; t0 r x; t1 w x; t0 w x; t0 end: not serializable.
+    t.begin(0);
+    t.read(0, 0);
+    t.write(1, 0);
+    t.write(0, 0);
+    t.end(0);
+    for (uint32_t i = 0; i < 6 * kBlock; ++i)
+        t.write(i % 4, 1 + i % 50);
+    const TempImage file(serialize(t), "ahead_violation");
+    MappedBinaryEventSource src(file.path);
+    AeroDromeOpt engine(0, 0, 0);
+    const RunResult r = run_checker_stream(engine, src);
+    ASSERT_EQ(r.status(), RunStatus::kViolation);
+    ASSERT_TRUE(r.details.has_value());
+    EXPECT_GE(r.details->event_index, kBlock);
+    EXPECT_LT(r.details->event_index, 2 * kBlock);
+    EXPECT_EQ(r.events_processed, r.details->event_index + 1);
+    EXPECT_EQ(r.decoded_ahead, decodes_ahead_here());
+}
+
+TEST(DecodeAhead, TimeoutAndMemoryCapJoinTheWorker)
+{
+    {
+        EndlessSource src;
+        SlowCounter checker(1000); // ~4 ms a block
+        RunBudget budget;
+        budget.max_seconds = 0.05;
+        const RunResult r = run_checker_stream(checker, src, budget);
+        EXPECT_EQ(r.status(), RunStatus::kTimeout);
+        EXPECT_GT(r.events_processed, 3 * kBlock);
+        EXPECT_EQ(r.decoded_ahead, decodes_ahead_here());
+    }
+    {
+        // The alloc-cap drill: breached from the 3rd poll on, in block 3.
+        const TempImage file(access_image(8).finish(), "ahead_cap");
+        MappedBinaryEventSource src(file.path);
+        AeroDromeOpt engine(0, 0, 0);
+        RunBudget budget;
+        budget.check_interval = kBlock;
+        FaultPlan plan;
+        plan.site = FaultSite::kAlloc;
+        plan.kind = FaultKind::kAllocCap;
+        plan.trigger = 2;
+        FaultInjector::instance().arm(plan);
+        const RunResult r = run_checker_stream(engine, src, budget);
+        FaultInjector::instance().disarm();
+        ASSERT_EQ(r.status(), RunStatus::kInternalError);
+        EXPECT_NE(r.internal_error.find("injected"), std::string::npos);
+        EXPECT_EQ(r.events_processed, 2 * kBlock);
+        EXPECT_EQ(r.decoded_ahead, decodes_ahead_here());
+    }
+}
+
+/** `blocks` full blocks of one thread's empty transactions, then
+ *  next_n throws E("source failed"). */
+template <typename E>
+class FailingSource : public EventSource {
+public:
+    explicit FailingSource(size_t blocks) : left_(blocks) {}
+
+    bool
+    next(Event& out) override
+    {
+        return next_n(&out, 1) == 1;
+    }
+
+    size_t
+    next_n(Event* out, size_t n) override
+    {
+        if (left_ == 0)
+            throw E("source failed");
+        --left_;
+        for (size_t i = 0; i < n; ++i)
+            out[i] = Event{0, 0, (flip_ = !flip_) ? Op::kBegin : Op::kEnd};
+        return n;
+    }
+
+private:
+    size_t left_;
+    bool flip_ = false;
+};
+
+TEST(DecodeAhead, SourceExceptionArrivesAfterTheBlocksBeforeIt)
+{
+    {
+        FailingSource<InternalError> src(5);
+        SlowCounter checker(200);
+        const RunResult r = run_checker_stream(checker, src);
+        EXPECT_EQ(r.status(), RunStatus::kInternalError);
+        EXPECT_EQ(r.internal_error, "source failed");
+        EXPECT_EQ(r.events_processed, 5 * kBlock);
+        EXPECT_EQ(checker.seen, 5 * kBlock);
+        EXPECT_EQ(r.decoded_ahead, decodes_ahead_here());
+    }
+    {
+        FailingSource<FatalError> src(5);
+        SlowCounter checker(200);
+        EXPECT_THROW(run_checker_stream(checker, src), FatalError);
+        EXPECT_EQ(checker.seen, 5 * kBlock);
+    }
+}
+
+TEST(DecodeAhead, OneCpuOrOneBlockDecodesInline)
+{
+    {
+        // Shorter than a block: no thread.
+        Trace t;
+        t.begin(0);
+        t.end(0);
+        TraceSource one(t);
+        SlowCounter checker(0);
+        const RunResult r = run_checker_stream(checker, one);
+        EXPECT_FALSE(r.decoded_ahead);
+        EXPECT_EQ(r.events_processed, 2u);
+        EXPECT_EQ(r.wait_seconds, r.decode_seconds);
+    }
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(::sched_getaffinity(0, sizeof saved, &saved), 0);
+    cpu_set_t one_cpu;
+    CPU_ZERO(&one_cpu);
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+        if (CPU_ISSET(c, &saved)) {
+            CPU_SET(c, &one_cpu);
+            break;
+        }
+    }
+    ASSERT_EQ(::sched_setaffinity(0, sizeof one_cpu, &one_cpu), 0);
+    FailingSource<InternalError> src(5);
+    SlowCounter checker(0);
+    const RunResult r = run_checker_stream(checker, src);
+    ASSERT_EQ(::sched_setaffinity(0, sizeof saved, &saved), 0);
+    EXPECT_FALSE(r.decoded_ahead);
+    EXPECT_EQ(r.events_processed, 5 * kBlock);
+    EXPECT_EQ(r.wait_seconds, r.decode_seconds);
 }
 
 } // namespace
