@@ -9,57 +9,8 @@
 #include <unistd.h>
 
 #include "support/assert.hpp"
-#include "vc/clock_bank.hpp" // AERO_VC_X86_DISPATCH + kHaveAvx2
-
-#ifdef AERO_VC_X86_DISPATCH
-#include <immintrin.h>
-#endif
 
 namespace aero {
-
-namespace {
-
-/** @return the first index in [i, end) whose byte has the LEB128
- *  continuation bit set, or end. Generic SWAR: one 8-byte word test per
- *  iteration. */
-size_t
-clean_scan(const uint8_t* d, size_t i, size_t end)
-{
-    while (i + 8 <= end) {
-        uint64_t w;
-        std::memcpy(&w, d + i, 8);
-        if (w & 0x8080808080808080ull)
-            break;
-        i += 8;
-    }
-    while (i < end && !(d[i] & 0x80))
-        ++i;
-    return i;
-}
-
-#ifdef AERO_VC_X86_DISPATCH
-/** AVX2 variant: movemask folds 32 high bits into one register test.
- *  Out-of-line with target("avx2") and runtime-dispatched, same scheme
- *  as the vc kernels (clock_bank.cpp). */
-__attribute__((target("avx2"))) size_t
-clean_scan_avx2(const uint8_t* d, size_t i, size_t end)
-{
-    while (i + 32 <= end) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(d + i));
-        const uint32_t m =
-            static_cast<uint32_t>(_mm256_movemask_epi8(v));
-        if (m != 0)
-            return i + static_cast<size_t>(__builtin_ctz(m));
-        i += 32;
-    }
-    while (i < end && !(d[i] & 0x80))
-        ++i;
-    return i;
-}
-#endif
-
-} // namespace
 
 MappedBinaryEventSource::MappedBinaryEventSource(const std::string& path)
 {
@@ -138,7 +89,6 @@ MappedBinaryEventSource::refill(size_t upto)
         src_eof_ = true;
     avail_ += got;
     data_ = buf_.data();
-    clean_end_ = pos_; // window moved: re-scan lazily
 }
 
 void
@@ -192,21 +142,6 @@ MappedBinaryEventSource::parse_header()
                                                     : num_threads_;
         }
     }
-}
-
-void
-MappedBinaryEventSource::extend_clean_span()
-{
-    // Capped lookahead: the block loop scans again once pos_ reaches
-    // clean_end_, so an uncapped scan would only fault pages in early.
-    const size_t end = std::min(avail_, pos_ + kScanAhead);
-#ifdef AERO_VC_X86_DISPATCH
-    if (vck::detail::kHaveAvx2) {
-        clean_end_ = clean_scan_avx2(data_, pos_, end);
-        return;
-    }
-#endif
-    clean_end_ = clean_scan(data_, pos_, end);
 }
 
 void
@@ -350,38 +285,28 @@ MappedBinaryEventSource::decode_block(Event* out, size_t n)
             break;
         }
 
-        if (pos_ >= clean_end_)
-            extend_clean_span();
-
-        // Tight loop inside the verified continuation-bit-free span:
-        // every id is one byte, so a record is op,tid[,target] and the
-        // only branches left are the header-bound validations. All state
-        // lives in locals: the Event writes may alias *this under strict
-        // aliasing, and member reloads per record would halve throughput.
-        // The per-op tables fold the has-target branch away — mask 0
-        // forces target 0 for begin/end (limit 1 accepts it), limit 0
-        // rejects every target when the header declared an empty space,
-        // and a record is 2 or 3 bytes by table lookup.
+        // Fast path: whole records with no error machinery, while a
+        // max-size record fits in the window. All state lives in locals:
+        // the Event writes may alias *this under strict aliasing, and
+        // member reloads per record would halve throughput. Position
+        // commits only on success, so any bail leaves decode_one an
+        // untouched record to re-judge.
         const size_t before = k;
         uint32_t lim[kNumOps];
-        uint32_t mask[kNumOps];
-        uint8_t lenv[kNumOps];
+        bool has_tgt[kNumOps];
         for (uint32_t o = 0; o < kNumOps; ++o) {
-            lim[o] = has_target_[o] ? limit_by_op_[o] : 1;
-            mask[o] = has_target_[o] ? 0xffu : 0u;
-            lenv[o] = has_target_[o] ? 3 : 2;
+            lim[o] = limit_by_op_[o];
+            has_tgt[o] = has_target_[o];
         }
         const uint8_t* const d = data_;
-        const size_t span_end = clean_end_;
         const size_t wend = avail_;
         const uint32_t nthreads = num_threads_;
         const uint64_t expect = expected_;
         size_t pos = pos_;
         uint64_t prod = produced_;
-        // Bounded LEB128 for the general fast path below: advances q on
-        // every byte read, false on overlong/oversized — the caller then
-        // bails to decode_one, which re-derives the structured error
-        // from the same position.
+        // Bounded LEB128: advances q on every byte read, false on
+        // overlong/oversized — the caller then bails to decode_one, which
+        // re-derives the structured error from the same position.
         auto fast_varint = [d](size_t& q, uint64_t& v) {
             v = 0;
             for (int i = 0; i < 5; ++i) {
@@ -393,30 +318,7 @@ MappedBinaryEventSource::decode_block(Event* out, size_t n)
             }
             return false;
         };
-        for (;;) {
-            // Tight loop inside the continuation-bit-free span: every id
-            // is one byte, so a record is 2 or 3 bytes by table lookup.
-            while (k < n && prod < expect && pos + 3 <= span_end) {
-                const uint8_t* p = d + pos;
-                const uint8_t opb = p[0];
-                if (opb >= kNumOps)
-                    break;
-                const uint8_t tid = p[1];
-                const uint32_t tgt = p[2] & mask[opb];
-                if (tid >= nthreads || tgt >= lim[opb])
-                    break;
-                out[k] = Event{tid, tgt, static_cast<Op>(opb)};
-                pos += lenv[opb];
-                ++k;
-                ++prod;
-            }
-            // General fast path: one record with real varints, no error
-            // machinery. Runs only when a full max-size record fits in
-            // the window; position commits only on success, so any bail
-            // leaves decode_one an untouched record to re-judge.
-            if (k >= n || prod >= expect ||
-                pos + kMaxRecordBytes > wend)
-                break;
+        while (k < n && prod < expect && pos + kMaxRecordBytes <= wend) {
             const uint8_t opb = d[pos];
             if (opb >= kNumOps)
                 break;
@@ -425,7 +327,7 @@ MappedBinaryEventSource::decode_block(Event* out, size_t n)
             if (!fast_varint(q, tid) || tid >= nthreads)
                 break;
             uint32_t tgt = 0;
-            if (lenv[opb] == 3) {
+            if (has_tgt[opb]) {
                 uint64_t t = 0;
                 if (!fast_varint(q, t) || t >= lim[opb])
                     break;
@@ -444,8 +346,9 @@ MappedBinaryEventSource::decode_block(Event* out, size_t n)
             continue; // loop top re-checks window and block bounds
         }
 
-        // Slow path: span boundary (multi-byte varint, corrupt byte) or
-        // a validation failure needing the structured error.
+        // Slow path: the window tail (fewer than kMaxRecordBytes left) or
+        // a record the fast path rejected, which needs the structured
+        // error.
         StreamError err;
         size_t len = 0;
         Event ev;

@@ -9,24 +9,23 @@
  * lookahead. For file-backed runs decode dominates the budget, so this
  * reader turns ingestion into block work: the trace is mmap'd read-only
  * (MADV_SEQUENTIAL) and next_n() decodes a whole caller-sized block per
- * call straight out of the mapping with a branch-light batched kernel —
- * a SWAR (8-byte word) scan finds spans free of LEB128 continuation
- * bits, inside which every record is 2-3 fixed bytes and decodes in a
- * tight loop (an AVX2 span scanner rides the vc module's existing
- * runtime dispatch); anything else takes a per-record slow path that
- * reproduces BinaryEventSource's error contract byte-for-byte.
+ * call straight out of the mapping. Each record takes one fast path that
+ * decodes its varints with no error machinery while a max-size record
+ * (kMaxRecordBytes) fits in the window; the window tail and anything the
+ * fast path rejects take a per-record slow path that reproduces
+ * BinaryEventSource's error contract byte-for-byte.
  *
  * Residency: the trace bytes a mapped run holds resident are a constant,
- * not a share of the file. The clean-span scan looks at most kScanAhead
- * (64 KiB) past the decode position, and once that position has moved
- * kReleaseStride (64 KiB) past the last release point, next_n() drops
- * the whole pages below it with MADV_DONTNEED. The mapping is read-only
- * and private and never written, so a dropped page that is touched again
- * refaults from the page cache with the file's bytes; nothing reads
- * below the decode position anyway, since errors are re-derived and
- * resync slides from it, and --validate / --witness open a fresh source.
- * The kernel maps whole page-cache folios, so the bound rounds out to
- * them (src/trace/README.md, "Residency").
+ * not a share of the file. The decoder reads at most kMaxRecordBytes past
+ * the decode position, and once that position has moved kReleaseStride
+ * (64 KiB) past the last release point, next_n() drops the whole pages
+ * below it with MADV_DONTNEED. The mapping is read-only and private and
+ * never written, so a dropped page that is touched again refaults from
+ * the page cache with the file's bytes; nothing reads below the decode
+ * position anyway, since errors are re-derived and resync slides from
+ * it, and --validate / --witness open a fresh source. The kernel maps
+ * whole page-cache folios, so the bound rounds out to them
+ * (src/trace/README.md, "Residency").
  *
  * Fallback rule (the reader never refuses input BinaryEventSource
  * accepts): a non-empty regular file is always mapped; pipes/stdin,
@@ -102,9 +101,6 @@ public:
     static constexpr size_t kReleaseStride = 64 * 1024;
 
 private:
-    /** How far past the decode position one clean-span scan looks. */
-    static constexpr size_t kScanAhead = 64 * 1024;
-
     /** Longest record: 1 opcode + two 5-byte varints. */
     static constexpr size_t kMaxRecordBytes = 11;
     static constexpr size_t kHeaderBytes = 28;
@@ -118,7 +114,6 @@ private:
     void refill(size_t upto = SIZE_MAX);
     size_t decode_block(Event* out, size_t n);
     Rec decode_one(Event& out, size_t& len, StreamError& err);
-    void extend_clean_span();
     /** Mapped: drop the consumed pages once kReleaseStride bytes
      *  gathered. */
     void release_consumed();
@@ -132,7 +127,6 @@ private:
     size_t avail_ = 0; ///< valid bytes in data_
     size_t pos_ = 0;   ///< next undecoded byte
     uint64_t base_ = 0; ///< absolute stream offset of data_[0]
-    size_t clean_end_ = 0; ///< data_[pos_..clean_end_) has no high bits
 
     bool mapped_ = false;
     void* map_base_ = nullptr;

@@ -11,8 +11,10 @@
  * format, plus an adapter over an in-memory Trace. The analysis runner
  * has a streaming entry point (`run_checker_stream`) built on these.
  *
- * Sources also accumulate the id spaces seen so far, so a consumer can
- * size its state lazily (the checkers auto-grow anyway).
+ * Sources hand out events only: no engine is sized from a source. The
+ * checkers grow their state with the ids the events use, and a
+ * source's dimensions() (its header's id spaces, when it has one) only
+ * fill in a materialized Trace's metainfo.
  *
  * Corrupt input is a first-class outcome, not an abort (src/trace/
  * README.md): in strict mode (the default) a malformed byte raises

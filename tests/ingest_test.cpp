@@ -69,9 +69,9 @@ corpus_trace(uint64_t seed)
     return std::move(sim.trace);
 }
 
-/** Synthetic trace whose ids need multi-byte varints, so the batched
- *  kernel's clean-span boundaries (LEB128 continuation bits) are
- *  exercised, not just the all-1-byte fast path. */
+/** Synthetic trace whose ids need multi-byte varints, mixed with
+ *  one-byte ids, so the decoders see LEB128 continuation bits, not only
+ *  one-byte records. */
 Trace
 wide_id_trace(uint32_t rounds = 120)
 {
@@ -85,6 +85,26 @@ wide_id_trace(uint32_t rounds = 120)
         t.end(tid);
     }
     return t;
+}
+
+/** `image` with two records appended, so its last kMaxRecordBytes (11)
+ *  bytes hold 1-, 2- and 5-byte varints: r(t5, x300), then w(t7, x1)
+ *  with its variable in an overlong 5-byte varint. The read starts at
+ *  the last position where the block kernel's fast path runs (a
+ *  max-size record still fits); the write starts in the window tail,
+ *  where decode_one takes over. */
+std::string
+with_varint_tail(std::string image)
+{
+    const uint8_t tail[] = {
+        static_cast<uint8_t>(Op::kRead), 5, 0xac, 0x02,
+        static_cast<uint8_t>(Op::kWrite), 7, 0x81, 0x80, 0x80, 0x80, 0x00};
+    image.append(reinterpret_cast<const char*>(tail), sizeof tail);
+    uint64_t events = 0;
+    std::memcpy(&events, image.data() + 8, sizeof events);
+    events += 2;
+    std::memcpy(&image[8], &events, sizeof events);
+    return image;
 }
 
 FaultKind
@@ -332,6 +352,18 @@ TEST(BatchedDecodeParity, WideIdsCrossCleanSpanBoundaries)
         corrupt_bytes(image, fuzz_kind(v), 0x51ed2701u + v, 28);
         cross_check_image(image, "wide-ids corrupt v" + std::to_string(v));
     }
+    // The hand-off from the fast path to decode_one at the window tail,
+    // whole and torn at each byte of its last (7-byte) record.
+    const std::string tail = with_varint_tail(clean);
+    const DrainResult ref = drain_reference(tail, false);
+    ASSERT_FALSE(ref.threw);
+    ASSERT_GE(ref.events.size(), 2u);
+    EXPECT_TRUE(ref.events.end()[-2] == (Event{5, 300, Op::kRead}));
+    EXPECT_TRUE(ref.events.back() == (Event{7, 1, Op::kWrite}));
+    cross_check_image(tail, "varint-tail");
+    for (size_t keep = 0; keep < 7; ++keep)
+        cross_check_image(tail.substr(0, tail.size() - 7 + keep),
+                          "varint-tail torn " + std::to_string(keep));
 }
 
 TEST(BatchedDecodeParity, BufferedFallbackOnPipePath)
@@ -441,10 +473,10 @@ mapping_rss_kb(const std::string& path)
 
 TEST(MappedResidency, ResidentTraceBytesStayConstant)
 {
-    // 16 MiB of one-byte-id records: one clean span from the header to
-    // the end of the file, so an uncapped span scan faults it all in on
-    // the first block, and a reader that never releases what it decoded
-    // passes 1 MiB resident well before the end.
+    // 16 MiB of one-byte-id records: a reader that looks far ahead of
+    // its decode position faults much of the file in on the first
+    // block, and a reader that never releases what it decoded passes
+    // 1 MiB resident well before the end.
     constexpr size_t kImageBytes = 16u << 20;
     constexpr long kMaxResidentKb = 1024;
     std::string image;
@@ -484,9 +516,9 @@ TEST(MappedResidency, ResidentTraceBytesStayConstant)
 TEST(BatchedDecodeParity, ErrorContractHoldsPastReleasedPages)
 {
     // Multi-MiB images, so the mapped reader has dropped its first pages
-    // (every kReadChunk) and re-scanned at many kScanAhead caps before
-    // the interesting bytes arrive: a wide-id stretch longer than one
-    // scan, record corruption above 1 MiB, and a torn tail.
+    // (every kReleaseStride) many times before the interesting bytes
+    // arrive: a wide-id stretch longer than one release stride, record
+    // corruption above 1 MiB, and a torn tail.
     constexpr size_t kMiB = 1u << 20;
     ImageBuilder b(4, 20000, 1);
     for (uint32_t i = 0; b.bytes.size() < kMiB + kMiB / 2; ++i) {
