@@ -101,7 +101,7 @@ AeroDromeOpt::check_and_get_clock(ConstClockRef clk, ThreadId src,
 }
 
 bool
-AeroDromeOpt::has_incoming_edge(ThreadId t) const
+AeroDromeOpt::has_incoming_edge(ThreadId t)
 {
     // "parentTr is alive": the transaction that forked this thread is still
     // active, so the fork edge into every transaction of this thread may
@@ -116,9 +116,12 @@ AeroDromeOpt::has_incoming_edge(ThreadId t) const
     ConstClockRef ct = c_[t];
     ConstClockRef cbt = cb_[t];
     for (size_t u = 0; u < ct.dim(); ++u) {
-        if (u != t && ct.get(u) != cbt.get(u))
+        if (u != t && ct.get(u) != cbt.get(u)) {
+            thread_rows_walked_ += u + 1;
             return true;
+        }
     }
+    thread_rows_walked_ += ct.dim();
     // Transit-ancestry guard. The literal check above (the paper's
     // C_t^b[0/t] != C_t[0/t]) only sees orderings received *during* the
     // transaction, but skipping the propagation also drops orderings the
@@ -133,9 +136,11 @@ AeroDromeOpt::has_incoming_edge(ThreadId t) const
     for (ThreadId u = 0; u < c_.rows(); ++u) {
         if (u != t && txns_.active(u) && cb_[u].get(u) > 0 &&
             cb_[u].get(u) <= cbt.get(u)) {
+            thread_rows_walked_ += u + 1;
             return true;
         }
     }
+    thread_rows_walked_ += c_.rows();
     return false;
 }
 
@@ -154,14 +159,15 @@ AeroDromeOpt::flush_stale_readers(VarId x)
 bool
 AeroDromeOpt::handle_end(ThreadId t, size_t index)
 {
-    // Seal first, so the sweep's own joins enroll only into *other*
+    // Seal first, so the walk's own joins enroll only into *other*
     // threads' windows, never into the list being iterated.
     tbl_.seal_update_window(t);
     if (!has_incoming_edge(t)) {
         // Garbage-collected end: this transaction can never lie on a
         // cycle, so skip the propagation entirely and only drop its own
         // lazy bookkeeping (Algorithm 3, lines 75-86). Its stale reads
-        // and write were enrolled into its window when they were made.
+        // and write were enrolled into its window when they were made;
+        // lock codes need nothing.
         ++opt_stats_.gc_skipped_ends;
         for (uint32_t i : tbl_.update_entries(t)) {
             ++stats_.end_swept_entries;
@@ -184,6 +190,7 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
     const ClockValue cbt_t = cb_[t].get(t);
     const bool ct_pure = pure_of(t);
 
+    thread_rows_walked_ += c_.rows();
     for (ThreadId u = 0; u < c_.rows(); ++u) {
         if (u == t)
             continue;
@@ -196,18 +203,10 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
             }
         }
     }
-    // The lock table holds only the ids used (at most 2x the highest).
-    for (size_t l = 0; l < locks_.size(); ++l) {
-        ++stats_.comparisons;
-        if (cbt_t <= locks_.get(l, t)) {
-            ++stats_.joins;
-            locks_.join(l, ct, t, ct_pure);
-        }
-    }
     // The window holds this transaction's own stale reads and write
-    // (enrolled when made) plus every entry whose gate an eager mutation
-    // could have made fireable; the rest of the table provably cannot
-    // fire. Entries are independent, so the visit order is immaterial.
+    // (enrolled when made) plus every W_x, R_x and L_l whose gate a
+    // mutation could have made fireable; no other clock can fire.
+    // Entries are independent, so the visit order is immaterial.
     // Flushes of C_t (C_t[0/t]) into bottom entries all store the same
     // vector: the 2nd and later share the first one's arena row.
     AdaptiveClockTable::RowShare share_ct, share_ct_except;
@@ -256,9 +255,18 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
             }
             break;
           }
-          default: // hR_x: handled with its R_x partner at i - 1
-            ++stats_.end_gate_skipped;
+          default: { // L_l for lock l = i / 3 (hR_x never enrolls)
+            const LockId l = x;
+            ++stats_.comparisons;
+            if (cbt_t <= locks_.get(l, t)) {
+                ++stats_.joins;
+                locks_.join(l, ct, t, ct_pure);
+                tbl_.enroll(i, ct, t, ct_pure);
+            } else {
+                ++stats_.end_gate_skipped;
+            }
             break;
+          }
         }
     }
     tbl_.close_update_window(t);
@@ -302,12 +310,13 @@ AeroDromeOpt::process(const Event& e, size_t index)
         // already checked when it reached C_t. The containment holds from
         // t's release, which assigned C_t to L_l, and survives everything
         // that touches L_l or C_t before the next release: only another
-        // thread u's propagated end joins into L_l, and its gate
-        // cb_u(u) <= L_l(u) <= C_t(u) also joins C_u into C_t (with its
-        // check) in that end's peer loop; a gc sweep only demotes
-        // entries to bottom; C_t only grows; retire_slot scrubs the entry
-        // when t's row is reissued. So no end, propagated or skipped,
-        // needs to clear it.
+        // thread u's propagated end joins into L_l, when its window walk
+        // reaches L_l's code and the gate cb_u(u) <= L_l(u) holds; as
+        // L_l(u) <= C_t(u), that gate also joins C_u into C_t (with its
+        // check) in the same end's peer loop, which runs first. A gc
+        // sweep only demotes entries to bottom; C_t only grows;
+        // retire_slot scrubs the entry when t's row is reissued. So no
+        // end, propagated or skipped, needs to clear it.
         if (last_rel_thr_[target] != t) {
             return check_and_get_entry(locks_, target, target, t, index,
                                        "acquire saw conflicting release");
@@ -317,6 +326,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
       case Op::kRelease:
         ensure_lock(target);
         locks_.assign(target, c_[t], t, pure_of(t));
+        tbl_.enroll(lock_code(target), c_[t], t, pure_of(t));
         last_rel_thr_[target] = t;
         return false;
 
@@ -543,6 +553,7 @@ AeroDromeOpt::counters() const
         {"gc_sweeps_skipped", gc_sweeps_skipped_},
         {"gc_scanned_words", gc_scanned_words_},
         {"retire_scanned_words", retire_scanned_words_},
+        {"thread_rows_walked", thread_rows_walked_},
         // As of the last sweep that scanned, not the last sweep.
         {"gc_live_entries", gc_live_entries_},
         {"slots_retired", slots_.retired()},

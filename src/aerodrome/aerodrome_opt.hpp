@@ -31,19 +31,22 @@
  *    handled eagerly — their "transaction" completes immediately, so the
  *    live-clock proxy would be unsound for them.
  *
- * 2. Per-thread update sets, as the table's update windows
+ * 2. Per-thread update sets, as the variable table's update windows
  *    (vc/adaptive_clock.hpp). Each outermost begin opens a window;
- *    every eager mutation of a W_x, R_x or hR_x entry enrolls it into
- *    the window of each thread whose end gate it could make fireable,
- *    and a lazy access enrolls its entry into the accessing thread's own
+ *    every eager mutation of a W_x or R_x entry, every release into
+ *    L_l and every end's join into L_l enrolls the clock into the
+ *    window of each thread whose end gate it could make fireable, and a
+ *    lazy access enrolls its entry into the accessing thread's own
  *    window (enroll_pending) when the thread newly becomes a stale
- *    reader or the stale writer. An end
- *    event visits only its window's entries, never the variable table:
- *    no access scans the thread rows. A thread ordered before a lazy
- *    access needs no entry of its own for it: if its window is still
- *    open when the stale value is flushed, the flush's join enrolls the
- *    entry; if it ended first, its end joined its clock into the lazy
- *    accessor's clock, which the flush carries.
+ *    reader or the stale writer. hR_x enrolls nothing: each of its
+ *    updates comes with an R_x update from the same clock, and R_x's
+ *    gate drives both. An end event visits only its window's entries,
+ *    never the variable or the lock table: one window walk reaches W_x,
+ *    R_x and L_l, and no access scans the thread rows. A thread ordered
+ *    before a lazy access needs no entry of its own for it: if its
+ *    window is still open when the stale value is flushed, the flush's
+ *    join enrolls the entry; if it ended first, its end joined its clock
+ *    into the lazy accessor's clock, which the flush carries.
  *
  * 3. Garbage collection ("hasIncomingEdge"). A completed transaction that
  *    received no orderings from other threads since its begin (its clock is
@@ -62,15 +65,17 @@
  *
  * Storage is epoch-adaptive (vc/adaptive_clock.hpp): W_x, R_x and hR_x
  * are entries 3x, 3x+1 and 3x+2 of one AdaptiveClockTable, so an entry's
- * kind and variable follow from its index; the L_l live in a second,
- * window-less table that propagated ends sweep whole. Both tables and
- * every per-id array grow with the ids the events use (at most 2x the
- * highest), never with a trace header's declared counts. Both give O(1)
- * conflict checks and updates while the touched state stays
- * epoch-shaped, inflating into their arena on first contention. Purity
- * bits on C_t drive the fast paths. The staleReaders_x sets are chains in
- * one pooled node array (StaleReaderPool), so a variable without stale
- * readers costs a 4-byte head and no allocation of its own.
+ * kind and variable follow from its index. The L_l live in a second
+ * table that opens no windows; lock l rides the first table's windows
+ * under code 3l+2, which no hR_x takes since hR_x never enrolls. Both
+ * tables and every per-id array grow with the ids the events use (at
+ * most 2x the highest), never with a trace header's declared counts.
+ * Both give O(1) conflict checks and updates while the touched state
+ * stays epoch-shaped, inflating into their arena on first contention.
+ * Purity bits on C_t drive the fast paths. The staleReaders_x sets are
+ * chains in one pooled node array (StaleReaderPool), so a variable
+ * without stale readers costs a 4-byte head and no allocation of its
+ * own.
  */
 
 #include <cstdint>
@@ -216,13 +221,16 @@ private:
     }
 
     /** Algorithm 3's hasIncomingEdge(t), evaluated at t's end event. */
-    bool has_incoming_edge(ThreadId t) const;
+    bool has_incoming_edge(ThreadId t);
 
     /** Flush staleReaders_x into R_x / hR_x (before a write's checks). */
     void flush_stale_readers(VarId x);
 
     /** Variable x's W_x entry; R_x and hR_x follow it. */
     static size_t w_entry(VarId x) { return 3 * size_t{x}; }
+    /** Lock l's window code in tbl_: the index of hR_l, which never
+     *  enrolls. */
+    static size_t lock_code(LockId l) { return 3 * size_t{l} + 2; }
 
     void ensure_thread(ThreadId t);
     void ensure_var(VarId x);
@@ -237,9 +245,9 @@ private:
     ClockBank cb_; // one row per thread
 
     /** W_x, R_x, hR_x at entries w_entry(x) + {0, 1, 2}; update windows
-     *  open at outermost begins. */
+     *  open at outermost begins and also carry L_l, as lock_code(l). */
     AdaptiveClockTable tbl_;
-    /** L_l at entry l; no windows (propagated ends sweep it whole). */
+    /** L_l at entry l; it opens no windows of its own. */
     AdaptiveClockTable locks_;
 
     /** c_pure_[t] != 0 iff C_t == bot[v/t]; sound but conservative. */
@@ -390,6 +398,9 @@ private:
     uint64_t gc_scanned_words_ = 0;
     /** last_w_thr_ and last_rel_thr_ entries walked by retire_slot. */
     uint64_t retire_scanned_words_ = 0;
+    /** Thread rows (clock components) walked by has_incoming_edge and
+     *  the propagated end's peer loop. */
+    uint64_t thread_rows_walked_ = 0;
     /** Live entries found by the last sweep that scanned. */
     uint64_t gc_live_entries_ = 0;
     size_t gc_rows_baseline_ = 0;

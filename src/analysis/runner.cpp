@@ -338,14 +338,13 @@ reserve_hint_sane(uint32_t threads, uint32_t vars, uint32_t locks)
 
 RunResult
 run_checker_stream(AtomicityChecker& checker, EventSource& source,
-                   const RunBudget& budget, size_t block)
+                   const RunBudget& budget)
 {
     RunResult result;
     Stopwatch watch;
     const bool limited = budget.max_seconds > 0;
-    block = resolve_ingest_block(block);
 
-    BlockFeed feed(source, block);
+    BlockFeed feed(source, kDefaultIngestBlock);
     PanicContextScope panic_scope;
     try {
         // Memory polls fire on the first event at-or-after every

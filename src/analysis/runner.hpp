@@ -146,14 +146,13 @@ class EventSource;
  * run with the matching RunStatus instead of propagating; any other
  * exception propagates.
  *
- * Events are pulled in blocks of `block` via EventSource::next_n so
- * block-decoding sources (MappedBinaryEventSource) amortize per-event
- * overhead; 0 means kDefaultIngestBlock (resolve_ingest_block).
- * Memory polls fire on the first event boundary at-or-after each
- * check_interval regardless of the block size. A limited budget reads
- * the clock at least once per block, at intervals paced by the observed
- * ns/event (see RunBudget), so neither a huge block nor a slow engine
- * blows past max_seconds.
+ * Events are pulled in blocks of kDefaultIngestBlock via
+ * EventSource::next_n so block-decoding sources
+ * (MappedBinaryEventSource) amortize per-event overhead. Memory polls
+ * fire on the first event boundary at-or-after each check_interval,
+ * inside a block too. A limited budget reads the clock at least once
+ * per block, at intervals paced by the observed ns/event (see
+ * RunBudget), so a slow engine cannot blow past max_seconds.
  *
  * Decode ahead. The first block is decoded on the calling thread, so a
  * trace shorter than one block starts no thread. When that block comes
@@ -175,7 +174,6 @@ class EventSource;
  * from its start to that join.
  */
 RunResult run_checker_stream(AtomicityChecker& checker, EventSource& source,
-                             const RunBudget& budget = {},
-                             size_t block = 0);
+                             const RunBudget& budget = {});
 
 } // namespace aero

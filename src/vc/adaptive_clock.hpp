@@ -20,9 +20,7 @@
  * never demote"). Because only contended entries ever inflate, the arena
  * is a *combined bank region* holding exactly the slow-path rows of every
  * clock family an engine hands to one table (W_x, R_x and hR_x in the
- * optimized engine's variable table, L_l in its lock table), which is
- * what makes the end-event propagation sweep a single streaming pass
- * (see AeroDromeOpt::handle_end).
+ * optimized engine's variable table, L_l in its lock table).
  *
  * Exactness. The table is a representation change, not an approximation:
  * after every operation, the abstract vector an entry denotes equals the
@@ -73,8 +71,8 @@ struct AdaptiveClockStats {
     RelaxedCounter vector_ops;
     /** Entries promoted epoch -> arena row. */
     RelaxedCounter inflations;
-    /** Entries enrolled into a thread's update window (unique per
-     *  (entry, open window); see open_update_window). */
+    /** Codes enrolled into a thread's update window (unique per
+     *  (code, open window); see open_update_window). */
     RelaxedCounter upd_enrolled;
     /** Dead entries reset to bottom by gc_reclaim (README,
      *  "Reclamation"). */
@@ -141,16 +139,25 @@ public:
     // --- table entries) -----------------------------------------------------
     //
     // A window tracks, for one thread t with an active transaction, every
-    // entry whose end-event gate `cb_t(t) <= entry(t)` can possibly fire.
+    // clock whose end-event gate `cb_t(t) <= clock(t)` can possibly fire.
     // The gate value cb_t(t) is minted fresh by the tick at t's outermost
-    // begin, so no entry can satisfy the gate when the window opens; an
-    // entry can only come to satisfy it through a later assign/join whose
+    // begin, so no clock can satisfy the gate when the window opens; a
+    // clock can only come to satisfy it through a later assign/join whose
     // *source clock* already carries component t at or above the gate —
-    // which is exactly when the mutators below enroll the entry. Window
-    // sweeps at end events may therefore visit only the enrolled entries
-    // instead of the whole table; enrollment is an over-approximation
-    // (assign can lower a component again), so sweeps still apply the
-    // real gate. Gate values are frozen for the life of a transaction.
+    // which is exactly when enroll() puts the clock's window code into
+    // the window. Window sweeps at end events may therefore visit only
+    // the enrolled codes instead of every clock; enrollment is an
+    // over-approximation (assign can lower a component again), so sweeps
+    // still apply the real gate. Gate values are frozen for the life of
+    // a transaction.
+    //
+    // A window code is a 32-bit number the engine decodes. assign and
+    // join enroll their own entry index; join_except enrolls nothing (its
+    // caller pairs it with a join of the same source into a partner
+    // entry, which enrolls for both). An engine may enroll codes that
+    // name clocks kept outside the table, through enroll(), as long as
+    // they never collide with the indices of entries that assign or join
+    // touch: AeroDromeOpt's L_l rides code 3l+2, the index of an hR_x.
 
     /**
      * Open thread t's window with gate `gate` (= cb_t(t) right after the
@@ -200,6 +207,31 @@ public:
         w.list.clear();
     }
 
+    /**
+     * Enroll window code i into the window of every thread u whose gate
+     * the mutation `clock_i op= c` could make fireable: c's component u
+     * is at or above u's gate. assign and join call it for their own
+     * entry; an engine calls it for a clock it keeps outside the table
+     * under code i. A pure source (c == bot[v/t]) carries only component
+     * t, so only t's window needs the test.
+     */
+    void
+    enroll(size_t i, ConstClockRef c, ThreadId t, bool c_pure)
+    {
+        if (c_pure) {
+            if (t < upd_gate_.size()) {
+                ClockValue g = upd_gate_[t];
+                if (g != 0 && c.get(t) >= g)
+                    enroll_into(t, static_cast<uint32_t>(i));
+            }
+            return;
+        }
+        for (uint32_t u : open_windows_) {
+            if (c.get(u) >= upd_gate_[u])
+                enroll_into(u, static_cast<uint32_t>(i));
+        }
+    }
+
     /** Enroll entry i into t's open window without touching the entry:
      *  for a deferred (lazy) update of i that some later flush applies.
      *  No-op when t has no open window. */
@@ -210,7 +242,7 @@ public:
             enroll_into(t, static_cast<uint32_t>(i));
     }
 
-    /** The entries enrolled in t's window (valid while sealed, until
+    /** The codes enrolled in t's window (valid while sealed, until
      *  close_update_window). Unordered; duplicates never occur. t's
      *  window must have been opened. */
     const std::vector<uint32_t>&
@@ -276,7 +308,7 @@ public:
     assign(size_t i, ConstClockRef c, ThreadId t, bool c_pure)
     {
         if (!open_windows_.empty())
-            enroll(i, c, t, c_pure, /*zero_t=*/false);
+            enroll(i, c, t, c_pure);
         if (c_pure && !is_inflated(i)) {
             entries_[i] = Epoch(c.get(t), t).bits();
             ++stats_.epoch_fast;
@@ -290,7 +322,7 @@ public:
     join(size_t i, ConstClockRef c, ThreadId t, bool c_pure)
     {
         if (!open_windows_.empty())
-            enroll(i, c, t, c_pure, /*zero_t=*/false);
+            enroll(i, c, t, c_pure);
         uint64_t bits = entries_[i];
         if (c_pure) {
             ClockValue v = c.get(t);
@@ -317,12 +349,12 @@ public:
     }
 
     /** entry_i := entry_i |_| c[0/t] (the hR_x update). A pure source is
-     *  a complete no-op: bot[v/t] with component t zeroed is bottom. */
+     *  a complete no-op: bot[v/t] with component t zeroed is bottom.
+     *  Enrolls nothing: every hR_x update comes with an R_x update from
+     *  the same clock, whose enrollment and gate drive both. */
     void
     join_except(size_t i, ConstClockRef c, ThreadId t, bool c_pure)
     {
-        if (!open_windows_.empty())
-            enroll(i, c, t, c_pure, /*zero_t=*/true);
         if (c_pure) {
             ++stats_.epoch_fast;
             return;
@@ -520,41 +552,15 @@ private:
         return 1;
     }
 
-    /** One thread's update window: enrolled entries as a list plus a
+    /** One thread's update window: enrolled codes as a list plus a
      *  membership bitset (bit i of word i / 64, sized by the highest
-     *  entry enrolled) for O(1) dedup. The bitset reads zero as "not a
-     *  member", so a window that enrolls a high entry writes only the
+     *  code enrolled) for O(1) dedup. The bitset reads zero as "not a
+     *  member", so a window that enrolls a high code writes only the
      *  word it sets. */
     struct UpdWindow {
         std::vector<uint32_t> list;
         ZeroedArray<uint64_t> member;
     };
-
-    /**
-     * Enroll entry i into the window of every thread u whose gate the
-     * mutation `entry_i op= c` could make fireable: c's component u is at
-     * or above u's gate. A pure source (c == bot[v/t]) carries only
-     * component t, so only t's window needs the test; zero_t sources
-     * (join_except, c[0/t]) contribute nothing through component t.
-     */
-    void
-    enroll(size_t i, ConstClockRef c, ThreadId t, bool c_pure, bool zero_t)
-    {
-        if (c_pure) {
-            if (!zero_t && t < upd_gate_.size()) {
-                ClockValue g = upd_gate_[t];
-                if (g != 0 && c.get(t) >= g)
-                    enroll_into(t, static_cast<uint32_t>(i));
-            }
-            return;
-        }
-        for (uint32_t u : open_windows_) {
-            if (zero_t && u == t)
-                continue;
-            if (c.get(u) >= upd_gate_[u])
-                enroll_into(u, static_cast<uint32_t>(i));
-        }
-    }
 
     void
     enroll_into(ThreadId u, uint32_t i)
@@ -613,8 +619,8 @@ private:
     {
         const bool copy = !c_pure && entries_[i] == 0;
         if (copy && share_row(i, s)) {
-            if (!open_windows_.empty())
-                enroll(i, c, t, /*c_pure=*/false, zero_t);
+            if (!zero_t && !open_windows_.empty())
+                enroll(i, c, t, /*c_pure=*/false);
             ++stats_.vector_ops;
             return;
         }

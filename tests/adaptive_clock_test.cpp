@@ -11,7 +11,8 @@
  * sound purity flags, sometimes conservatively false) and compares after
  * every step. The same fuzz opens update windows on random threads and
  * checks the window invariant the shipped engine's end walks rely on:
- * every entry whose gate can fire is enrolled.
+ * every entry whose gate assign or join can make fire is enrolled, and
+ * join_except enrolls nothing.
  */
 
 #include <gtest/gtest.h>
@@ -223,6 +224,29 @@ TEST_F(AdaptiveTableTest, WindowBitsDedupAcrossWordsAndClearOnClose)
     EXPECT_EQ(tbl_.stats().upd_enrolled, 6u);
 }
 
+/** enroll() takes a window code for a clock kept outside the table (an
+ *  engine's lock clocks): it enrolls into every open window whose gate
+ *  the source reaches and touches no entry, even past the table's end. */
+TEST_F(AdaptiveTableTest, EnrollTakesCodesOfClocksKeptElsewhere)
+{
+    tbl_.add_entries(3);
+    tbl_.open_update_window(0, 5);
+    tbl_.open_update_window(2, 4);
+    // Impure source: component 0 reaches 0's gate, component 2 misses
+    // 2's gate.
+    tbl_.enroll(1000, ref(VectorClock{6, 1, 3}), 1, false);
+    // Pure sources test only their own thread's window: 2's is reached,
+    // 1 has none.
+    tbl_.enroll(1001, ref(VectorClock{0, 0, 4}), 2, true);
+    tbl_.enroll(1002, ref(VectorClock{0, 9}), 1, true);
+    EXPECT_EQ(tbl_.update_entries(0), (std::vector<uint32_t>{1000}));
+    EXPECT_EQ(tbl_.update_entries(2), (std::vector<uint32_t>{1001}));
+    EXPECT_EQ(tbl_.stats().upd_enrolled, 2u);
+    EXPECT_EQ(tbl_.size(), 3u);
+    for (size_t i = 0; i < tbl_.size(); ++i)
+        EXPECT_TRUE(tbl_.is_bottom(i));
+}
+
 // --- Model-based fuzz ------------------------------------------------------
 
 /**
@@ -230,9 +254,13 @@ TEST_F(AdaptiveTableTest, WindowBitsDedupAcrossWordsAndClearOnClose)
  * update windows opening and closing on random threads. A window's gate
  * is minted above every entry's component, as the begin tick mints
  * cb_u(u) in the engine; after every mutation, each entry whose
- * component u reaches an open window's gate must be enrolled in it.
- * Adds to `gated` how many (entry, window) pairs met a gate, so the
- * caller can assert the invariant was exercised.
+ * component u reaches an open window's gate through assign or join (the
+ * `reach` model, which leaves join_except out) must be enrolled in it,
+ * and join_except must enroll nothing. The engine pairs every
+ * join_except (hR_x) with a join of the same source into a partner
+ * entry (R_x), whose enrollment and gate stand for both. Adds to
+ * `gated` how many (entry, window) pairs met a gate, so the caller can
+ * assert the invariant was exercised.
  */
 void
 fuzz_against_model(uint64_t seed, size_t& gated)
@@ -246,6 +274,9 @@ fuzz_against_model(uint64_t seed, size_t& gated)
     tbl.ensure_dim(kThreads);
     tbl.add_entries(kEntries);
     std::vector<VectorClock> model(kEntries);
+    // What assign and join alone made of each entry: join_except's
+    // contributions are left out, as they enroll nothing.
+    std::vector<VectorClock> reach(kEntries);
     // gate[u] != 0 iff u's window is open.
     std::vector<ClockValue> gate(kThreads, 0);
 
@@ -266,7 +297,7 @@ fuzz_against_model(uint64_t seed, size_t& gated)
             const std::vector<uint32_t>& in = tbl.update_entries(
                 static_cast<ThreadId>(u));
             for (uint32_t e = 0; e < kEntries; ++e) {
-                if (tbl.get(e, u) < gate[u])
+                if (reach[e].get(u) < gate[u])
                     continue;
                 ++gated;
                 ASSERT_NE(std::find(in.begin(), in.end(), e), in.end())
@@ -296,19 +327,24 @@ fuzz_against_model(uint64_t seed, size_t& gated)
             }
         }
         VectorClock vsrc = ConstClockRef(src).to_vector_clock();
+        const uint64_t enrolled = tbl.stats().upd_enrolled;
+        bool excepts_only = false;
 
         switch (rng.next_below(7)) {
           case 0:
             tbl.assign(i, src, t, pure);
             model[i] = vsrc;
+            reach[i] = vsrc;
             break;
           case 1:
             tbl.join(i, src, t, pure);
             model[i].join(vsrc);
+            reach[i].join(vsrc);
             break;
           case 2:
             tbl.join_except(i, src, t, pure);
             model[i].join_except(vsrc, t);
+            excepts_only = true;
             break;
           case 3: {
             // join_into a destination clock; model it too.
@@ -327,11 +363,14 @@ fuzz_against_model(uint64_t seed, size_t& gated)
           case 4: { // one source flushed into distinct entries, as an end
             AdaptiveClockTable::RowShare full, except;
             const size_t n = 1 + rng.next_below(4);
+            excepts_only = true;
             for (size_t k = 0; k < n; ++k) {
                 const size_t e = (i + k) % kEntries;
                 if (rng.next_bool(0.5)) {
                     tbl.join_shared(e, src, t, pure, full);
                     model[e].join(vsrc);
+                    reach[e].join(vsrc);
+                    excepts_only = false;
                 } else {
                     tbl.join_except_shared(e, src, t, pure, except);
                     model[e].join_except(vsrc, t);
@@ -365,6 +404,11 @@ fuzz_against_model(uint64_t seed, size_t& gated)
         // Spot-check component reads.
         ThreadId probe = static_cast<ThreadId>(rng.next_below(kThreads));
         EXPECT_EQ(tbl.get(i, probe), model[i].get(probe));
+        if (excepts_only) {
+            ASSERT_EQ(tbl.stats().upd_enrolled, enrolled)
+                << "join_except enrolled at op " << op << " (seed " << seed
+                << ")";
+        }
         check_windows(op);
         if (::testing::Test::HasFatalFailure())
             return;

@@ -686,19 +686,19 @@ private:
 
 TEST(BlockBudget, HugeBlockCannotBlowPastMaxSeconds)
 {
-    // Block (1M) >> check_interval (1000): the poll must fire at the
+    // Block (4096) > check_interval (1000): the poll must fire at the
     // first boundary at-or-after each interval *inside* the block, so
     // the run stops on an interval boundary shortly after the deadline
-    // instead of draining the whole block first (or never stopping).
+    // instead of at the next block's start (or never stopping).
     EndlessSource src;
     AeroDromeOpt engine(1, 1, 1);
     RunBudget budget;
-    // The first poll comes only after the first 1M-event block is
-    // decoded, which can take tens of ms on a loaded machine; the
-    // deadline must leave room for it or the run stops at event 0.
+    // The first poll comes only after the first block is decoded; the
+    // deadline leaves room for a loaded machine, or the run would stop
+    // at event 0.
     budget.max_seconds = 0.25;
     budget.check_interval = 1000;
-    RunResult r = run_checker_stream(engine, src, budget, 1u << 20);
+    RunResult r = run_checker_stream(engine, src, budget);
     EXPECT_TRUE(r.timed_out);
     EXPECT_GT(r.events_processed, 0u);
     EXPECT_EQ(r.events_processed % budget.check_interval, 0u)
@@ -712,7 +712,7 @@ TEST(BlockBudget, ExpiredBudgetStopsAtFirstBoundary)
     RunBudget budget;
     budget.max_seconds = 1e-9; // already expired at the first poll
     budget.check_interval = 1000;
-    RunResult r = run_checker_stream(engine, src, budget, 1u << 20);
+    RunResult r = run_checker_stream(engine, src, budget);
     EXPECT_TRUE(r.timed_out);
     EXPECT_EQ(r.events_processed, 0u);
 }

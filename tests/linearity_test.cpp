@@ -11,7 +11,8 @@
  *
  * For each workload family of perfbench (star: Table 1's avrora row;
  * naive: Table 2's batik row; rolling: the server stream with thread
- * churn) this checks n and 4n events and requires every work counter to
+ * churn), and for fine-grained locking (one fresh lock per transaction
+ * pair), this checks n and 4n events and requires every work counter to
  * grow by at most the event ratio (4) times 1 + kSlack. The rolling
  * stream's variable range still grows over its first ~250k events, as
  * its hot window slides around the variable ring, and retirements and
@@ -37,9 +38,9 @@ namespace aero {
 namespace {
 
 /** The counters of work that must stay linear in the events. */
-const char* const kWorkCounters[] = {"comparisons", "joins",
-                                     "end_swept_entries", "gc_scanned_words",
-                                     "retire_scanned_words"};
+const char* const kWorkCounters[] = {
+    "comparisons", "joins", "end_swept_entries", "gc_scanned_words",
+    "retire_scanned_words", "thread_rows_walked"};
 constexpr size_t kNumWork = std::size(kWorkCounters);
 
 /** Allowed growth beyond the event ratio. The largest measured excess
@@ -165,6 +166,30 @@ TEST(Linearity, NaiveWorkGrowsWithTheEvents)
     // grow 3.99x; comparisons grow 3.87x and joins 3.95x. Nothing
     // ends a propagating transaction, sweeps or retires here.
     check_model(model_row(gen::table2_models(), "batik"), 500'000);
+}
+
+TEST(Linearity, ManyLocksWorkGrowsWithTheEvents)
+{
+    // Two threads, one fresh lock per transaction pair: t1 takes lock l
+    // in a transaction of its own, then t0 takes it in one of its own,
+    // so every end of t0 has an incoming edge and propagates while the
+    // lock table keeps growing. An end that compares every lock makes
+    // comparisons grow ~16x here.
+    std::vector<Work> runs;
+    for (uint64_t events : {40'000, 160'000}) {
+        Trace t;
+        for (LockId l = 0; t.size() < events; ++l) {
+            for (ThreadId u : {1, 0}) {
+                t.begin(u);
+                t.acquire(u, l);
+                t.release(u, l);
+                t.end(u);
+            }
+        }
+        TraceSource src(t);
+        runs.push_back(run_with_marks(src, {t.size()}).front());
+    }
+    expect_linear(runs[0], runs[1], "many locks");
 }
 
 constexpr uint64_t kRollingWarmup = 500'000;

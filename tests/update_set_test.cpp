@@ -5,7 +5,7 @@
  * complexity"). Algorithm 1 (aerodrome-basic) has no update sets; it is
  * the verdict reference here.
  *
- * Three properties:
+ * Four properties:
  *  1. Complexity guard — an end event's sweep visits O(|update set|)
  *     entries, not O(|table|): a cold transaction ending against a table
  *     of 10k+ touched variables must sweep a handful of entries (the
@@ -19,6 +19,9 @@
  *     enter only the accessing thread's window (enroll_pending); directed
  *     traces pin the cases where another thread's ordering must still
  *     reach the deferred entry, against the oracle and Algorithm 1.
+ *  4. Lock clocks in the windows — a release and an end's join into L_l
+ *     enroll lock l into the windows; directed traces fail if either
+ *     enrollment is dropped.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +34,7 @@
 #include "sim/scheduler.hpp"
 #include "trace/builder.hpp"
 #include "trace/trace.hpp"
+#include "velodrome/velodrome.hpp"
 
 namespace aero {
 namespace {
@@ -270,6 +274,83 @@ TEST(LazyEnrollment, GcSkippedEndDropsOwnLazyState)
     AeroDromeOpt opt(t.num_threads(), t.num_vars(), t.num_locks());
     EXPECT_FALSE(run_checker(opt, t).violation);
     EXPECT_GE(opt.opt_stats().gc_skipped_ends, 1u);
+}
+
+// --- Lock clocks in the windows (optimized engine) -------------------------
+//
+// A propagated end joins C_t into exactly the L_l its window holds. A
+// release enrolls L_l into the windows its clock reaches; an end's join
+// into L_l enrolls it into the other open windows the joined clock
+// reaches. Each directed trace below detects its violation only through
+// one of these enrollments, so it fails if that enrollment is dropped.
+
+/** Every engine reports `violating` and, when it does, fires at event
+ *  `at`; the oracle agrees on the verdict. */
+void
+expect_lock_case(const Trace& t, bool violating, size_t at)
+{
+    ASSERT_EQ(!check_serializability(t).serializable, violating);
+    const RunResult runs[] = {run<AeroDromeOpt>(t), run<AeroDromeBasic>(t),
+                              run<Velodrome>(t)};
+    for (const RunResult& r : runs) {
+        EXPECT_EQ(r.violation, violating);
+        if (violating) {
+            ASSERT_TRUE(r.details.has_value());
+            EXPECT_EQ(r.details->event_index, at);
+        }
+    }
+}
+
+/** (a) tu releases l with tt's begin in its clock (tt -> tu through m),
+ *  so the release enrolls L_l into tt's window. tt then reads ta's
+ *  stale write of x (ta -> tt); tt's end must join C_tt into L_l, so
+ *  that ta's acquire of l (event 9) sees its own transaction in it.
+ *  Without the read of x there is no cycle. */
+Trace
+release_enrolls_lock(bool close_cycle)
+{
+    TraceBuilder b;
+    b.begin("ta").write("ta", "x");
+    b.begin("tt").acquire("tt", "m").release("tt", "m");
+    b.acquire("tu", "m").release("tu", "l");
+    if (close_cycle)
+        b.read("tt", "x");
+    b.end("tt");
+    b.acquire("ta", "l").release("ta", "l").end("ta");
+    return b.take();
+}
+
+/** (b) b releases l (enrolling L_l into b's own window) and then reads
+ *  a's stale write of y; b's end joins C_b, which carries a's begin,
+ *  into L_l, and that join must enroll L_l into a's window. a then
+ *  reads d's stale write of z, and a's end must join C_a into L_l, so
+ *  that d's acquire of l (event 11) sees its own transaction in it:
+ *  d -> a -> b -> d. Without the read of z there is no cycle. */
+Trace
+end_enrolls_lock(bool close_cycle)
+{
+    TraceBuilder b;
+    b.begin("a").begin("d");
+    b.begin("b").acquire("b", "l").release("b", "l");
+    b.write("a", "y").read("b", "y").end("b");
+    b.write("d", "z");
+    if (close_cycle)
+        b.read("a", "z");
+    b.end("a");
+    b.acquire("d", "l").release("d", "l").end("d");
+    return b.take();
+}
+
+TEST(LockWindows, ReleaseEnrollsTheLockForTheEnd)
+{
+    expect_lock_case(release_enrolls_lock(true), true, 9);
+    expect_lock_case(release_enrolls_lock(false), false, 0);
+}
+
+TEST(LockWindows, EndJoinEnrollsTheLockForLaterEnds)
+{
+    expect_lock_case(end_enrolls_lock(true), true, 11);
+    expect_lock_case(end_enrolls_lock(false), false, 0);
 }
 
 // --- staleReaders_x pool ------------------------------------------------
