@@ -32,7 +32,8 @@
  *               trace into memory)
  *   --stats: print the ingest line (reader kind, block size, whether
  *            blocks were decoded ahead on a worker thread, decode busy
- *            time and the checker's wait for blocks), the engine's
+ *            time, the checker's wait for blocks and the owned rereads
+ *            the worker dropped before the engine), the engine's
  *            statistics, then the process's peak resident set
  *            (peak_rss_kb, VmHWM)
  *   --witness: on a violation, reconstruct and print a witness cycle
@@ -327,12 +328,14 @@ main(int argc, char** argv)
         }
         if (args.stats) {
             std::printf("  ingest: %s source, block %s, decode %s, "
-                        "decode_busy %s, engine_wait %s\n",
+                        "decode_busy %s, engine_wait %s, reads_dropped "
+                        "%s\n",
                         source->source_kind(),
                         with_commas(kDefaultIngestBlock).c_str(),
                         r.decoded_ahead ? "ahead" : "inline",
                         format_duration(r.decode_seconds).c_str(),
-                        format_duration(r.wait_seconds).c_str());
+                        format_duration(r.wait_seconds).c_str(),
+                        with_commas(r.reads_dropped).c_str());
             print_counters(checker->counters());
             print_peak_rss();
         }

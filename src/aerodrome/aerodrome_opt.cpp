@@ -355,6 +355,19 @@ AeroDromeOpt::process(const Event& e, size_t index)
       }
 
       case Op::kRead: {
+        // An owned reread changes nothing here but lazy_reads, which is
+        // why owned_rereads_are_noops() holds. Say t wrote x inside its
+        // current outermost transaction and read x since, with no write
+        // to x in between. That write set last_w_thr_[x] = t, and only
+        // a later write to x, t's outermost end or retire_slot (never
+        // for an active t) changes it; so the check below is skipped.
+        // The read since then put t in staleReaders_x, and only a write
+        // to x (its flush) or t's outermost end removes it; so insert()
+        // returns false and enrolls nothing. t's slot stays bound while
+        // t is active, acted_[t] is already set and x was ensured by the
+        // write, so nothing above changes either. (Algorithm 1,
+        // aerodrome-basic, differs: its reread assigns a C_t that may
+        // have grown since into R_{t,x}.)
         const VarId x = target;
         ensure_var(x);
         const size_t base = w_entry(x);

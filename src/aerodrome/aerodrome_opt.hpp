@@ -30,6 +30,14 @@
  *    unaffected. Events *outside* transactions (unary transactions) are
  *    handled eagerly — their "transaction" completes immediately, so the
  *    live-clock proxy would be unsound for them.
+ *    Owned rereads are dropped upstream: a read r(t,x) inside t's
+ *    outermost transaction, after t wrote x there and has read it
+ *    since, finds last_w_thr_[x] == t (no check) and t already in
+ *    staleReaders_x (no enrollment), so it only counts a lazy read.
+ *    The run loop's decode-ahead worker compacts such reads out of its
+ *    blocks (analysis/reread_filter.hpp; owned_rereads_are_noops() and
+ *    the read path in process() give the argument), which is exact:
+ *    verdict, index, thread and every counter but lazy_reads match.
  *
  * 2. Per-thread update sets, as the variable table's update windows
  *    (vc/adaptive_clock.hpp). Each outermost begin opens a window;
@@ -114,7 +122,9 @@ struct AeroDromeOptStats {
     RelaxedCounter gc_skipped_ends;
     /** End events that ran the full propagation. */
     RelaxedCounter propagated_ends;
-    /** Lazy read enrollments that avoided an eager clock join. */
+    /** Lazy read enrollments that avoided an eager clock join. Counts
+     *  only the reads that reached the engine: the owned rereads a run
+     *  dropped before process() are in RunResult::reads_dropped. */
     RelaxedCounter lazy_reads;
     /** Lazy write enrollments that avoided an eager clock copy. */
     RelaxedCounter lazy_writes;
@@ -129,6 +139,9 @@ public:
     std::string_view name() const override { return "AeroDrome"; }
 
     bool process(const Event& e, size_t index) override;
+
+    /** True: see the read path in process(). */
+    bool owned_rereads_are_noops() const override { return true; }
 
     const AeroDromeStats& stats() const { return stats_; }
     const AeroDromeOptStats& opt_stats() const { return opt_stats_; }

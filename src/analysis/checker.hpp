@@ -64,6 +64,17 @@ public:
     {}
 
     /**
+     * True when an *owned reread* — r(t,x) inside t's outermost
+     * transaction, after t wrote x in that transaction and has read x
+     * since — changes nothing in this checker but a lazy-read counter.
+     * The run loop may then drop such reads before process()
+     * (OwnedRereadFilter, run_checker_stream); they still count in
+     * RunResult::events_processed, and indices stay those of the trace.
+     * An engine answers true only with the proof beside its read path.
+     */
+    virtual bool owned_rereads_are_noops() const { return false; }
+
+    /**
      * Named throughput counters (joins, comparisons, epoch hits,
      * inflations, ...) for the runner's report output. Engines override
      * this to surface their internal statistics; the default is empty.

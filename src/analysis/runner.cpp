@@ -11,6 +11,7 @@
 
 #include <sched.h>
 
+#include "analysis/reread_filter.hpp"
 #include "support/assert.hpp"
 #include "support/fault.hpp"
 #include "support/stopwatch.hpp"
@@ -122,11 +123,33 @@ second_cpu_allowed(cpu_set_t& set)
            CPU_COUNT(&set) >= 2;
 }
 
+/** One block as the run loop reads it. */
+struct Block {
+    /** The events to check, in trace order. */
+    const Event* events = nullptr;
+    /** offsets[k]: position of events[k] among the raw block's events
+     *  (k itself unless owned rereads were compacted out). */
+    const uint16_t* offsets = nullptr;
+    /** Events to check, and events the block held before compaction. */
+    size_t kept = 0;
+    size_t raw = 0;
+};
+
 /**
  * Hands the run loop its blocks. The first block is decoded inline;
  * when it comes back full, the source may not block and a second CPU is
  * allowed, a worker thread takes the source over and fills a ring of
  * kRingDepth blocks while the loop checks the oldest one in place.
+ *
+ * When the checker's owned_rereads_are_noops() holds, the worker also
+ * runs each block it decodes through an OwnedRereadFilter, which drops
+ * the owned rereads and records the raw offset of each event it keeps.
+ * Its memo is fixed (36 KiB, whatever ids the trace uses); a read it
+ * cannot prove owned is kept and checked as it always was, so a miss
+ * costs only the drop. The filter first observes the inline first
+ * block, so its transaction state covers the whole stream. Inline blocks are never compacted: a
+ * standalone pass costs about as much as the engine saves on a dropped
+ * read, so it pays only on the worker's otherwise idle CPU.
  *
  * The ring is two counters and no lock: the worker publishes a slot by
  * advancing filled_, the loop frees one by advancing drained_. The
@@ -139,11 +162,11 @@ second_cpu_allowed(cpu_set_t& set)
  */
 class BlockFeed {
 public:
-    BlockFeed(EventSource& source, size_t block)
-        : source_(source), block_(block)
+    BlockFeed(EventSource& source, size_t block, bool drop_owned_rereads)
+        : source_(source), block_(block),
+          drop_owned_rereads_(drop_owned_rereads)
     {
-        // Default-initialised: a block is written before it is read.
-        slots_[0].events.reset(new Event[block]);
+        alloc_slot(slots_[0]);
     }
 
     ~BlockFeed() { stop(); }
@@ -151,14 +174,14 @@ public:
     BlockFeed(const BlockFeed&) = delete;
     BlockFeed& operator=(const BlockFeed&) = delete;
 
-    /** Free the block last returned and point `events` at the next.
-     *  @return its event count, 0 at end of stream; rethrows what the
-     *  source threw. */
+    /** Free the block last returned and point `out` at the next.
+     *  @return its raw event count, 0 at end of stream; rethrows what
+     *  the source threw. */
     size_t
-    next(const Event*& events)
+    next(Block& out)
     {
         if (!worker_.joinable())
-            return next_inline(events);
+            return next_inline(out);
         const uint64_t d = drained_.load(std::memory_order_relaxed) + 1;
         drained_.store(d, std::memory_order_release);
         if (filled_.load(std::memory_order_acquire) == d) {
@@ -171,8 +194,7 @@ public:
         recovered_ = slot.recovered;
         if (slot.error)
             std::rethrow_exception(slot.error);
-        events = slot.events.get();
-        return slot.got;
+        return slot.view(out);
     }
 
     /** Stop and join the worker, if one runs. */
@@ -200,28 +222,48 @@ public:
 private:
     struct Slot {
         std::unique_ptr<Event[]> events;
-        size_t got = 0;
+        /** Identity until the filter compacts a block into the slot. */
+        std::unique_ptr<uint16_t[]> offsets;
+        size_t kept = 0;
+        size_t raw = 0;
         /** The source's recovered_error_count() after this block. */
         uint64_t recovered = 0;
         std::exception_ptr error;
+
+        size_t
+        view(Block& out) const
+        {
+            out = {events.get(), offsets.get(), kept, raw};
+            return raw;
+        }
     };
 
-    size_t
-    next_inline(const Event*& events)
+    void
+    alloc_slot(Slot& slot)
     {
+        // Default-initialised: a block is written before it is read.
+        slot.events.reset(new Event[block_]);
+        slot.offsets.reset(new uint16_t[block_]);
+        for (size_t k = 0; k < block_; ++k)
+            slot.offsets[k] = static_cast<uint16_t>(k);
+    }
+
+    size_t
+    next_inline(Block& out)
+    {
+        Slot& slot = slots_[0];
         const Clock::time_point from = Clock::now();
-        const size_t got = source_.next_n(slots_[0].events.get(), block_);
+        slot.kept = slot.raw = source_.next_n(slot.events.get(), block_);
         inline_ns_ += ns_between(from, Clock::now());
         recovered_ = source_.recovered_error_count();
-        events = slots_[0].events.get();
         if (first_) {
             first_ = false;
             cpu_set_t allowed;
-            if (got == block_ && !source_.may_block() &&
+            if (slot.raw == block_ && !source_.may_block() &&
                 second_cpu_allowed(allowed))
                 start(allowed);
         }
-        return got;
+        return slot.view(out);
     }
 
     /** Slot 0 holds the block being checked; the worker fills on. */
@@ -229,7 +271,9 @@ private:
     start(const cpu_set_t& allowed)
     {
         for (uint64_t k = 1; k < kRingDepth; ++k)
-            slots_[k].events.reset(new Event[block_]);
+            alloc_slot(slots_[k]);
+        if (drop_owned_rereads_)
+            filter_ = std::make_unique<OwnedRereadFilter>();
         filled_.store(1, std::memory_order_relaxed);
         try {
             worker_ = std::thread(&BlockFeed::work, this, allowed,
@@ -237,6 +281,7 @@ private:
             decoded_ahead_ = true;
         } catch (const std::system_error&) {
             // No thread to be had: keep decoding inline.
+            filter_.reset();
         }
     }
 
@@ -256,6 +301,10 @@ private:
             sched_setaffinity(0, sizeof allowed, &allowed);
         }
         Clock::time_point from = Clock::now();
+        // Slot 0 is the inline first block, which the checker reads
+        // meanwhile; the filter only reads it too.
+        if (filter_)
+            filter_->observe(slots_[0].events.get(), slots_[0].raw);
         for (uint64_t f = 1;; ++f) {
             if (f - drained_.load(std::memory_order_acquire) == kRingDepth) {
                 do {
@@ -270,30 +319,39 @@ private:
                 return;
             Slot& slot = slots_[f % kRingDepth];
             try {
-                slot.got = source_.next_n(slot.events.get(), block_);
+                slot.raw = source_.next_n(slot.events.get(), block_);
             } catch (...) {
-                slot.got = 0;
+                slot.raw = 0;
                 slot.error = std::current_exception();
             }
+            slot.kept = filter_ ? filter_->compact(slot.events.get(),
+                                                   slot.raw,
+                                                   slot.offsets.get())
+                                : slot.raw;
             slot.recovered = source_.recovered_error_count();
             const Clock::time_point to = Clock::now();
             worker_ns_ += ns_between(from, to);
             from = to;
             filled_.store(f + 1, std::memory_order_release);
-            if (slot.got == 0)
+            if (slot.raw == 0)
                 return;
         }
     }
 
     EventSource& source_;
     const size_t block_;
+    const bool drop_owned_rereads_;
     Slot slots_[kRingDepth];
+    /** The worker's pass, when the checker allows it; the worker's
+     *  alone once started. */
+    std::unique_ptr<OwnedRereadFilter> filter_;
     bool first_ = true;
     bool decoded_ahead_ = false;
     uint64_t recovered_ = 0;
     uint64_t inline_ns_ = 0; ///< checking thread, decoding inline
     uint64_t wait_ns_ = 0;   ///< checking thread, on an empty ring
-    uint64_t worker_ns_ = 0; ///< worker, in next_n; read after the join
+    /** Worker, in next_n and the filter; read after the join. */
+    uint64_t worker_ns_ = 0;
     /** Slots published by the worker, and slots the loop has freed. */
     alignas(64) std::atomic<uint64_t> filled_{0};
     alignas(64) std::atomic<uint64_t> drained_{0};
@@ -344,58 +402,88 @@ run_checker_stream(AtomicityChecker& checker, EventSource& source,
     Stopwatch watch;
     const bool limited = budget.max_seconds > 0;
 
-    BlockFeed feed(source, kDefaultIngestBlock);
+    static_assert(kDefaultIngestBlock <= size_t{UINT16_MAX} + 1,
+                  "a block's event offsets are 16-bit");
+    BlockFeed feed(source, kDefaultIngestBlock,
+                   checker.owned_rereads_are_noops());
     PanicContextScope panic_scope;
+    uint64_t fed = 0; // events handed to process()
     try {
         // Memory polls fire on the first event at-or-after every
         // check_interval, inside blocks too. A time budget also reads
         // the clock at PollPace's intervals, and at a block's start when
         // none falls inside it, so a slow engine cannot run far past
         // max_seconds. Unlimited runs never read the clock here.
+        //
+        // Every index is the event's position in the trace. A block the
+        // decode-ahead worker compacted skips its owned rereads, which
+        // change nothing in the checker; a poll due at one of them runs
+        // there all the same (before the next event checked, or after
+        // the block's last), so polls, and the events_processed of a run
+        // they stop, are those of checking every event.
         PollPace pace(budget.max_seconds, budget.check_interval);
+        const uint64_t mem_interval =
+            std::max<uint64_t>(budget.check_interval, 1);
         uint64_t next_mem = 0;
         uint64_t next_time = limited ? 0 : UINT64_MAX;
         uint64_t next_poll = 0;
+        // Run the polls due at indices up to `upto`. @return true when
+        // the run must stop, at the poll's index.
+        auto poll_through = [&](uint64_t upto) {
+            while (next_poll <= upto) {
+                const uint64_t p = next_poll;
+                if (p >= next_time) {
+                    const double now = watch.elapsed_seconds();
+                    if (now > budget.max_seconds) {
+                        result.timed_out = true;
+                        result.events_processed = p;
+                        return true;
+                    }
+                    next_time = pace.next(p, now);
+                }
+                if (p >= next_mem) {
+                    next_mem = p + mem_interval;
+                    if (memory_breached(checker, budget, result)) {
+                        result.events_processed = p;
+                        return true;
+                    }
+                }
+                next_poll = std::min(next_time, next_mem);
+            }
+            return false;
+        };
         bool stop = false;
-        size_t i = 0;
+        uint64_t i = 0; // index of the block's first event
         while (!stop) {
-            const Event* events = nullptr;
-            const size_t got = feed.next(events);
-            if (got == 0)
+            Block b;
+            if (feed.next(b) == 0)
                 break;
             if (limited) {
                 pace.start_block();
-                if (next_time >= i + got)
+                if (next_time >= i + b.raw)
                     next_time = next_poll = i;
             }
-            for (size_t j = 0; j < got; ++j, ++i) {
-                if (i >= next_poll) {
-                    if (i >= next_time) {
-                        const double now = watch.elapsed_seconds();
-                        if (now > budget.max_seconds) {
-                            result.timed_out = true;
-                            stop = true;
-                            break;
-                        }
-                        next_time = pace.next(i, now);
-                    }
-                    if (i >= next_mem) {
-                        next_mem = i + budget.check_interval;
-                        if (memory_breached(checker, budget, result)) {
-                            stop = true;
-                            break;
-                        }
-                    }
-                    next_poll = std::min(next_time, next_mem);
+            for (size_t j = 0; j < b.kept; ++j) {
+                const uint64_t at = i + b.offsets[j];
+                if (at >= next_poll && poll_through(at)) {
+                    stop = true;
+                    break;
                 }
-                panic_scope.set_index(i);
-                ++result.events_processed;
-                if (checker.process(events[j], i)) {
+                panic_scope.set_index(at);
+                result.events_processed = at + 1;
+                ++fed;
+                if (checker.process(b.events[j], at)) {
                     result.violation = true;
                     stop = true;
                     break;
                 }
             }
+            if (stop)
+                break;
+            i += b.raw;
+            result.events_processed = i;
+            // Polls due on dropped reads at the block's tail.
+            stop = next_poll < i && poll_through(i - 1);
         }
     } catch (const StreamCorruption& e) {
         result.stream_error = e.error(); // structured; run ends here
@@ -404,6 +492,7 @@ run_checker_stream(AtomicityChecker& checker, EventSource& source,
     }
     feed.stop();
     feed.report(result);
+    result.reads_dropped = result.events_processed - fed;
     result.seconds = watch.elapsed_seconds();
     result.details = checker.violation();
     result.counters = checker.counters();

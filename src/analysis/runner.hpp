@@ -20,7 +20,9 @@
  * The check itself is one online pass on one thread (Algorithm 3 reads
  * one event at a time), but decoding the trace need not wait for it:
  * run_checker_stream decodes blocks ahead on a second thread while the
- * engine checks, a two-stage pipeline (see run_checker_stream).
+ * engine checks, a two-stage pipeline (see run_checker_stream). The
+ * second stage also drops the reads an engine provably ignores (owned
+ * rereads, for AeroDromeOpt).
  */
 
 #include <cstdint>
@@ -73,13 +75,19 @@ struct RunResult {
     /** Contained internal failure (panic routed through
      *  throwing_panic_handler, memory-cap breach). */
     std::string internal_error;
-    /** Events consumed (including the violating event, if any). */
+    /** Events consumed (including the violating event, if any), the
+     *  dropped owned rereads among them. */
     uint64_t events_processed = 0;
+    /** Owned rereads the decode-ahead worker dropped before they reached
+     *  the checker (AtomicityChecker::owned_rereads_are_noops), among the
+     *  events_processed: those before the run's stop. */
+    uint64_t reads_dropped = 0;
     /** Wall-clock seconds spent inside the checker loop. */
     double seconds = 0;
     /** Seconds spent inside the source's next_n: the checking thread's
      *  inline decodes (the first block, or every block when nothing
-     *  decoded ahead) plus the decode worker's busy time. */
+     *  decoded ahead) plus the decode worker's busy time, which includes
+     *  its owned-reread pass over each block (OwnedRereadFilter). */
     double decode_seconds = 0;
     /** Seconds the checking thread waited for its next block: decoding
      *  it inline, or finding the decode-ahead ring empty. Where decode
@@ -172,6 +180,19 @@ class EventSource;
  * function returns or throws, on every exit: end of stream, violation,
  * budget, memory cap or exception; the source is the worker's alone
  * from its start to that join.
+ *
+ * Owned rereads. When checker.owned_rereads_are_noops() holds, the
+ * worker also compacts each block it decodes (OwnedRereadFilter,
+ * analysis/reread_filter.hpp): reads r(t,x) inside t's outermost
+ * transaction after t wrote x there and read it since are dropped, and
+ * the block carries the trace offset of every event it keeps. Its state
+ * is 4,096 direct-mapped variable entries plus the transaction state of
+ * thread ids below 256, 36 KiB in all; a read it cannot prove owned (an
+ * evicted entry, a higher thread id) is kept, which costs only the
+ * drop. Checked events keep their trace index, so violations keep
+ * theirs; polls fall on the same indices as without the pass;
+ * events_processed counts dropped reads and reads_dropped says how
+ * many. Inline blocks (the first, or all of them) are never compacted.
  */
 RunResult run_checker_stream(AtomicityChecker& checker, EventSource& source,
                              const RunBudget& budget = {});

@@ -917,6 +917,58 @@ TEST(DecodeAhead, TimeoutAndMemoryCapJoinTheWorker)
     }
 }
 
+TEST(DecodeAhead, PollOnADroppedReadStopsWhereInlineWould)
+{
+    // One whole-trace transaction of t0 rereading the variable it wrote,
+    // with a fresh write every 1000 events: past the inline first block
+    // the worker drops every read but the first after each write. A
+    // memory poll due at a dropped read still runs at its own index, so
+    // the alloc-cap drill stops the run there, as it would inline: with
+    // checked events later in the same block (8,392), after a block's
+    // last checked event (12,200), and in the trace's last block, after
+    // its last checked event (24,400).
+    Trace t;
+    t.begin(0);
+    for (uint32_t i = 1; i < 6 * kBlock; ++i) {
+        if (i % 1000 == 1)
+            t.write(0, 7);
+        else
+            t.read(0, 7);
+    }
+    const TempImage file(serialize(t), "ahead_dropped_poll");
+    for (const size_t interval : {kBlock + 100, size_t{6100}, size_t{12200}}) {
+        const uint64_t at = 2 * interval;
+        const std::string what = "poll at " + std::to_string(at);
+        ASSERT_EQ(t[at].op, Op::kRead) << what;
+        ASSERT_NE(t[at - 1].op, Op::kWrite) << what; // at is an owned reread
+        MappedBinaryEventSource src(file.path);
+        AeroDromeOpt engine(0, 0, 0);
+        RunBudget budget;
+        budget.check_interval = interval;
+        FaultPlan plan;
+        plan.site = FaultSite::kAlloc;
+        plan.kind = FaultKind::kAllocCap;
+        plan.trigger = 2; // breached at the third poll
+        FaultInjector::instance().arm(plan);
+        const RunResult r = run_checker_stream(engine, src, budget);
+        FaultInjector::instance().disarm();
+        ASSERT_EQ(r.status(), RunStatus::kInternalError) << what;
+        EXPECT_EQ(r.events_processed, at) << what;
+        EXPECT_EQ(r.decoded_ahead, decodes_ahead_here()) << what;
+        EXPECT_EQ(r.reads_dropped > 0, decodes_ahead_here()) << what;
+        // Every read before the stop either reached the engine as a lazy
+        // read or was dropped.
+        uint64_t reads = 0;
+        for (uint64_t i = 0; i < at; ++i)
+            reads += t[i].op == Op::kRead;
+        uint64_t lazy = 0;
+        for (const auto& [name, value] : r.counters)
+            if (name == "lazy_reads")
+                lazy = value;
+        EXPECT_EQ(lazy + r.reads_dropped, reads) << what;
+    }
+}
+
 /** `blocks` full blocks of one thread's empty transactions, then
  *  next_n throws E("source failed"). */
 template <typename E>
